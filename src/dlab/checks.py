@@ -2,15 +2,15 @@
 
 Each check_* function runs one battery, measures its numbers against the
 stated tolerances, and returns a dict with at least {"name", "passed",
-"measured"}.  The CLI `verify` subcommands and the acceptance test suite
-both dispatch into this module so that a pass means the same thing in
+"measured"}.  BATTERIES lists each one once, with its acceptance
+criterion and its `dlab verify` name; the CLI and the acceptance test
+suite both dispatch through it, so that a pass means the same thing in
 both places.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
 
 import numpy as np
@@ -18,16 +18,15 @@ import numpy as np
 from .grid import FOURIER, PHYSICAL, Grid, GridFunction, forward_transform
 from .norms import (exponents_X, is_acceptable, is_conjugate_acceptable,
                     morrey_norm, preset_s, morrey_interpolation_check)
-from .deformations import Deformation, galilean_residual, scale_invariance_ratio
-from .evolutions import (SolveConfig, airy_propagate, c_alpha, energy,
-                         gkdv_solve, nls_solve, soliton_exact, soliton_Q,
-                         soliton_profile, suggest_dt)
+from .deformations import (Deformation, airy_flow, apply, dilate, galilean_residual,
+                           scale_invariance_ratio, translate)
+from .evolutions import (SolveConfig, c_alpha, energy, gkdv_solve, nls_solve,
+                         soliton_exact, soliton_Q, soliton_profile, suggest_dt)
 from .embedding import (EmbeddingConfig, embedding_constants,
                         embedding_experiment, fourier_sin_coeff)
 from .profiles import (decoupling_check, extract_profile, partition_check,
                        partner_counts, profile_decompose, stein_tomas_ratio,
                        whitney_pairs)
-from .deformations import apply
 from .norms import ell
 
 
@@ -105,9 +104,9 @@ def check_soliton() -> dict:
         cfg = SolveConfig(alpha=alpha, mu=-1, t_end=0.5, dt=dt, store_every=50)
         run = gkdv_solve(u0, cfg)
     err = 0.0
-    for t, fr in zip(run.times, run.frames):
+    for t, row in zip(run.times, run.values):
         exact = soliton_exact(alpha, grid, 1.0, float(t))
-        err = max(err, (fr - exact).l2_norm() / exact.l2_norm())
+        err = max(err, (GridFunction(grid, row) - exact).l2_norm() / exact.l2_norm())
     measured["dt"] = dt
     measured["max_rel_l2_error"] = err
     ok &= err < 1e-5
@@ -271,7 +270,6 @@ def check_stein_tomas(seed: int = 0) -> dict:
     f0 = GridFunction(grid, np.exp(-x ** 2).astype(complex), PHYSICAL)
     r0 = stein_tomas_ratio(f0, alpha, sigma, 16.0, nt=513)
 
-    from .deformations import airy_flow, translate
     r_t = stein_tomas_ratio(translate(f0, 2.3), alpha, sigma, 16.0, nt=513)
     r_a = stein_tomas_ratio(airy_flow(f0, 0.5), alpha, sigma, 16.0, nt=513)
     f_d = apply(Deformation(1), f0, d_exponent=alpha)
@@ -385,15 +383,15 @@ def check_solver_sanity() -> dict:
         # NLS mass drift over a unit of time
         run = nls_solve(u0, SolveConfig(alpha=2.0, mu=-1, t_end=1.0, dt=1e-3,
                                         store_every=200))
-        m0 = run.frames[0].l2_norm()
-        drift = max(abs(fr.l2_norm() - m0) for fr in run.frames) / m0
+        l2 = [GridFunction(grid, row).l2_norm() for row in run.values]
+        drift = max(abs(m - l2[0]) for m in l2) / l2[0]
         measured["nls_mass_drift"] = drift
 
         # Richardson order check against a much finer reference
         def final(dt):
             cfg = SolveConfig(alpha=2.0, mu=-1, t_end=0.5, dt=dt,
                               store_every=10 ** 9)
-            return nls_solve(u0, cfg).frames[-1]
+            return GridFunction(grid, nls_solve(u0, cfg).values[-1])
         ref = final(1.25e-4)
         e_coarse = (final(2e-3) - ref).l2_norm()
         e_fine = (final(1e-3) - ref).l2_norm()
@@ -405,10 +403,10 @@ def check_solver_sanity() -> dict:
                           store_every=100)
         lin = gkdv_solve(u0, cfg)
         airy_err = 0.0
-        for t, fr in zip(lin.times, lin.frames):
-            exact = airy_propagate(u0, float(t))
+        for t, row in zip(lin.times, lin.values):
+            exact = airy_flow(u0, float(t))
             airy_err = max(airy_err, float(np.max(np.abs(
-                fr.to_physical().values - exact.to_physical().values))))
+                row - exact.to_physical().values))))
         measured["airy_limit_error"] = airy_err
     ok = drift < 1e-10 and 3.5 <= ratio <= 4.5 and airy_err < 1e-10
     return _result("solver sanity", ok, measured)
@@ -431,7 +429,6 @@ def check_interpolation(seed: int = 0) -> dict:
     x = grid.nodes()
     f = GridFunction(grid, np.exp(-x ** 2).astype(complex), PHYSICAL)
     base = morrey_interpolation_check(f, p=2.0, q=1.5, r=4.0, s=1.8)
-    from .deformations import dilate
     dil = morrey_interpolation_check(dilate(f, 2.0, 2.0), p=2.0, q=1.5,
                                      r=4.0, s=1.8)
     dev = abs(dil / base - 1.0)
@@ -440,29 +437,21 @@ def check_interpolation(seed: int = 0) -> dict:
                    {"max_ratio": worst, "dilation_dev": dev})
 
 
-ACCEPTANCE_CHECKS = [
-    ("1", check_exponents),
-    ("2", check_constants),
-    ("3", check_soliton),
-    ("4", check_c_alpha),
-    ("5", check_galilean),
-    ("6", check_scale_lemma),
-    ("7", check_morrey_closed_form),
-    ("8", check_decoupling),
-    ("9", check_whitney),
-    ("10", check_stein_tomas),
-    ("11", check_embedding),
-    ("12", check_profiles),
-    ("13", check_solver_sanity),
+# (acceptance criterion or None, `dlab verify` name, battery)
+BATTERIES = [
+    ("1", "exponents", check_exponents),
+    ("2", "constants", check_constants),
+    ("3", "soliton", check_soliton),
+    ("4", "c-alpha", check_c_alpha),
+    ("5", "galilean", check_galilean),
+    ("6", "scale-lemma", check_scale_lemma),
+    ("7", "morrey-closed-form", check_morrey_closed_form),
+    ("8", "decoupling", check_decoupling),
+    ("9", "whitney", check_whitney),
+    ("10", "stein-tomas", check_stein_tomas),
+    ("11", "embedding", check_embedding),
+    ("12", "profiles", check_profiles),
+    ("13", "solver-sanity", check_solver_sanity),
+    (None, "interpolation", check_interpolation),
 ]
 
-
-def run_all() -> list[dict]:
-    out = []
-    for label, fn in ACCEPTANCE_CHECKS:
-        t0 = time.perf_counter()
-        res = fn()
-        res["criterion"] = label
-        res["seconds"] = time.perf_counter() - t0
-        out.append(res)
-    return out

@@ -2,14 +2,15 @@
 
 Subcommands: solve gkdv|nls, norm, embed, profiles extract|decompose,
 verify <battery>, gf info|convert.  Results go to stdout as JSON; CSV
-tables go to --csv.  Exit code 0 when all requested checks pass, 1 on a
-failed check, 2 on usage errors.
+tables go to --csv where a command writes one.  Exit code 0 when all
+requested checks pass, 1 on a failed check or bad data, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -29,22 +30,7 @@ from .fileio import (GridFileError, read_grid_function, read_space_time_field,
 from .norms import NormSpec, ell, lhat_norm, morrey_norm, spacetime_norm
 from .profiles import extract_profile, profile_decompose
 
-VERIFY_BATTERIES = {
-    "galilean": _checks.check_galilean,
-    "scale-lemma": _checks.check_scale_lemma,
-    "stein-tomas": _checks.check_stein_tomas,
-    "decoupling": _checks.check_decoupling,
-    "whitney": _checks.check_whitney,
-    "interpolation": _checks.check_interpolation,
-    "exponents": _checks.check_exponents,
-    "soliton": _checks.check_soliton,
-    "constants": _checks.check_constants,
-    "c-alpha": _checks.check_c_alpha,
-    "morrey-closed-form": _checks.check_morrey_closed_form,
-    "embedding": _checks.check_embedding,
-    "profiles": _checks.check_profiles,
-    "solver-sanity": _checks.check_solver_sanity,
-}
+VERIFY_BATTERIES = {name: fn for _, name, fn in _checks.BATTERIES}
 
 
 def _json_default(obj):
@@ -112,10 +98,10 @@ def cmd_solve(args) -> int:
             _emit({"command": "solve", "equation": args.equation,
                    "blowup": True, "t_last": err.t_last}, args)
             return 1
-    m0 = mass(run.frames[0])
-    per_frame = [{"t": float(t), "mass": mass(fr),
-                  "sup": float(np.max(np.abs(fr.to_physical().values)))}
-                 for t, fr in zip(run.times, run.frames)]
+    per_frame = [{"t": float(t), "mass": mass(GridFunction(run.grid, row)),
+                  "sup": float(np.max(np.abs(row)))}
+                 for t, row in zip(run.times, run.physical_array())]
+    m0 = per_frame[0]["mass"]
     drift = max(abs(row["mass"] - m0) for row in per_frame) / m0
     if args.out:
         write_space_time_field(run, args.out)
@@ -125,8 +111,7 @@ def cmd_solve(args) -> int:
            "config": {"alpha": args.alpha, "mu": args.mu,
                       "coupling": args.coupling, "t_end": args.t_end,
                       "dt": dt, "n": args.n, "length": args.length,
-                      "preset": args.preset, "store_every": args.store_every,
-                      "seed": args.seed},
+                      "preset": args.preset, "store_every": args.store_every},
            "frames": len(run), "mass_drift": drift,
            "out": args.out}, args)
     return 0
@@ -176,8 +161,7 @@ def cmd_embed(args) -> int:
     errs = [r["err_lhat_alpha"] for r in rows]
     _emit({"command": "embed",
            "config": {"alpha": args.alpha, "xi_list": list(xi_list),
-                      "T": args.t_end, "n": args.n, "length": args.length,
-                      "seed": args.seed},
+                      "T": args.t_end, "n": args.n, "length": args.length},
            "rows": rows,
            "error_decreasing": all(b < a for a, b in zip(errs, errs[1:]))},
           args)
@@ -224,8 +208,7 @@ def cmd_profiles(args) -> int:
                   "orthogonality_gaps": d["orthogonality_gaps"],
                   "nonresonance_gaps": d["nonresonance_gaps"],
                   "out": out_dir}
-    report["config"] = {"alpha": args.alpha, "sigma": args.sigma,
-                        "seed": args.seed}
+    report["config"] = {"alpha": args.alpha, "sigma": args.sigma}
     _emit(report, args)
     return 0
 
@@ -233,9 +216,9 @@ def cmd_profiles(args) -> int:
 def cmd_verify(args) -> int:
     names = list(VERIFY_BATTERIES) if args.battery == "all" else [args.battery]
     results = []
-    for name in names:
-        res = VERIFY_BATTERIES[name]()
-        results.append(res)
+    for fn in (VERIFY_BATTERIES[name] for name in names):
+        seeded = "seed" in inspect.signature(fn).parameters
+        results.append(fn(seed=args.seed) if seeded else fn())
     ok = all(r["passed"] for r in results)
     _emit({"command": "verify", "battery": args.battery,
            "config": {"seed": args.seed}, "results": results,
@@ -254,8 +237,8 @@ def cmd_gf(args) -> int:
                        "format": "STF1", "frames": len(field),
                        "n": field.grid.n, "length": field.grid.length,
                        "x0": field.grid.x0,
-                       "t_range": [float(field.times[0]),
-                                   float(field.times[-1])]}, args)
+                       "t_range": field.times[[0, -1]].tolist() if len(field) else []},
+                      args)
                 return 0
             f = read_grid_function(args.input)
             _emit({"command": "gf info", "input": args.input,
@@ -287,9 +270,6 @@ def cmd_gf(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--out", default=None)
     p.add_argument("--no-timestamps", action="store_true")
 
 
@@ -311,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-every", type=int, default=50)
     p.add_argument("--preset", default="gaussian",
                    help="gaussian, soliton, or a GF01 file path")
+    p.add_argument("--out", default=None, help="STF1 file for the trajectory")
+    p.add_argument("--csv", default=None, help="CSV file for per-frame mass and sup")
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -330,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-end", type=float, default=1.0,
                    help="handoff time T")
+    p.add_argument("--csv", default=None, help="CSV file for the result rows")
     _add_common(p)
     p.set_defaults(func=cmd_embed)
 
@@ -341,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=int, default=4)
     p.add_argument("--t-scan", type=float, default=None,
                    help="half-width of the Airy-parameter scan")
+    p.add_argument("--out", default=None, help="directory for the GF01 outputs")
     _add_common(p)
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("verify", help="run a verification battery")
     p.add_argument("battery", choices=sorted(VERIFY_BATTERIES) + ["all"])
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled batteries")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .grid import FOURIER, PHYSICAL, Grid, GridFunction, SpaceTimeField, fractional_derivative
-from .deformations import modulate, translate
-from .evolutions import SolveConfig, airy_propagate, gkdv_solve, nls_solve, suggest_dt
+from .grid import FOURIER, PHYSICAL, GridFunction, SpaceTimeField, physical_rows
+from .deformations import airy_flow, modulate, translate
+from .evolutions import SolveConfig, gkdv_solve, nls_solve, suggest_dt
 from .norms import NormSpec, lhat_norm, spacetime_norm
 
 
@@ -64,17 +64,15 @@ def sharp_cutoff(f: GridFunction, xi_max: float) -> GridFunction:
     return out.to_physical() if f.side == PHYSICAL else out
 
 
-def _interp_frame(v: SpaceTimeField, s: float) -> np.ndarray:
-    """Linear interpolation of the stored frames at time s (physical side)."""
+def _interp_frame(v: SpaceTimeField, s: float) -> GridFunction:
+    """Linear interpolation of the stored frames at time s."""
     times = v.times
     if s < times[0] - 1e-12 or s > times[-1] + 1e-12:
         raise ValueError(f"time {s} outside stored range [{times[0]}, {times[-1]}]")
     i = int(np.clip(np.searchsorted(times, s) - 1, 0, len(times) - 2))
     t0, t1 = times[i], times[i + 1]
     w = (s - t0) / (t1 - t0)
-    a = v.frames[i].to_physical().values
-    b = v.frames[i + 1].to_physical().values
-    return (1.0 - w) * a + w * b
+    return GridFunction(v.grid, (1.0 - w) * v.values[i] + w * v.values[i + 1], v.side)
 
 
 def build_approx_solution(v: SpaceTimeField, xi_n: float, T: float,
@@ -92,7 +90,7 @@ def build_approx_solution(v: SpaceTimeField, xi_n: float, T: float,
 
     def middle(t: float) -> GridFunction:
         s = -3.0 * xi_n * t
-        frame = GridFunction(grid, _interp_frame(v, s), PHYSICAL)
+        frame = _interp_frame(v, s)
         # spatial argument x + 3 xi_n^2 t == translation by -3 xi_n^2 t
         frame = translate(frame, -3.0 * xi_n ** 2 * t)
         carrier = modulate(frame, xi_n) * np.exp(-1j * t * xi_n ** 3)
@@ -101,7 +99,7 @@ def build_approx_solution(v: SpaceTimeField, xi_n: float, T: float,
     if abs(t_query) <= seam:
         return middle(t_query)
     edge = math.copysign(seam, t_query)
-    return airy_propagate(middle(edge), t_query - edge)
+    return airy_flow(middle(edge), t_query - edge)
 
 
 def residual_field(u_tilde: SpaceTimeField, alpha: float, mu: int,
@@ -109,18 +107,15 @@ def residual_field(u_tilde: SpaceTimeField, alpha: float, mu: int,
     """(d/dt + d^3/dx^3) u - mu * coupling * d/dx(|u|^{2a} u) on interior frames."""
     if len(u_tilde) < 3:
         raise ValueError("need at least 3 frames for centered time differencing")
-    arr = u_tilde.physical_array()
-    dudt = np.gradient(arr, u_tilde.times, axis=0, edge_order=2)
     grid = u_tilde.grid
-    xi = np.fft.ifftshift(grid.frequencies())
-    frames = []
-    for i in range(1, len(u_tilde) - 1):
-        u = arr[i]
-        uxxx = np.fft.ifft((1j * xi) ** 3 * np.fft.fft(u))
-        nl = np.abs(u) ** (2.0 * alpha) * u
-        nlx = np.fft.ifft(1j * xi * np.fft.fft(nl))
-        frames.append(GridFunction(grid, dudt[i] + uxxx - mu * coupling * nlx, PHYSICAL))
-    return SpaceTimeField(grid, u_tilde.times[1:-1], frames)
+    arr = u_tilde.physical_array()
+    xi = grid.frequencies()
+    res = np.gradient(arr, u_tilde.times, axis=0, edge_order=2)[1:-1]
+    u = arr[1:-1]
+    res += physical_rows(grid, u, symbol=(1j * xi) ** 3)
+    nl = np.abs(u) ** (2.0 * alpha) * u
+    res -= physical_rows(grid, nl, symbol=mu * coupling * 1j * xi, out=nl)
+    return SpaceTimeField(grid, u_tilde.times[1:-1], res)
 
 
 @dataclass
@@ -154,8 +149,8 @@ def _solve_both_ways(v0: GridFunction, make_cfg) -> SpaceTimeField:
     run_f = fwd[0](v0, fwd[1])
     run_b = bwd[0](v0, bwd[1])
     times = np.concatenate([run_b.times[:-1], run_f.times])
-    frames = run_b.frames[:-1] + run_f.frames
-    return SpaceTimeField(run_f.grid, times, frames)
+    values = np.concatenate([run_b.values[:-1], run_f.values])
+    return SpaceTimeField(run_f.grid, times, values)
 
 
 def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
@@ -202,7 +197,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         errs = []
         for t_seam in (-seam, seam):
             i = int(np.argmin(np.abs(u_field.times - t_seam)))
-            u_t = u_field.frames[i]
+            u_t = GridFunction(grid, u_field.values[i], u_field.side)
             ut_t = build_approx_solution(v_field, xi_n, cfg.T, float(u_field.times[i]))
             errs.append(lhat_norm(u_t - ut_t, cfg.alpha))
 
@@ -210,8 +205,10 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         # frame spacing must resolve the carrier oscillation e^{-i t xi_n^3}
         n_res = int(np.clip(math.ceil(1.8 * seam * xi_n ** 3 / 0.05), 33, 4097))
         t_res = np.linspace(-0.9 * seam, 0.9 * seam, n_res)
-        res_frames = [build_approx_solution(v_field, xi_n, cfg.T, float(t)) for t in t_res]
-        u_tilde = SpaceTimeField(grid, t_res, res_frames)
+        approx = np.empty((n_res, grid.n), dtype=np.complex128)
+        for i, t in enumerate(t_res):
+            approx[i] = build_approx_solution(v_field, xi_n, cfg.T, float(t)).values
+        u_tilde = SpaceTimeField(grid, t_res, approx)
         resid = residual_field(u_tilde, cfg.alpha, cfg.mu)
         rows.append({
             "xi": float(xi_n),

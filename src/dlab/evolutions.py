@@ -14,26 +14,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import FOURIER, PHYSICAL, Grid, GridFunction, SpaceTimeField
-from .deformations import airy_flow, schrodinger_flow
+from .grid import PHYSICAL, Grid, GridFunction, SpaceTimeField
 
 BLOWUP_SUP = 1e8
 ESTIMATE_ALPHA_RANGE = (8.0 / 5.0, 10.0 / 3.0)
-
-
-def airy_propagate(f: GridFunction, t: float) -> GridFunction:
-    """Free Airy group e^{-t d^3/dx^3}, symbol e^{i t xi^3}."""
-    return airy_flow(f, t)
-
-
-def schrodinger_propagate(f: GridFunction, t: float) -> GridFunction:
-    """Free Schrodinger group e^{i t d^2/dx^2}, symbol e^{-i t xi^2}."""
-    return schrodinger_flow(f, t)
 
 
 @dataclass
@@ -108,13 +97,30 @@ def _nonlinear_power(u: np.ndarray, alpha: float, pad: int) -> np.ndarray:
     return np.fft.ifft(out)
 
 
-def _frames_to_field(grid: Grid, times: list[float], frames: list[np.ndarray],
-                     side: str) -> SpaceTimeField:
-    if len(times) >= 2 and times[0] > times[-1]:
-        times = times[::-1]
-        frames = frames[::-1]
-    return SpaceTimeField(grid, np.asarray(times),
-                          [GridFunction(grid, fr, side) for fr in frames])
+def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeField:
+    """u0 and every store_every-th and the last (t, u) of steps(dt, n_steps).
+
+    The frames go into one array, which a backward solve fills from the end
+    so that times ascend.  A non-finite or huge state raises BlowupError
+    with the frames stored so far.
+    """
+    backward = cfg.t_end < 0
+    n_steps = max(1, round(abs(cfg.t_end) / cfg.dt))
+    n_store = 1 + -(-n_steps // cfg.store_every)
+    times = np.empty(n_store)
+    values = np.empty((n_store, grid.n), dtype=np.complex128)
+    i = n_store - 1 if backward else 0
+    times[i], values[i] = 0.0, u0
+    for step, (t, u) in enumerate(steps(-cfg.dt if backward else cfg.dt, n_steps), start=1):
+        sup = float(np.max(np.abs(u)))
+        if not math.isfinite(sup) or sup > BLOWUP_SUP:
+            kept = slice(i, None) if backward else slice(0, i + 1)
+            raise BlowupError(float(times[i]),
+                              SpaceTimeField(grid, times[kept], values[kept]))
+        if step % cfg.store_every == 0 or step == n_steps:
+            i += -1 if backward else 1
+            times[i], values[i] = t, u
+    return SpaceTimeField(grid, times, values)
 
 
 def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
@@ -126,11 +132,7 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
     up = u0.to_physical()
     if float(np.max(np.abs(up.values.imag))) > 1e-12:
         raise ValueError("gKdV data must be real-valued")
-    grid = up.grid
-    xi = np.fft.ifftshift(grid.frequencies())  # fft ordering
-    direction = 1.0 if cfg.t_end >= 0 else -1.0
-    dt = direction * cfg.dt
-    n_steps = max(1, round(abs(cfg.t_end) / cfg.dt))
+    xi = np.fft.ifftshift(up.grid.frequencies())  # fft ordering
     factor = cfg.mu * cfg.coupling * 1j * xi
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
@@ -138,25 +140,19 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
         nl = _nonlinear_power(u, cfg.alpha, cfg.dealias_pad)
         return np.exp(-1j * t * xi**3) * factor * np.fft.fft(nl)
 
-    w = np.fft.fft(up.values)
-    t = 0.0
-    times = [0.0]
-    frames = [up.values.copy()]
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, w)
-        k2 = rhs(t + dt / 2, w + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, w + dt / 2 * k2)
-        k4 = rhs(t + dt, w + dt * k3)
-        w = w + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = step * dt
-        u = np.fft.ifft(np.exp(1j * t * xi**3) * w)
-        sup = float(np.max(np.abs(u)))
-        if not math.isfinite(sup) or sup > BLOWUP_SUP:
-            raise BlowupError(times[-1], _frames_to_field(grid, times, frames, PHYSICAL))
-        if step % cfg.store_every == 0 or step == n_steps:
-            times.append(t)
-            frames.append(u.copy())
-    return _frames_to_field(grid, times, frames, PHYSICAL)
+    def steps(dt, n_steps):
+        w = np.fft.fft(up.values)
+        t = 0.0
+        for step in range(1, n_steps + 1):
+            k1 = rhs(t, w)
+            k2 = rhs(t + dt / 2, w + dt / 2 * k1)
+            k3 = rhs(t + dt / 2, w + dt / 2 * k2)
+            k4 = rhs(t + dt, w + dt * k3)
+            w = w + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = step * dt
+            yield t, np.fft.ifft(np.exp(1j * t * xi**3) * w)
+
+    return _record(up.grid, up.values, steps, cfg)
 
 
 def nls_solve(v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
@@ -167,29 +163,19 @@ def nls_solve(v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
     Mass is conserved exactly up to FFT roundoff.
     """
     vp = v0.to_physical()
-    grid = vp.grid
-    xi = np.fft.ifftshift(grid.frequencies())
-    direction = 1.0 if cfg.t_end >= 0 else -1.0
-    dt = direction * cfg.dt
-    n_steps = max(1, round(abs(cfg.t_end) / cfg.dt))
-    half_linear = np.exp(1j * (dt / 2.0) * xi**2)
+    xi = np.fft.ifftshift(vp.grid.frequencies())
     rate = cfg.mu * cfg.coupling
 
-    v = vp.values.copy()
-    times = [0.0]
-    frames = [v.copy()]
-    for step in range(1, n_steps + 1):
-        v = np.fft.ifft(half_linear * np.fft.fft(v))
-        v = v * np.exp(1j * rate * np.abs(v) ** (2.0 * cfg.alpha) * dt)
-        v = np.fft.ifft(half_linear * np.fft.fft(v))
-        t = step * dt
-        sup = float(np.max(np.abs(v)))
-        if not math.isfinite(sup) or sup > BLOWUP_SUP:
-            raise BlowupError(times[-1], _frames_to_field(grid, times, frames, PHYSICAL))
-        if step % cfg.store_every == 0 or step == n_steps:
-            times.append(t)
-            frames.append(v.copy())
-    return _frames_to_field(grid, times, frames, PHYSICAL)
+    def steps(dt, n_steps):
+        half_linear = np.exp(1j * (dt / 2.0) * xi**2)
+        v = vp.values
+        for step in range(1, n_steps + 1):
+            v = np.fft.ifft(half_linear * np.fft.fft(v))
+            v = v * np.exp(1j * rate * np.abs(v) ** (2.0 * cfg.alpha) * dt)
+            v = np.fft.ifft(half_linear * np.fft.fft(v))
+            yield step * dt, v
+
+    return _record(vp.grid, vp.values, steps, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +242,9 @@ def stability_compare(run_a: SpaceTimeField, run_b: SpaceTimeField,
         raise ValueError("grid mismatch between runs")
     if len(run_a) != len(run_b) or not np.allclose(run_a.times, run_b.times):
         raise ValueError("time stamps mismatch between runs")
-    diff_frames = [a - b for a, b in zip(run_a.frames, run_b.frames)]
-    diff = SpaceTimeField(run_a.grid, run_a.times, diff_frames)
-    sup_lhat = max(lhat_norm(fr, alpha) for fr in diff_frames)
+    diff = SpaceTimeField(run_a.grid, run_a.times,
+                          run_a.physical_array() - run_b.physical_array())
+    sup_lhat = max(lhat_norm(GridFunction(diff.grid, row), alpha) for row in diff.values)
     return {
         "gap_S": spacetime_norm(diff, NormSpec.from_preset("S", alpha)),
         "gap_L": spacetime_norm(diff, NormSpec.from_preset("L", alpha)),

@@ -7,6 +7,10 @@ GF01 (single GridFunction):
 STF1 (SpaceTimeField, frames stored physical-side):
     magic 'S','T','F','1'; u64 LE frame count M; u64 LE n; f64 LE length;
     f64 LE x0; then M records of (f64 LE t; n pairs of f64 LE (re, im)).
+
+Samples are read and written as one block (a complex array for GF01, an
+array of (t, samples) records for STF1), after the declared sizes have
+been checked against the data.
 """
 
 from __future__ import annotations
@@ -34,16 +38,15 @@ def _take(buf: bytes, offset: int, size: int, what: str) -> tuple[bytes, int]:
     return buf[offset : offset + size], offset + size
 
 
-def _pack_complex(values: np.ndarray) -> bytes:
-    flat = np.empty(2 * values.size, dtype="<f8")
-    flat[0::2] = values.real
-    flat[1::2] = values.imag
-    return flat.tobytes()
+def _stf_record(n: int) -> np.dtype:
+    return np.dtype([("t", "<f8"), ("u", "<c16", (n,))])
 
 
-def _unpack_complex(raw: bytes, n: int) -> np.ndarray:
-    flat = np.frombuffer(raw, dtype="<f8")
-    return flat[0::2] + 1j * flat[1::2]
+def _grid(n: int, length: float, x0: float) -> Grid:
+    try:
+        return Grid(int(n), length, x0)
+    except ValueError as exc:
+        raise GridFileError(str(exc)) from exc
 
 
 def write_grid_function(f: GridFunction, path) -> None:
@@ -52,7 +55,7 @@ def write_grid_function(f: GridFunction, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(_pack_complex(f.values))
+        fh.write(f.values.astype("<c16").tobytes())
 
 
 def read_grid_function(path) -> GridFunction:
@@ -66,26 +69,22 @@ def read_grid_function(path) -> GridFunction:
     if side_code not in _SIDE_NAME:
         raise GridFileError(f"unknown side code {side_code}")
     raw, off = _take(buf, off, 16 * n, "sample data")
-    values = _unpack_complex(raw, n)
     if off != len(buf):
         raise GridFileError(f"{len(buf) - off} trailing bytes after sample data")
-    if not np.all(np.isfinite(values.view(np.float64))):
+    values = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    if not np.all(np.isfinite(values)):
         raise GridFileError("non-finite sample values")
-    try:
-        grid = Grid(int(n), length, x0)
-    except ValueError as exc:
-        raise GridFileError(str(exc)) from exc
-    return GridFunction(grid, values, _SIDE_NAME[side_code])
+    return GridFunction(_grid(n, length, x0), values, _SIDE_NAME[side_code])
 
 
 def write_space_time_field(field: SpaceTimeField, path) -> None:
     g = field.grid
-    header = STF_MAGIC + struct.pack("<QQdd", len(field), g.n, g.length, g.x0)
+    records = np.empty(len(field), dtype=_stf_record(g.n))
+    records["t"] = field.times
+    records["u"] = field.physical_array()
     with open(path, "wb") as fh:
-        fh.write(header)
-        for t, frame in zip(field.times, field.frames):
-            fh.write(struct.pack("<d", t))
-            fh.write(_pack_complex(frame.to_physical().values))
+        fh.write(STF_MAGIC + struct.pack("<QQdd", len(field), g.n, g.length, g.x0))
+        fh.write(records)
 
 
 def read_space_time_field(path) -> SpaceTimeField:
@@ -96,20 +95,16 @@ def read_space_time_field(path) -> SpaceTimeField:
         raise GridFileError(f"bad magic {magic!r}, expected {STF_MAGIC!r}")
     raw, off = _take(buf, off, 8 + 8 + 8 + 8, "header")
     m, n, length, x0 = struct.unpack("<QQdd", raw)
-    try:
-        grid = Grid(int(n), length, x0)
-    except ValueError as exc:
-        raise GridFileError(str(exc)) from exc
-    times = np.empty(m)
-    frames = []
-    for i in range(m):
-        raw, off = _take(buf, off, 8, f"time stamp {i}")
-        (times[i],) = struct.unpack("<d", raw)
-        raw, off = _take(buf, off, 16 * n, f"frame {i}")
-        values = _unpack_complex(raw, n)
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise GridFileError(f"non-finite values in frame {i}")
-        frames.append(GridFunction(grid, values, PHYSICAL))
-    if off != len(buf):
-        raise GridFileError(f"{len(buf) - off} trailing bytes after frame data")
-    return SpaceTimeField(grid, times, frames)
+    grid = _grid(n, length, x0)
+    need, have = m * (8 + 16 * n), len(buf) - off
+    if have < need:
+        raise GridFileError(f"unexpected end of data: header declares {m} frames of "
+                            f"{n} samples ({need} bytes), found {have} bytes")
+    if have > need:
+        raise GridFileError(f"{have - need} trailing bytes after frame data")
+    records = np.frombuffer(buf, dtype=_stf_record(n), count=m, offset=off)
+    values = records["u"].astype(np.complex128)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise GridFileError(f"non-finite values in frame {int(np.argmin(finite))}")
+    return SpaceTimeField(grid, records["t"].astype(np.float64), values)

@@ -11,6 +11,10 @@ The transform convention is unitary with a 1/sqrt(2*pi) prefactor:
 approximated by the scaled DFT (L/(n*sqrt(2*pi))) * sum_j e^{-i x_j xi_k} f_j,
 so Fourier-side values are samples of a spectral *density* with quadrature
 weight dxi = 2*pi/L.
+
+A SpaceTimeField stores n_t time slices in one (n_t, n) array;
+physical_rows applies the transform, and optionally a Fourier symbol, to
+every row of such an array ROW_BLOCK rows at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 PHYSICAL = "physical"
 FOURIER = "fourier"
+
+# rows per batched FFT: bounds the temporaries of row-wise transforms
+ROW_BLOCK = 64
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -40,8 +47,10 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)):
             raise ValueError(f"grid size must be a power of two, got {self.n}")
-        if not (self.length > 0):
-            raise ValueError(f"grid length must be positive, got {self.length}")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"grid length must be positive and finite, got {self.length}")
+        if not np.isfinite(self.x0):
+            raise ValueError(f"grid anchor x0 must be finite, got {self.x0}")
 
     @property
     def dx(self) -> float:
@@ -153,40 +162,78 @@ def inverse_transform(f: GridFunction) -> GridFunction:
     return GridFunction(g, values, PHYSICAL)
 
 
-def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
-    """Fourier multiplier |xi|^s; the zero mode is set to 0 whenever s != 0."""
+def derivative_symbol(xi: np.ndarray, s: float) -> np.ndarray:
+    """Symbol |xi|^s of |d/dx|^s; the zero mode is 0 whenever s != 0."""
     if s <= -1:
         raise ValueError(f"order must satisfy s > -1 (symbol non-integrable at 0), got {s}")
     if s == 0:
-        return f.copy()
-    fh = f.to_fourier()
-    xi = fh.grid.frequencies()
+        return np.ones_like(xi)
     mult = np.zeros_like(xi)
     nz = xi != 0
     mult[nz] = np.abs(xi[nz]) ** s
-    out = GridFunction(fh.grid, fh.values * mult, FOURIER)
+    return mult
+
+
+def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
+    """Fourier multiplier |xi|^s; the zero mode is set to 0 whenever s != 0."""
+    if s == 0:
+        return f.copy()
+    fh = f.to_fourier()
+    out = GridFunction(fh.grid, fh.values * derivative_symbol(fh.grid.frequencies(), s),
+                       FOURIER)
     return out.to_physical() if f.side == PHYSICAL else out
 
 
-class SpaceTimeField:
-    """Time-stamped sequence of GridFunctions on a common grid."""
+def physical_rows(grid: Grid, values: np.ndarray, side: str = PHYSICAL,
+                  symbol: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Physical samples of each row of an (m, n) array of `side`-side samples,
+    times `symbol` (sampled on grid.frequencies()) on the Fourier side.
 
-    def __init__(self, grid: Grid, times: np.ndarray, frames: list[GridFunction]):
+    Physical rows without a symbol come back as they are; otherwise batched
+    FFTs run ROW_BLOCK rows at a time into `out` (new, or `values` itself).
+    """
+    if side == PHYSICAL and symbol is None:
+        return values
+    mult = np.ones(grid.n) if symbol is None else symbol
+    if side == FOURIER:  # density samples -> DFT coefficients, as in inverse_transform
+        mult = mult * np.exp(1j * grid.x0 * grid.frequencies()) * (grid.n * SQRT_2PI / grid.length)
+    mult = np.fft.ifftshift(mult)
+    out = np.empty(values.shape, dtype=np.complex128) if out is None else out
+    for lo in range(0, len(values), ROW_BLOCK):
+        block = values[lo:lo + ROW_BLOCK]
+        spec = np.fft.fft(block, axis=1) if side == PHYSICAL else np.fft.ifftshift(block, axes=1)
+        out[lo:lo + ROW_BLOCK] = np.fft.ifft(spec * mult, axis=1)
+    return out
+
+
+class SpaceTimeField:
+    """Samples of F(t_i, .) on a common grid, one row per time, in one array."""
+
+    def __init__(self, grid: Grid, times: np.ndarray, values: np.ndarray,
+                 side: str = PHYSICAL):
         times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or len(frames) != times.size:
-            raise ValueError("times and frames must have equal length")
+        values = np.asarray(values, dtype=np.complex128)
+        if times.ndim != 1 or values.shape != (times.size, grid.n):
+            raise ValueError(f"expected 1-D times and values of shape (len(times), "
+                             f"{grid.n}), got {times.shape} and {values.shape}")
         if times.size >= 2 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        for fr in frames:
-            if not fr.grid.close_to(grid):
-                raise ValueError("all frames must share the field grid")
+        if side not in (PHYSICAL, FOURIER):
+            raise ValueError(f"unknown side {side!r}")
         self.grid = grid
         self.times = times
-        self.frames = list(frames)
+        self.values = values
+        self.side = side
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.times.size
+
+    @property
+    def frames(self) -> list[GridFunction]:
+        """Per-time GridFunction views of the rows."""
+        return [GridFunction(self.grid, row, self.side) for row in self.values]
 
     def physical_array(self) -> np.ndarray:
-        """(n_frames, n) array of physical-side values."""
-        return np.stack([fr.to_physical().values for fr in self.frames])
+        """(n_t, n) physical-side values (the field's own array when physical)."""
+        return physical_rows(self.grid, self.values, self.side)

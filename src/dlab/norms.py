@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FOURIER, GridFunction, SpaceTimeField, fractional_derivative
+from .grid import GridFunction, SpaceTimeField, derivative_symbol, physical_rows
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
 
@@ -417,14 +417,13 @@ def spacetime_norm(field: SpaceTimeField, spec: NormSpec, alpha: float | None = 
     if len(field) == 1 and math.isfinite(q):
         raise ValueError("single-frame field has no time measure for q < inf")
 
-    frames = []
-    for fr in field.frames:
-        g = fractional_derivative(fr, spec.s) if spec.s != 0.0 else fr
-        frames.append(np.abs(g.to_physical().values))
-    arr = np.stack(frames)  # (n_t, n_x)
+    g = field.grid
+    symbol = derivative_symbol(g.frequencies(), spec.s) if spec.s != 0.0 else None
+    arr = np.abs(physical_rows(g, field.values, field.side, symbol))  # (n_t, n_x)
 
     if math.isfinite(q):
-        inner = np.trapezoid(arr ** q, field.times, axis=0) ** (1.0 / q)
+        arr **= q
+        inner = np.trapezoid(arr, field.times, axis=0) ** (1.0 / q)
     else:
         inner = np.max(arr, axis=0)
     if math.isfinite(p):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FOURIER, PHYSICAL, Grid, GridFunction, fractional_derivative
+from .grid import FOURIER, ROW_BLOCK, SQRT_2PI, GridFunction, derivative_symbol
 from .deformations import (Deformation, apply, apply_inverse, nonresonance_gap,
                            orthogonality_gap)
-from .norms import conjugate_exponent, ell, lhat_norm, morrey_norm
+from .norms import conjugate_exponent, ell, morrey_norm
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +138,24 @@ def partner_counts(pairs: list[WhitneyPair], j: int, k_interior: int) -> dict[in
 # refined restriction-type ratio
 # ---------------------------------------------------------------------------
 
-def _airy_lpq_time(f: GridFunction, exponent: float, t_grid: np.ndarray,
-                   deriv: float) -> float:
-    """||  |d/dx|^deriv e^{-t d^3/dx^3} f  ||_{L^exponent} over t_grid x grid."""
+def airy_frames(f: GridFunction, t_grid: np.ndarray, deriv: float) -> np.ndarray:
+    """|d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid: (nt, n) physical samples.
+
+    The weighted spectrum and xi^3 are put into FFT order once; the phases
+    e^{i t xi^3} and the inverse FFTs then go ROW_BLOCK rows at a time.
+    """
     fh = f.to_fourier()
-    xi = fh.grid.frequencies()
-    weight = np.abs(xi) ** deriv
-    weight[np.abs(xi) == 0.0] = 0.0
-    base = fh.values * weight
     g = fh.grid
-    # inverse transform at each t as one batched FFT
-    base = base * np.exp(1j * g.x0 * xi)
-    phases = np.exp(1j * np.outer(t_grid, xi ** 3))
-    pref = g.n * math.sqrt(2.0 * math.pi) / g.length
-    frames = np.fft.ifft(np.fft.ifftshift(base[None, :] * phases, axes=1),
-                         axis=1) * pref
-    space = np.sum(np.abs(frames) ** exponent, axis=1) * g.dx
-    return float(np.trapezoid(space, t_grid) ** (1.0 / exponent))
+    xi = g.frequencies()
+    base = np.fft.ifftshift(fh.values * derivative_symbol(xi, deriv)
+                            * np.exp(1j * g.x0 * xi))
+    xi3 = np.fft.ifftshift(xi) ** 3
+    pref = g.n * SQRT_2PI / g.length
+    out = np.empty((len(t_grid), g.n), dtype=np.complex128)
+    for lo in range(0, len(t_grid), ROW_BLOCK):
+        phases = np.exp(1j * np.outer(t_grid[lo:lo + ROW_BLOCK], xi3))
+        out[lo:lo + ROW_BLOCK] = np.fft.ifft(base * phases, axis=1) * pref
+    return out
 
 
 def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
@@ -162,21 +163,26 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
                       tail_tol: float = 0.01) -> float:
     """L^{3a}_{t,x} norm of the weighted free evolution over the Morrey norm.
 
-    The time integral runs over [-time_window, time_window]; the window is
-    doubled once and the run rejected if the norm moves by more than
-    tail_tol relatively.
+    The time integral runs over [-2 time_window, 2 time_window] with 2nt-1
+    samples; the run is rejected if the norm over the middle nt samples,
+    which are [-time_window, time_window] at the same spacing, differs from
+    it by more than tail_tol relatively.  nt must be odd.
     """
     if not (4.0 / 3.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (4/3, 2)")
+    if nt % 2 == 0:
+        raise ValueError(f"nt must be odd, got {nt}")
     denom = morrey_norm(f, alpha, 2.0, sigma)
     if denom == 0.0:
         return 0.0
     exponent = 3.0 * alpha
-    deriv = 1.0 / (3.0 * alpha)
-    t1 = np.linspace(-time_window, time_window, nt)
     t2 = np.linspace(-2.0 * time_window, 2.0 * time_window, 2 * nt - 1)
-    num1 = _airy_lpq_time(f, exponent, t1, deriv)
-    num2 = _airy_lpq_time(f, exponent, t2, deriv)
+    space = np.abs(airy_frames(f, t2, 1.0 / exponent))
+    space **= exponent
+    space = np.sum(space, axis=1) * f.grid.dx
+    mid = slice((nt - 1) // 2, (nt - 1) // 2 + nt)
+    num1 = float(np.trapezoid(space[mid], t2[mid]) ** (1.0 / exponent))
+    num2 = float(np.trapezoid(space, t2) ** (1.0 / exponent))
     if num1 > 0 and abs(num2 - num1) / num1 > tail_tol:
         raise ValueError(
             f"time window {time_window} too short: doubling moved the norm by "
@@ -272,18 +278,10 @@ def _band_restrict(f: GridFunction, j: int, k: int,
 def _spacetime_argmax(f: GridFunction, alpha: float, t_scan: float,
                       nt: int = 257) -> tuple[float, float]:
     """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f |."""
-    fh = f.to_fourier()
-    g = fh.grid
-    xi = g.frequencies()
-    weight = np.abs(xi) ** (1.0 / (3.0 * alpha))
-    base = fh.values * weight * np.exp(1j * g.x0 * xi)
     t_grid = np.linspace(-t_scan, t_scan, nt)
-    pref = g.n * math.sqrt(2.0 * math.pi) / g.length
-    phases = np.exp(1j * np.outer(t_grid, xi ** 3))
-    frames = np.abs(np.fft.ifft(np.fft.ifftshift(base[None, :] * phases, axes=1),
-                                axis=1)) * pref
-    it, ix = np.unravel_index(int(np.argmax(frames)), frames.shape)
-    return float(t_grid[it]), float(g.x0 + ix * g.dx)
+    mag = np.abs(airy_frames(f, t_grid, 1.0 / (3.0 * alpha)))
+    it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    return float(t_grid[it]), float(f.grid.x0 + ix * f.grid.dx)
 
 
 @dataclass

@@ -1,93 +1,52 @@
-"""End-to-end verification batteries, one test per criterion.
+"""End-to-end verification batteries, one test case per criterion.
 
-Each test dispatches into the corresponding battery in dlab.checks (the
-same code the `dlab verify` subcommand runs), asserts that it passed at
-its built-in tolerances, and records the outcome for the one-line
-per-criterion summary printed at the end of the session.
+One test body runs every criterion of checks.BATTERIES (the table the
+`dlab verify` subcommand dispatches through), asserts that the battery
+passed at its built-in tolerances, and records the outcome for the
+one-line per-criterion summary printed at the end of the session.  Each
+case is bound under its own test name, so the ids stay
+test_criterion_<NN>_<topic>.
 """
 
 import time
 
-import pytest
-
 from dlab import checks
 
-CRITERIA = {label: fn for label, fn in checks.ACCEPTANCE_CHECKS}
+TOPICS = {
+    "1": "exponent_calculus",
+    "2": "coupling_constants",
+    "3": "soliton_benchmark",
+    "4": "zero_energy_speed",
+    "5": "galilean_identity",
+    "6": "scale_invariance",
+    "7": "morrey_closed_form",
+    "8": "decoupling_deficit",
+    "9": "whitney_partition",
+    "10": "restriction_ratio",
+    "11": "carrier_embedding",
+    "12": "profile_extraction",
+    "13": "solver_sanity",
+}
 
 
-def run_criterion(label: str, acceptance_log) -> dict:
-    t0 = time.perf_counter()
-    res = CRITERIA[label]()
-    seconds = time.perf_counter() - t0
-    acceptance_log.append({
-        "criterion": label,
-        "name": res["name"],
-        "passed": res["passed"],
-        "seconds": seconds,
-    })
-    return res
+def _criterion_test(label: str, battery):
+    def test(acceptance_log):
+        t0 = time.perf_counter()
+        res = battery()
+        acceptance_log.append({
+            "criterion": label,
+            "name": res["name"],
+            "passed": res["passed"],
+            "seconds": time.perf_counter() - t0,
+        })
+        assert res["passed"], res["measured"]
+
+    test.__name__ = f"test_criterion_{int(label):02d}_{TOPICS[label]}"
+    return test
 
 
-def test_criterion_01_exponent_calculus(acceptance_log):
-    res = run_criterion("1", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_02_coupling_constants(acceptance_log):
-    res = run_criterion("2", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_03_soliton_benchmark(acceptance_log):
-    res = run_criterion("3", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_04_zero_energy_speed(acceptance_log):
-    res = run_criterion("4", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_05_galilean_identity(acceptance_log):
-    res = run_criterion("5", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_06_scale_invariance(acceptance_log):
-    res = run_criterion("6", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_07_morrey_closed_form(acceptance_log):
-    res = run_criterion("7", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_08_decoupling_deficit(acceptance_log):
-    res = run_criterion("8", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_09_whitney_partition(acceptance_log):
-    res = run_criterion("9", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_10_restriction_ratio(acceptance_log):
-    res = run_criterion("10", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_11_carrier_embedding(acceptance_log):
-    res = run_criterion("11", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_12_profile_extraction(acceptance_log):
-    res = run_criterion("12", acceptance_log)
-    assert res["passed"], res["measured"]
-
-
-def test_criterion_13_solver_sanity(acceptance_log):
-    res = run_criterion("13", acceptance_log)
-    assert res["passed"], res["measured"]
+for _label, _, _battery in checks.BATTERIES:
+    if _label is not None:
+        _test = _criterion_test(_label, _battery)
+        globals()[_test.__name__] = _test
+del _label, _battery, _test

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -32,6 +33,26 @@ def test_verify_exponents_passes_and_is_deterministic(capsys):
     assert payload["passed"] is True
     assert payload["results"][0]["name"] == "exponent calculus"
     assert "wall_clock" not in payload
+
+
+def test_verify_seed_is_used(capsys):
+    runs = {seed: run(capsys, "verify", "galilean", "--seed", seed, "--no-timestamps")
+            for seed in ("0", "3")}
+    assert all(code == 0 for code, _, _ in runs.values())
+    payloads = {seed: json.loads(out) for seed, (_, out, _) in runs.items()}
+    assert payloads["3"]["config"]["seed"] == 3
+    residual = {seed: p["results"][0]["measured"]["max_residual"]
+                for seed, p in payloads.items()}
+    assert residual["0"] != residual["3"]
+
+
+def test_options_only_where_read(tmp_path, capsys):
+    path = tmp_path / "g.gf"
+    write_sample(path)
+    for extra in (["--csv", "x.csv"], ["--seed", "1"], ["--out", "x"]):
+        with pytest.raises(SystemExit) as info:
+            main(["norm", "kind=lhat,r=2.0", str(path), *extra])
+        assert info.value.code == 2
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -87,6 +108,36 @@ def test_norm_bad_file_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "norm", "kind=lhat,r=2.0", str(path))
     assert code == 1
     assert "bad magic" in err
+
+
+def test_norm_non_finite_grid_exits_1(tmp_path, capsys):
+    path = tmp_path / "g.gf"
+    write_sample(path)
+    data = bytearray(path.read_bytes())
+    data[20:28] = struct.pack("<d", np.inf)  # x0
+    path.write_bytes(bytes(data))
+    code, out, err = run(capsys, "norm", "kind=lhat,r=2.0", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
+def test_gf_info_oversized_stf_header_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.stf"
+    path.write_bytes(b"STF1" + struct.pack("<QQdd", 2 ** 40, 64, 8.0, 0.0))
+    code, out, err = run(capsys, "gf", "info", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "unexpected end of data" in err
+
+
+def test_gf_info_empty_stf(tmp_path, capsys):
+    path = tmp_path / "empty.stf"
+    path.write_bytes(b"STF1" + struct.pack("<QQdd", 0, 64, 8.0, 0.0))
+    code, out, _ = run(capsys, "gf", "info", str(path), "--no-timestamps")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["frames"] == 0 and payload["t_range"] == []
 
 
 def test_norm_bad_spec_exits_1(tmp_path, capsys):

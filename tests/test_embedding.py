@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlab.deformations import modulate
+from dlab.deformations import airy_flow, modulate
 from dlab.embedding import (EmbeddingConfig, build_approx_solution,
                             embedding_constants, embedding_experiment,
                             fourier_sin_coeff, residual_field, sharp_cutoff)
-from dlab.evolutions import SolveConfig, airy_propagate, nls_solve
+from dlab.evolutions import SolveConfig, nls_solve
 from dlab.grid import FOURIER, PHYSICAL, Grid, GridFunction, SpaceTimeField
 
 
@@ -85,7 +85,7 @@ def schrodinger_run(grid, v0, T, dt=2e-3):
         fwd = nls_solve(v0, cfg_f)
         bwd = nls_solve(v0, cfg_b)
     times = np.concatenate([bwd.times[:-1], fwd.times])
-    return SpaceTimeField(grid, times, bwd.frames[:-1] + fwd.frames)
+    return SpaceTimeField(grid, times, np.concatenate([bwd.values[:-1], fwd.values]))
 
 
 def test_build_approx_solution_at_time_zero():
@@ -117,7 +117,7 @@ def test_build_approx_solution_beyond_seam_is_free():
     seam = 0.5 / (3.0 * xi_n)
     at_seam = build_approx_solution(v, xi_n, 0.5, seam)
     later = build_approx_solution(v, xi_n, 0.5, seam + 0.2)
-    assert (later - airy_propagate(at_seam, 0.2)).l2_norm() < 1e-10
+    assert (later - airy_flow(at_seam, 0.2)).l2_norm() < 1e-10
 
 
 def test_build_approx_solution_validation():
@@ -139,10 +139,10 @@ def test_residual_vanishes_on_free_solutions():
     u0 = GridFunction(g, np.exp(-xi ** 2 / 2.0) * (np.abs(xi) <= 2.0), FOURIER)
     u0 = GridFunction(g, u0.to_physical().values.real, PHYSICAL)
     times = np.linspace(-0.2, 0.2, 201)
-    frames = [airy_propagate(u0, float(t)) for t in times]
-    field = SpaceTimeField(g, times, frames)
+    values = np.array([airy_flow(u0, float(t)).values for t in times])
+    field = SpaceTimeField(g, times, values)
     res = residual_field(field, alpha=1.9, mu=-1, coupling=0.0)
-    sup_res = max(float(np.max(np.abs(fr.values))) for fr in res.frames)
+    sup_res = float(np.max(np.abs(res.values)))
     uxxx_scale = float(np.max(np.abs(
         GridFunction(g, (1j * xi) ** 3 * u0.to_fourier().values,
                      FOURIER).to_physical().values)))
@@ -150,10 +150,28 @@ def test_residual_vanishes_on_free_solutions():
     assert len(res) == len(field) - 2
 
 
+def test_residual_matches_per_frame_loop():
+    # reference: the per-frame spectral derivatives, one FFT pair per frame
+    g = Grid(128, 8 * np.pi, -4 * np.pi)
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 0.1, 70)  # more interior frames than one block
+    values = np.exp(-g.nodes() ** 2) * (1.0 + 0.1 * rng.normal(size=(70, 128)))
+    res = residual_field(SpaceTimeField(g, times, values), alpha=1.9, mu=-1, coupling=0.7)
+    dudt = np.gradient(values, times, axis=0, edge_order=2)
+    xi = np.fft.ifftshift(g.frequencies())
+    for i in range(1, 69):
+        u = values[i]
+        uxxx = np.fft.ifft((1j * xi) ** 3 * np.fft.fft(u))
+        nlx = np.fft.ifft(1j * xi * np.fft.fft(np.abs(u) ** 3.8 * u))
+        want = dudt[i] + uxxx + 0.7 * nlx
+        assert np.max(np.abs(res.values[i - 1] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(res.times, times[1:-1])
+
+
 def test_residual_needs_three_frames():
     g = Grid(64, 8.0, -4.0)
     f = gaussian(g)
-    field = SpaceTimeField(g, np.array([0.0, 1.0]), [f, f])
+    field = SpaceTimeField(g, np.array([0.0, 1.0]), np.array([f.values, f.values]))
     with pytest.raises(ValueError, match="at least 3 frames"):
         residual_field(field, 1.9, -1)
 

@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dlab.deformations import airy_flow
-from dlab.evolutions import (BlowupError, SolveConfig, airy_propagate,
-                             c_alpha, energy, gkdv_solve, mass, nls_solve,
-                             schrodinger_propagate, soliton_exact,
+from dlab.deformations import airy_flow, schrodinger_flow
+from dlab.evolutions import (BlowupError, SolveConfig, c_alpha, energy,
+                             gkdv_solve, mass, nls_solve, soliton_exact,
                              soliton_profile, soliton_Q, stability_compare,
                              suggest_dt)
 from dlab.grid import Grid, GridFunction
@@ -44,13 +43,6 @@ def test_suggest_dt_rule():
     assert suggest_dt(GRID, xi_active=4.0) == pytest.approx(0.7 * 2.8 / 64.0)
     full_band = float(np.max(np.abs(GRID.frequencies())))
     assert suggest_dt(GRID) == pytest.approx(0.7 * 2.8 / full_band ** 3)
-
-
-def test_airy_propagate_is_the_free_flow():
-    f = gaussian(GRID)
-    out = airy_propagate(f, 0.4)
-    assert (out - airy_flow(f, 0.4)).l2_norm() < 1e-14
-    assert out.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-12)
 
 
 def test_soliton_satisfies_the_profile_ode():
@@ -104,7 +96,7 @@ def test_gkdv_zero_coupling_is_airy():
     cfg = quiet_config(alpha=1.8, coupling=0.0, t_end=0.1, dt=1e-3,
                        store_every=100)
     run = gkdv_solve(u0, cfg)
-    exact = airy_propagate(u0, float(run.times[-1]))
+    exact = airy_flow(u0, float(run.times[-1]))
     assert (run.frames[-1] - exact).l2_norm() / u0.l2_norm() < 1e-10
 
 
@@ -115,7 +107,7 @@ def test_nls_zero_coupling_is_schrodinger():
     run = nls_solve(v0, cfg)
     # the linear part is i v_t - v_xx = 0, the time-reverse of the free
     # Schrodinger group e^{i t d^2/dx^2}
-    exact = schrodinger_propagate(v0, -float(run.times[-1]))
+    exact = schrodinger_flow(v0, -float(run.times[-1]))
     assert (run.frames[-1] - exact).l2_norm() / v0.l2_norm() < 1e-10
 
 
@@ -143,7 +135,7 @@ def test_backward_solve_matches_free_flow():
     assert run.times[0] == pytest.approx(-0.1)
     assert run.times[-1] == pytest.approx(0.0)
     assert (run.frames[-1] - u0).l2_norm() < 1e-12
-    exact = airy_propagate(u0, -0.1)
+    exact = airy_flow(u0, -0.1)
     assert (run.frames[0] - exact).l2_norm() / u0.l2_norm() < 1e-10
 
 

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -88,21 +89,20 @@ def test_space_time_round_trip(tmp_path):
     g = Grid(32, 6.0, -3.0)
     rng = np.random.default_rng(2)
     times = np.array([0.0, 0.25, 0.75])
-    frames = [GridFunction(g, rng.normal(size=32) + 0j) for _ in times]
-    field = SpaceTimeField(g, times, frames)
+    values = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+    field = SpaceTimeField(g, times, values)
     path = tmp_path / "run.stf"
     write_space_time_field(field, path)
     back = read_space_time_field(path)
     assert np.array_equal(back.times, times)
     assert len(back) == 3
-    for a, b in zip(back.frames, frames):
-        assert np.max(np.abs(a.values - b.values)) < 1e-15
+    assert np.array_equal(back.values, values)
 
 
 def test_space_time_stores_physical_side(tmp_path):
     g = Grid(32, 6.0, -3.0)
     f = sample_function(32).to_fourier()
-    field = SpaceTimeField(g, np.array([0.0]), [GridFunction(g, f.values, FOURIER)])
+    field = SpaceTimeField(g, np.array([0.0]), f.values[None, :], side=FOURIER)
     path = tmp_path / "one.stf"
     write_space_time_field(field, path)
     back = read_space_time_field(path)
@@ -113,10 +113,59 @@ def test_space_time_stores_physical_side(tmp_path):
 def test_space_time_truncation(tmp_path):
     g = Grid(32, 6.0, -3.0)
     rng = np.random.default_rng(8)
-    frames = [GridFunction(g, rng.normal(size=32) + 0j) for _ in range(2)]
-    field = SpaceTimeField(g, np.array([0.0, 1.0]), frames)
+    field = SpaceTimeField(g, np.array([0.0, 1.0]), rng.normal(size=(2, 32)))
     path = tmp_path / "cut.stf"
     write_space_time_field(field, path)
     path.write_bytes(path.read_bytes()[:-24])
     with pytest.raises(GridFileError, match="unexpected end of data"):
         read_space_time_field(path)
+
+
+def test_space_time_bytes_match_hand_packed_file(tmp_path):
+    # pins STF1: 36-byte header, then per frame f64 t and n (re, im) f64 pairs
+    g = Grid(4, 2.0, -1.0)
+    times = np.array([-0.5, 0.25])
+    values = np.array([[1 + 2j, -3j, 0.5, 4 - 1j], [7.0, 1j, -2 + 0.125j, 0.0]])
+    path = tmp_path / "tiny.stf"
+    write_space_time_field(SpaceTimeField(g, times, values), path)
+    packed = b"STF1" + struct.pack("<QQdd", 2, 4, 2.0, -1.0)
+    for t, row in zip(times, values):
+        packed += struct.pack("<d", t)
+        for v in row:
+            packed += struct.pack("<dd", v.real, v.imag)
+    assert len(packed) == 36 + 2 * (8 + 16 * 4)
+    assert path.read_bytes() == packed
+
+
+def test_space_time_size_checked_before_allocating(tmp_path):
+    # a bare header claiming 2^40 frames must not try to allocate them
+    path = tmp_path / "huge.stf"
+    path.write_bytes(b"STF1" + struct.pack("<QQdd", 2 ** 40, 64, 8.0, 0.0))
+    with pytest.raises(GridFileError, match="unexpected end of data"):
+        read_space_time_field(path)
+
+
+def test_space_time_trailing_and_non_finite(tmp_path):
+    g = Grid(32, 6.0, -3.0)
+    values = np.ones((3, 32), dtype=complex)
+    values[2, 5] = np.inf
+    path = tmp_path / "bad.stf"
+    write_space_time_field(SpaceTimeField(g, np.array([0.0, 1.0, 2.0]), values), path)
+    with pytest.raises(GridFileError, match="non-finite values in frame 2"):
+        read_space_time_field(path)
+    values[2, 5] = 1.0
+    write_space_time_field(SpaceTimeField(g, np.array([0.0, 1.0, 2.0]), values), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(GridFileError, match="8 trailing bytes"):
+        read_space_time_field(path)
+
+
+def test_non_finite_grid_reported_as_file_error(tmp_path):
+    for offset in (12, 20):  # length, then x0
+        path = tmp_path / f"inf{offset}.gf"
+        write_grid_function(sample_function(), path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 8] = struct.pack("<d", np.inf)
+        path.write_bytes(bytes(data))
+        with pytest.raises(GridFileError, match="finite"):
+            read_grid_function(path)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlab.grid import (FOURIER, PHYSICAL, Grid, GridFunction, SpaceTimeField,
-                       forward_transform, fractional_derivative,
-                       inverse_transform, match_sides)
+from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
+                       SpaceTimeField, derivative_symbol, forward_transform,
+                       fractional_derivative, inverse_transform, match_sides,
+                       physical_rows)
 
 
 def gaussian(grid: Grid, width: float = 1.0) -> GridFunction:
@@ -79,6 +80,9 @@ def test_grid_validation():
         Grid(100, 10.0)
     with pytest.raises(ValueError):
         Grid(128, -1.0)
+    for length, x0 in ((np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(4, length, x0)
 
 
 def test_lattice_index():
@@ -130,11 +134,56 @@ def test_space_time_field_validation():
     g = Grid(64, 8.0)
     f = gaussian(g)
     with pytest.raises(ValueError):
-        SpaceTimeField(g, np.array([0.0, 1.0]), [f])
-    with pytest.raises(ValueError):
-        SpaceTimeField(g, np.array([0.0, 0.0]), [f, f])
-    field = SpaceTimeField(g, np.array([0.0, 0.5]), [f, f.to_fourier()])
+        SpaceTimeField(g, np.array([0.0, 0.0]), np.array([f.values, f.values]))
+    with pytest.raises(ValueError, match="side"):
+        SpaceTimeField(g, np.array([0.0]), f.values[None, :], side="spectral")
+    field = SpaceTimeField(g, np.array([0.0, 0.5]), np.array([f.values, 2 * f.values]))
     assert len(field) == 2
     arr = field.physical_array()
+    assert arr is field.values
     assert arr.shape == (2, 64)
-    assert np.max(np.abs(arr[1] - f.values)) < 1e-12
+
+
+def test_space_time_field_rejects_misshapen_values():
+    g = Grid(64, 8.0)
+    times = np.array([0.0, 0.5])
+    for shape in ((1, 64), (3, 64), (2, 32), (128,), (2, 64, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            SpaceTimeField(g, times, np.zeros(shape))
+
+
+def test_space_time_frames_are_row_views():
+    g = Grid(64, 8.0, -4.0)
+    f = gaussian(g)
+    field = SpaceTimeField(g, np.array([0.0, 0.5]), np.array([f.values, 2 * f.values]))
+    frames = field.frames
+    assert [fr.side for fr in frames] == [PHYSICAL, PHYSICAL]
+    assert np.shares_memory(frames[1].values, field.values)
+    assert np.array_equal(frames[1].values, 2 * f.values)
+
+
+def test_fourier_side_field_physical_array():
+    # more rows than one block, so the block seams are covered
+    g = Grid(64, 8.0, -4.0)
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(ROW_BLOCK + 3, 64)) + 1j * rng.normal(size=(ROW_BLOCK + 3, 64))
+    field = SpaceTimeField(g, np.arange(ROW_BLOCK + 3.0), rows, side=FOURIER)
+    arr = field.physical_array()
+    for row, got in zip(rows, arr):
+        want = inverse_transform(GridFunction(g, row, FOURIER)).values
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_physical_rows_symbol_matches_fractional_derivative():
+    g = Grid(128, 16.0, -8.0)
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(ROW_BLOCK + 5, 128)) + 0j
+    symbol = derivative_symbol(g.frequencies(), 0.7)
+    got = physical_rows(g, rows, symbol=symbol)
+    for row, out in zip(rows, got):
+        want = fractional_derivative(GridFunction(g, row), 0.7).values
+        assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
+    # in place, and with no symbol the physical rows come back untouched
+    assert physical_rows(g, rows, symbol=symbol, out=rows) is rows
+    assert np.array_equal(rows, got)
+    assert physical_rows(g, rows) is rows

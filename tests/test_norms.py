@@ -282,7 +282,7 @@ def test_spacetime_single_mode_oracle():
     x = g.nodes()
     mode = GridFunction(g, np.exp(1j * k * x))
     times = np.linspace(0.0, 1.0, 11)
-    field = SpaceTimeField(g, times, [mode.copy() for _ in times])
+    field = SpaceTimeField(g, times, np.tile(mode.values, (times.size, 1)))
     s, r = 0.5, 2.0
     p, q = exponents_X(s, r)
     expected = k ** s * g.length ** (1.0 / p)
@@ -293,13 +293,13 @@ def test_spacetime_single_mode_oracle():
 def test_spacetime_norm_validation():
     g = Grid(64, 8.0)
     f = gaussian(g)
-    empty = SpaceTimeField(g, np.array([]), [])
+    empty = SpaceTimeField(g, np.array([]), np.empty((0, g.n)))
     with pytest.raises(ValueError, match="empty field"):
         spacetime_norm(empty, NormSpec.from_preset("S", 1.8))
-    single = SpaceTimeField(g, np.array([0.0]), [f])
+    single = SpaceTimeField(g, np.array([0.0]), f.values[None, :])
     with pytest.raises(ValueError, match="single-frame"):
         spacetime_norm(single, NormSpec.from_preset("S", 1.8))
-    two = SpaceTimeField(g, np.array([0.0, 1.0]), [f, f])
+    two = SpaceTimeField(g, np.array([0.0, 1.0]), np.array([f.values, f.values]))
     with pytest.raises(ValueError):
         spacetime_norm(two, NormSpec(kind="lhat", r=2.0))
 

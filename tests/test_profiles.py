@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dlab.deformations import Deformation, apply
-from dlab.grid import FOURIER, Grid, GridFunction
+from dlab.deformations import Deformation, airy_flow, apply
+from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, fractional_derivative
 from dlab.norms import morrey_norm
-from dlab.profiles import (WhitneyPair, decoupling_check, extract_profile,
+from dlab.profiles import (WhitneyPair, airy_frames, decoupling_check, extract_profile,
                            partition_check, partner_counts, profile_decompose,
                            stein_tomas_ratio, whitney_pairs, whitney_scale)
 
@@ -112,6 +112,46 @@ def test_stein_tomas_translation_invariance():
     r1 = stein_tomas_ratio(translate(base, 1.7), ALPHA, SIGMA, 16.0, nt=257)
     assert r0 > 0
     assert abs(r1 - r0) / r0 < 0.02
+
+
+def test_airy_frames_match_per_time_flow():
+    g = Grid(128, 2 * np.pi * 4, -np.pi * 4)
+    x = g.nodes()
+    f = GridFunction(g, np.exp(-x ** 2) * np.cos(3.0 * x) + 0.5j * np.exp(-(x - 1) ** 2))
+    t_grid = np.linspace(-0.3, 0.4, ROW_BLOCK + 7)  # crosses a block seam
+    for deriv in (0.0, 1.0 / (3.0 * ALPHA), 1.5):
+        frames = airy_frames(f, t_grid, deriv)
+        assert frames.shape == (t_grid.size, g.n)
+        for t, got in zip(t_grid, frames):
+            want = fractional_derivative(airy_flow(f, float(t)), deriv).to_physical().values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stein_tomas_middle_rows_are_the_single_window():
+    # the 1x window is the middle nt rows of the doubled one: same spacing
+    g = Grid(512, 2 * np.pi * 16, -np.pi * 16)
+    x = g.nodes()
+    f = GridFunction(g, np.exp(-x ** 2) + 0j)
+    window, nt, p = 4.0, 129, 3.0 * ALPHA
+
+    def lp_norm(frames, times):
+        space = np.sum(np.abs(frames) ** p, axis=1) * g.dx
+        return np.trapezoid(space, times) ** (1.0 / p)
+
+    t1 = np.linspace(-window, window, nt)
+    t2 = np.linspace(-2.0 * window, 2.0 * window, 2 * nt - 1)
+    mid = slice((nt - 1) // 2, (nt - 1) // 2 + nt)
+    assert np.max(np.abs(t2[mid] - t1)) < 1e-14 * window
+    frames2 = airy_frames(f, t2, 1.0 / p)
+    middle = lp_norm(frames2[mid], t2[mid])
+    single = lp_norm(airy_frames(f, t1, 1.0 / p), t1)
+    assert abs(middle - single) <= 1e-12 * single
+
+
+def test_stein_tomas_rejects_even_nt():
+    g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
+    with pytest.raises(ValueError, match="odd"):
+        stein_tomas_ratio(bump(g, 2.0, 1.0), ALPHA, SIGMA, 4.0, nt=256)
 
 
 # ---------------------------------------------------------------------------
