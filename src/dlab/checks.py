@@ -333,7 +333,7 @@ def check_profiles() -> dict:
     psi_star = bump(0.5, 1.0, 1.0)
     planted = [Deformation(2, xi=float(n), s=0.1, y=1.0) for n in (2, 3, 5, 8)]
     u_list = [apply(g, psi_star, d_exponent=alpha) for g in planted]
-    _, rec, res, _ = extract_profile(u_list, alpha, sigma, t_scan=0.05)
+    _, rec, res, _ = extract_profile(u_list, alpha, t_scan=0.05)
     h_exact = all(r.log2_h == p.log2_h for r, p in zip(rec, planted))
     xi_close = all(abs(r.xi - p.xi) <= u_list[0].grid.dxi
                    for r, p in zip(rec, planted))
@@ -378,36 +378,34 @@ def check_solver_sanity() -> dict:
     x = grid.nodes()
     u0 = GridFunction(grid, np.exp(-x ** 2).astype(complex), PHYSICAL)
     measured = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # NLS mass drift over a unit of time
-        run = nls_solve(u0, SolveConfig(alpha=2.0, mu=-1, t_end=1.0, dt=1e-3,
-                                        store_every=200))
-        l2 = [GridFunction(grid, row).l2_norm() for row in run.values]
-        drift = max(abs(m - l2[0]) for m in l2) / l2[0]
-        measured["nls_mass_drift"] = drift
+    # NLS mass drift over a unit of time
+    run = nls_solve(u0, SolveConfig(alpha=2.0, mu=-1, t_end=1.0, dt=1e-3,
+                                    store_every=200))
+    l2 = [GridFunction(grid, row).l2_norm() for row in run.values]
+    drift = max(abs(m - l2[0]) for m in l2) / l2[0]
+    measured["nls_mass_drift"] = drift
 
-        # Richardson order check against a much finer reference
-        def final(dt):
-            cfg = SolveConfig(alpha=2.0, mu=-1, t_end=0.5, dt=dt,
-                              store_every=10 ** 9)
-            return GridFunction(grid, nls_solve(u0, cfg).values[-1])
-        ref = final(1.25e-4)
-        e_coarse = (final(2e-3) - ref).l2_norm()
-        e_fine = (final(1e-3) - ref).l2_norm()
-        ratio = e_coarse / e_fine
-        measured["richardson_ratio"] = ratio
+    # Richardson order check against a much finer reference
+    def final(dt):
+        cfg = SolveConfig(alpha=2.0, mu=-1, t_end=0.5, dt=dt,
+                          store_every=10 ** 9)
+        return GridFunction(grid, nls_solve(u0, cfg).values[-1])
+    ref = final(1.25e-4)
+    e_coarse = (final(2e-3) - ref).l2_norm()
+    e_fine = (final(1e-3) - ref).l2_norm()
+    ratio = e_coarse / e_fine
+    measured["richardson_ratio"] = ratio
 
-        # mu-free gKdV against the exact Airy group
-        cfg = SolveConfig(alpha=2.0, mu=-1, coupling=0.0, t_end=0.5, dt=1e-3,
-                          store_every=100)
-        lin = gkdv_solve(u0, cfg)
-        airy_err = 0.0
-        for t, row in zip(lin.times, lin.values):
-            exact = airy_flow(u0, float(t))
-            airy_err = max(airy_err, float(np.max(np.abs(
-                row - exact.to_physical().values))))
-        measured["airy_limit_error"] = airy_err
+    # mu-free gKdV against the exact Airy group
+    cfg = SolveConfig(alpha=2.0, mu=-1, coupling=0.0, t_end=0.5, dt=1e-3,
+                      store_every=100)
+    lin = gkdv_solve(u0, cfg)
+    airy_err = 0.0
+    for t, row in zip(lin.times, lin.values):
+        exact = airy_flow(u0, float(t))
+        airy_err = max(airy_err, float(np.max(np.abs(
+            row - exact.to_physical().values))))
+    measured["airy_limit_error"] = airy_err
     ok = drift < 1e-10 and 3.5 <= ratio <= 4.5 and airy_err < 1e-10
     return _result("solver sanity", ok, measured)
 

@@ -60,14 +60,13 @@ def _write_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _parse_window(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
+def _window(text: str) -> tuple[int, int]:
+    """argparse type of --window: jmin:jmax."""
+    lo, _, hi = text.partition(":")
     try:
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi))
+        return int(lo), int(hi)
     except ValueError:
-        raise SystemExit(2)
+        raise argparse.ArgumentTypeError(f"expected jmin:jmax, got {text!r}") from None
 
 
 def _make_grid(args) -> Grid:
@@ -121,7 +120,7 @@ def cmd_norm(args) -> int:
     import dataclasses
     spec = NormSpec.parse(args.spec)
     if args.window:
-        lo, hi = _parse_window(args.window)
+        lo, hi = args.window
         spec = dataclasses.replace(spec, j_min=lo, j_max=hi)
     extra = {}
     try:
@@ -178,7 +177,7 @@ def cmd_profiles(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     if args.action == "extract":
         psi, gammas, residuals, diag = extract_profile(
-            u_list, args.alpha, args.sigma, t_scan=args.t_scan)
+            u_list, args.alpha, t_scan=args.t_scan)
         write_grid_function(psi, os.path.join(out_dir, "psi.gf"))
         for i, r in enumerate(residuals):
             write_grid_function(r, os.path.join(out_dir, f"residual_{i}.gf"))
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="evaluate a norm on stored data")
     p.add_argument("spec", help="key=value norm specification")
     p.add_argument("input", help="GF01 or STF1 file")
-    p.add_argument("--window", default=None, metavar="jmin:jmax")
+    p.add_argument("--window", type=_window, default=None, metavar="jmin:jmax")
     _add_common(p)
     p.set_defaults(func=cmd_norm)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FOURIER, Grid, GridFunction
+from .grid import FOURIER, Grid, GridFunction, fourier_multiply
 from .norms import morrey_norm
 
 
@@ -32,28 +32,22 @@ def modulate(f: GridFunction, xi: float) -> GridFunction:
     return out.to_fourier() if f.side == FOURIER else out
 
 
-def _fourier_phase(f: GridFunction, phase: np.ndarray) -> GridFunction:
-    fh = f.to_fourier()
-    out = GridFunction(fh.grid, fh.values * phase, FOURIER)
-    return out.to_physical() if f.side != FOURIER else out
-
-
 def translate(f: GridFunction, y: float) -> GridFunction:
     """T(y): f(x - y), exact via the Fourier phase e^{-i y xi}."""
     xi = f.grid.frequencies()
-    return _fourier_phase(f, np.exp(-1j * y * xi))
+    return fourier_multiply(f, np.exp(-1j * y * xi))
 
 
 def airy_flow(f: GridFunction, s: float) -> GridFunction:
     """A(s) = e^{-s d^3/dx^3}: Fourier symbol e^{i s xi^3}."""
     xi = f.grid.frequencies()
-    return _fourier_phase(f, np.exp(1j * s * xi**3))
+    return fourier_multiply(f, np.exp(1j * s * xi**3))
 
 
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:
     """S(t) = e^{i t d^2/dx^2}: Fourier symbol e^{-i t xi^2}."""
     xi = f.grid.frequencies()
-    return _fourier_phase(f, np.exp(-1j * t * xi**2))
+    return fourier_multiply(f, np.exp(-1j * t * xi**2))
 
 
 def dyadic_log2(h: float, tol: float = 1e-12) -> int:

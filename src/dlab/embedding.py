@@ -8,21 +8,25 @@ is approximated by
 where v solves i v_s - v_zz = -mu C0 |v|^{2a} v with the coupling C0
 coming from the first Fourier-sine coefficient of |cos|^{2a} sin; beyond
 the seam times +-T/(3 xi_n) the seam states continue by the free Airy
-flow.  The experiment sweeps the carrier frequency and records how the
-gap to the true gKdV solution closes.
+flow.  approx_field evaluates u~ at many times as one array: v's rows are
+interpolated in time, translated by the per-row Fourier phase of
+grid.physical_rows, and put on the carrier; build_approx_solution is the
+same evaluator at one time.  The experiment sweeps the carrier frequency
+and records how the gap to the true gKdV solution closes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .grid import FOURIER, PHYSICAL, GridFunction, SpaceTimeField, physical_rows
-from .deformations import airy_flow, modulate, translate
+from .grid import (PHYSICAL, ROW_BLOCK, GridFunction, SpaceTimeField, fourier_multiply,
+                   physical_rows)
+from .deformations import airy_flow, modulate
 from .evolutions import SolveConfig, gkdv_solve, nls_solve, suggest_dt
 from .norms import NormSpec, lhat_norm, spacetime_norm
 
@@ -57,49 +61,53 @@ def embedding_constants(alpha: float) -> tuple[float, float]:
 
 def sharp_cutoff(f: GridFunction, xi_max: float) -> GridFunction:
     """Sharp Fourier projection onto |xi| <= xi_max."""
-    fh = f.to_fourier()
-    xi = fh.grid.frequencies()
-    vals = np.where(np.abs(xi) <= xi_max, fh.values, 0.0)
-    out = GridFunction(fh.grid, vals, FOURIER)
-    return out.to_physical() if f.side == PHYSICAL else out
+    return fourier_multiply(f, np.abs(f.grid.frequencies()) <= xi_max)
 
 
-def _interp_frame(v: SpaceTimeField, s: float) -> GridFunction:
-    """Linear interpolation of the stored frames at time s."""
-    times = v.times
-    if s < times[0] - 1e-12 or s > times[-1] + 1e-12:
-        raise ValueError(f"time {s} outside stored range [{times[0]}, {times[-1]}]")
-    i = int(np.clip(np.searchsorted(times, s) - 1, 0, len(times) - 2))
-    t0, t1 = times[i], times[i + 1]
-    w = (s - t0) / (t1 - t0)
-    return GridFunction(v.grid, (1.0 - w) * v.values[i] + w * v.values[i + 1], v.side)
+def approx_field(v: SpaceTimeField, xi_n: float, times: np.ndarray) -> SpaceTimeField:
+    """The carrier-wave approximation u~ at gKdV times inside the seams.
+
+    Row k is Re[e^{-i x xi_n - i t_k xi_n^3} v(-3 xi_n t_k, x + 3 xi_n^2 t_k)]
+    with v interpolated linearly between its stored times; xi_n must sit on
+    the grid's frequency lattice so the carrier e^{-i x xi_n} is exactly
+    periodic.  The rows are built in one preallocated array.
+    """
+    grid = v.grid
+    grid.lattice_index(xi_n)
+    times = np.asarray(times, dtype=np.float64)
+    s = -3.0 * xi_n * times
+    if s.min() < v.times[0] - 1e-12 or s.max() > v.times[-1] + 1e-12:
+        raise ValueError(f"times [{s.min()}, {s.max()}] outside stored range "
+                         f"[{v.times[0]}, {v.times[-1]}]")
+    i = np.clip(np.searchsorted(v.times, s) - 1, 0, len(v) - 2)
+    w = ((s - v.times[i]) / (v.times[i + 1] - v.times[i]))[:, None]
+    out = np.empty((times.size, grid.n), dtype=np.complex128)
+    for lo in range(0, times.size, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        out[rows] = (1.0 - w[rows]) * v.values[i[rows]] + w[rows] * v.values[i[rows] + 1]
+    # spatial argument x + 3 xi_n^2 t == translation by -3 xi_n^2 t
+    physical_rows(grid, out, v.side, out=out, times=times,
+                  dispersion=3.0 * xi_n ** 2 * grid.frequencies())
+    out *= np.exp(-1j * grid.nodes() * xi_n)
+    out *= np.exp(-1j * times * xi_n ** 3)[:, None]
+    out.imag = 0.0
+    return SpaceTimeField(grid, times, out)
 
 
 def build_approx_solution(v: SpaceTimeField, xi_n: float, T: float,
                           t_query: float) -> GridFunction:
     """Evaluate the carrier-wave approximation at gKdV time t_query.
 
-    v must cover Schrodinger times [-T, T]; xi_n must sit on the grid's
-    frequency lattice so the carrier e^{-i x xi_n} is exactly periodic.
+    v must cover Schrodinger times [-T, T]; inside the seams +-T/(3 xi_n)
+    this is approx_field at one time, beyond them the free Airy flow of the
+    seam state.
     """
-    grid = v.grid
-    grid.lattice_index(xi_n)
     if T <= 0 or xi_n <= 0:
         raise ValueError("need T > 0 and xi_n > 0")
     seam = T / (3.0 * xi_n)
-
-    def middle(t: float) -> GridFunction:
-        s = -3.0 * xi_n * t
-        frame = _interp_frame(v, s)
-        # spatial argument x + 3 xi_n^2 t == translation by -3 xi_n^2 t
-        frame = translate(frame, -3.0 * xi_n ** 2 * t)
-        carrier = modulate(frame, xi_n) * np.exp(-1j * t * xi_n ** 3)
-        return GridFunction(grid, carrier.to_physical().values.real, PHYSICAL)
-
-    if abs(t_query) <= seam:
-        return middle(t_query)
-    edge = math.copysign(seam, t_query)
-    return airy_flow(middle(edge), t_query - edge)
+    edge = min(max(t_query, -seam), seam)
+    u = GridFunction(v.grid, approx_field(v, xi_n, np.array([edge])).values[0])
+    return u if edge == t_query else airy_flow(u, t_query - edge)
 
 
 def residual_field(u_tilde: SpaceTimeField, alpha: float, mu: int,
@@ -118,17 +126,18 @@ def residual_field(u_tilde: SpaceTimeField, alpha: float, mu: int,
     return SpaceTimeField(grid, u_tilde.times[1:-1], res)
 
 
+# gKdV frames kept per time direction
+GKDV_FRAMES = 33
+
+
 @dataclass
 class EmbeddingConfig:
     alpha: float
     phi: GridFunction
     xi_list: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
     T: float = 1.0
-    t_n: float = 0.0
     mu: int = -1
     nls_dt: float = 1e-3
-    gkdv_dt: float | None = None  # None: per-carrier accuracy rule
-    n_store: int = 33             # gKdV frames kept per time direction
 
     def __post_init__(self):
         if self.T <= 0:
@@ -136,18 +145,14 @@ class EmbeddingConfig:
         xs = tuple(self.xi_list)
         if any(b <= a for a, b in zip(xs, xs[1:])) or any(x <= 0 for x in xs):
             raise ValueError("xi_list must be ascending and positive")
-        if self.t_n != 0.0:
-            raise ValueError("only the t_n = 0 (finite handoff) branch is implemented")
         for x in xs:
             self.phi.grid.lattice_index(x)
 
 
-def _solve_both_ways(v0: GridFunction, make_cfg) -> SpaceTimeField:
-    """Solve forward and backward from t=0 and merge into one field."""
-    fwd = make_cfg(+1.0)
-    bwd = make_cfg(-1.0)
-    run_f = fwd[0](v0, fwd[1])
-    run_b = bwd[0](v0, bwd[1])
+def _solve_both_ways(solver, v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
+    """Solve from t=0 to cfg.t_end and to -cfg.t_end; merge into one field."""
+    run_f = solver(v0, cfg)
+    run_b = solver(v0, replace(cfg, t_end=-cfg.t_end))
     times = np.concatenate([run_b.times[:-1], run_f.times])
     values = np.concatenate([run_b.values[:-1], run_f.values])
     return SpaceTimeField(run_f.grid, times, values)
@@ -168,30 +173,20 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         # NLS on the slow scale, frequency-cut data, coupling C0
         v0 = sharp_cutoff(cfg.phi, xi_n ** 0.25)
         store = max(1, int(math.floor((cfg.T / 64.0) / cfg.nls_dt)))
+        v_field = _solve_both_ways(nls_solve, v0, SolveConfig(
+            alpha=cfg.alpha, mu=cfg.mu, coupling=c0, t_end=cfg.T, dt=cfg.nls_dt,
+            store_every=store))
 
-        def nls_cfg(sign):
-            c = SolveConfig(alpha=cfg.alpha, mu=cfg.mu, coupling=c0,
-                            t_end=sign * cfg.T, dt=cfg.nls_dt, store_every=store)
-            return nls_solve, c
-
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            v_field = _solve_both_ways(v0, nls_cfg)
-
-            # gKdV with the full (uncut) profile on the carrier
-            u0_c = modulate(cfg.phi, xi_n)
-            u0 = GridFunction(grid, u0_c.to_physical().values.real, PHYSICAL)
-            xi_active = xi_n + 8.0
-            dt = cfg.gkdv_dt or min(suggest_dt(grid, xi_active), seam / 64.0)
-            g_store = max(1, round(seam / dt / (cfg.n_store - 1)))
-
-            def gkdv_cfg(sign):
-                c = SolveConfig(alpha=cfg.alpha, mu=cfg.mu, coupling=1.0,
-                                t_end=sign * seam, dt=dt, store_every=g_store)
-                return gkdv_solve, c
-
-            u_field = _solve_both_ways(u0, gkdv_cfg)
+        # gKdV with the full (uncut) profile on the carrier; the step follows
+        # the per-carrier accuracy rule
+        u0_c = modulate(cfg.phi, xi_n)
+        u0 = GridFunction(grid, u0_c.to_physical().values.real, PHYSICAL)
+        xi_active = xi_n + 8.0
+        dt = min(suggest_dt(grid, xi_active), seam / 64.0)
+        g_store = max(1, round(seam / dt / (GKDV_FRAMES - 1)))
+        u_field = _solve_both_ways(gkdv_solve, u0, SolveConfig(
+            alpha=cfg.alpha, mu=cfg.mu, coupling=1.0, t_end=seam, dt=dt,
+            store_every=g_store))
 
         # seam-time gap in the critical data norm
         errs = []
@@ -205,11 +200,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         # frame spacing must resolve the carrier oscillation e^{-i t xi_n^3}
         n_res = int(np.clip(math.ceil(1.8 * seam * xi_n ** 3 / 0.05), 33, 4097))
         t_res = np.linspace(-0.9 * seam, 0.9 * seam, n_res)
-        approx = np.empty((n_res, grid.n), dtype=np.complex128)
-        for i, t in enumerate(t_res):
-            approx[i] = build_approx_solution(v_field, xi_n, cfg.T, float(t)).values
-        u_tilde = SpaceTimeField(grid, t_res, approx)
-        resid = residual_field(u_tilde, cfg.alpha, cfg.mu)
+        resid = residual_field(approx_field(v_field, xi_n, t_res), cfg.alpha, cfg.mu)
         rows.append({
             "xi": float(xi_n),
             "seam_time": float(seam),

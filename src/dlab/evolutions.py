@@ -23,6 +23,7 @@ from .grid import PHYSICAL, Grid, GridFunction, SpaceTimeField
 
 BLOWUP_SUP = 1e8
 ESTIMATE_ALPHA_RANGE = (8.0 / 5.0, 10.0 / 3.0)
+DEALIAS_PAD = 2  # nonlinear products are formed on a grid this many times finer
 
 
 @dataclass
@@ -33,7 +34,6 @@ class SolveConfig:
     t_end: float = 1.0
     dt: float = 1e-3
     store_every: int = 1
-    dealias_pad: int = 2
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -46,8 +46,6 @@ class SolveConfig:
             raise ValueError("dt must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
-        if self.dealias_pad < 1:
-            raise ValueError("dealias_pad must be >= 1")
         lo, hi = ESTIMATE_ALPHA_RANGE
         if not (lo < self.alpha < hi):
             warnings.warn(
@@ -78,19 +76,17 @@ def suggest_dt(grid: Grid, xi_active: float | None = None, safety: float = 0.7) 
     return safety * 2.8 / max(xi_active, 1.0) ** 3
 
 
-def _nonlinear_power(u: np.ndarray, alpha: float, pad: int) -> np.ndarray:
+def _nonlinear_power(u: np.ndarray, alpha: float) -> np.ndarray:
     """|u|^{2 alpha} u evaluated on a zero-padded grid, truncated back."""
     n = u.size
-    if pad == 1:
-        return np.abs(u) ** (2.0 * alpha) * u
-    m = pad * n
+    m = DEALIAS_PAD * n
     uh = np.fft.fft(u)
     big = np.zeros(m, dtype=np.complex128)
     big[: n // 2] = uh[: n // 2]
     big[m - n // 2 :] = uh[n // 2 :]
-    ubig = np.fft.ifft(big) * pad
+    ubig = np.fft.ifft(big) * DEALIAS_PAD
     wbig = np.abs(ubig) ** (2.0 * alpha) * ubig
-    wh = np.fft.fft(wbig) / pad
+    wh = np.fft.fft(wbig) / DEALIAS_PAD
     out = np.empty(n, dtype=np.complex128)
     out[: n // 2] = wh[: n // 2]
     out[n // 2 :] = wh[m - n // 2 :]
@@ -137,7 +133,7 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
         u = np.fft.ifft(np.exp(1j * t * xi**3) * w)
-        nl = _nonlinear_power(u, cfg.alpha, cfg.dealias_pad)
+        nl = _nonlinear_power(u, cfg.alpha)
         return np.exp(-1j * t * xi**3) * factor * np.fft.fft(nl)
 
     def steps(dt, n_steps):

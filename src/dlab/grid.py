@@ -12,9 +12,13 @@ approximated by the scaled DFT (L/(n*sqrt(2*pi))) * sum_j e^{-i x_j xi_k} f_j,
 so Fourier-side values are samples of a spectral *density* with quadrature
 weight dxi = 2*pi/L.
 
-A SpaceTimeField stores n_t time slices in one (n_t, n) array;
-physical_rows applies the transform, and optionally a Fourier symbol, to
-every row of such an array ROW_BLOCK rows at a time.
+Fourier multipliers go through this module (the solvers' time-stepping
+loops keep their own): fourier_multiply multiplies one GridFunction's
+Fourier side by a symbol and returns to the input's side; physical_rows
+does the same for the rows of an (n_t, n) array, such as a
+SpaceTimeField's values, ROW_BLOCK rows at a time, optionally with a
+per-row phase e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation
+for p linear in xi), and can spread one shared spectrum over all rows.
 """
 
 from __future__ import annotations
@@ -151,15 +155,26 @@ def forward_transform(f: GridFunction) -> GridFunction:
     return GridFunction(g, coeff, FOURIER)
 
 
+def _from_density(grid: Grid, values: np.ndarray | None) -> np.ndarray:
+    """DFT coefficients (ascending order) of Fourier density samples; None is all ones."""
+    phase = np.exp(1j * grid.x0 * grid.frequencies())
+    return (phase if values is None else values * phase) * (grid.n * SQRT_2PI / grid.length)
+
+
 def inverse_transform(f: GridFunction) -> GridFunction:
     """Exact inverse of forward_transform."""
     if f.side != FOURIER:
         raise ValueError("inverse_transform expects a fourier-side function")
-    g = f.grid
-    xi = g.frequencies()
-    coeff = f.values * np.exp(1j * g.x0 * xi) * (g.n * SQRT_2PI / g.length)
-    values = np.fft.ifft(np.fft.ifftshift(coeff))
-    return GridFunction(g, values, PHYSICAL)
+    values = np.fft.ifft(np.fft.ifftshift(_from_density(f.grid, f.values)))
+    return GridFunction(f.grid, values, PHYSICAL)
+
+
+def fourier_multiply(f: GridFunction, symbol: np.ndarray) -> GridFunction:
+    """f with its Fourier side times `symbol` (sampled on grid.frequencies()),
+    returned on f's side."""
+    fh = f.to_fourier()
+    out = GridFunction(fh.grid, fh.values * symbol, FOURIER)
+    return out.to_physical() if f.side == PHYSICAL else out
 
 
 def derivative_symbol(xi: np.ndarray, s: float) -> np.ndarray:
@@ -178,32 +193,48 @@ def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
     """Fourier multiplier |xi|^s; the zero mode is set to 0 whenever s != 0."""
     if s == 0:
         return f.copy()
-    fh = f.to_fourier()
-    out = GridFunction(fh.grid, fh.values * derivative_symbol(fh.grid.frequencies(), s),
-                       FOURIER)
-    return out.to_physical() if f.side == PHYSICAL else out
+    return fourier_multiply(f, derivative_symbol(f.grid.frequencies(), s))
+
+
+def _dft(values: np.ndarray, side: str) -> np.ndarray:
+    """Physical rows -> DFT coefficients; Fourier-side rows are only put into
+    FFT order (their density scale goes into physical_rows' multiplier)."""
+    return np.fft.fft(values, axis=-1) if side == PHYSICAL else np.fft.ifftshift(values, axes=-1)
 
 
 def physical_rows(grid: Grid, values: np.ndarray, side: str = PHYSICAL,
                   symbol: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  times: np.ndarray | None = None,
+                  dispersion: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of each row of an (m, n) array of `side`-side samples,
-    times `symbol` (sampled on grid.frequencies()) on the Fourier side.
+    times `symbol` on the Fourier side and, given `times`, row k also times
+    e^{i times[k] dispersion}; symbol and dispersion are sampled on
+    grid.frequencies().
 
-    Physical rows without a symbol come back as they are; otherwise batched
-    FFTs run ROW_BLOCK rows at a time into `out` (new, or `values` itself).
+    A 1-D `values` is one spectrum shared by all len(times) rows: it is
+    transformed, weighted and put into FFT order once.  Physical rows
+    without a symbol or phase come back as they are; otherwise batched FFTs
+    run ROW_BLOCK rows at a time into `out` (new, or `values` itself).
     """
-    if side == PHYSICAL and symbol is None:
+    if side == PHYSICAL and symbol is None and times is None:
         return values
-    mult = np.ones(grid.n) if symbol is None else symbol
-    if side == FOURIER:  # density samples -> DFT coefficients, as in inverse_transform
-        mult = mult * np.exp(1j * grid.x0 * grid.frequencies()) * (grid.n * SQRT_2PI / grid.length)
-    mult = np.fft.ifftshift(mult)
-    out = np.empty(values.shape, dtype=np.complex128) if out is None else out
-    for lo in range(0, len(values), ROW_BLOCK):
-        block = values[lo:lo + ROW_BLOCK]
-        spec = np.fft.fft(block, axis=1) if side == PHYSICAL else np.fft.ifftshift(block, axes=1)
-        out[lo:lo + ROW_BLOCK] = np.fft.ifft(spec * mult, axis=1)
+    mult = _from_density(grid, symbol) if side == FOURIER else symbol
+    mult = 1.0 if mult is None else np.fft.ifftshift(mult)
+    shared = values.ndim == 1
+    if shared:
+        mult = mult * _dft(values, side)
+    rate = None if times is None else np.fft.ifftshift(dispersion)
+    m = len(times) if shared else len(values)
+    out = np.empty((m, grid.n), dtype=np.complex128) if out is None else out
+    for lo in range(0, m, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        spec = mult if shared else _dft(values[rows], side) * mult
+        if rate is not None:
+            phase = np.exp(1j * np.outer(times[rows], rate))
+            # into the phase block: a new product array per block ran ~20 % slower
+            spec = np.multiply(phase, spec, out=phase)
+        out[rows] = np.fft.ifft(spec, axis=1)
     return out
 
 

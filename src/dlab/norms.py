@@ -402,7 +402,7 @@ class NormSpec:
 # space-time norms
 # ---------------------------------------------------------------------------
 
-def spacetime_norm(field: SpaceTimeField, spec: NormSpec, alpha: float | None = None) -> float:
+def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
     """Mixed L^p_x L^q_t norm of |d/dx|^s F over the field's time window."""
     if len(field) == 0:
         raise ValueError("empty field")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FOURIER, ROW_BLOCK, SQRT_2PI, GridFunction, derivative_symbol
+from .grid import FOURIER, GridFunction, derivative_symbol, physical_rows
 from .deformations import (Deformation, apply, apply_inverse, nonresonance_gap,
                            orthogonality_gap)
 from .norms import conjugate_exponent, ell, morrey_norm
@@ -139,23 +139,11 @@ def partner_counts(pairs: list[WhitneyPair], j: int, k_interior: int) -> dict[in
 # ---------------------------------------------------------------------------
 
 def airy_frames(f: GridFunction, t_grid: np.ndarray, deriv: float) -> np.ndarray:
-    """|d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid: (nt, n) physical samples.
-
-    The weighted spectrum and xi^3 are put into FFT order once; the phases
-    e^{i t xi^3} and the inverse FFTs then go ROW_BLOCK rows at a time.
-    """
+    """|d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid: (nt, n) physical samples."""
     fh = f.to_fourier()
-    g = fh.grid
-    xi = g.frequencies()
-    base = np.fft.ifftshift(fh.values * derivative_symbol(xi, deriv)
-                            * np.exp(1j * g.x0 * xi))
-    xi3 = np.fft.ifftshift(xi) ** 3
-    pref = g.n * SQRT_2PI / g.length
-    out = np.empty((len(t_grid), g.n), dtype=np.complex128)
-    for lo in range(0, len(t_grid), ROW_BLOCK):
-        phases = np.exp(1j * np.outer(t_grid[lo:lo + ROW_BLOCK], xi3))
-        out[lo:lo + ROW_BLOCK] = np.fft.ifft(base * phases, axis=1) * pref
-    return out
+    xi = fh.grid.frequencies()
+    return physical_rows(fh.grid, fh.values, FOURIER, symbol=derivative_symbol(xi, deriv),
+                         times=t_grid, dispersion=xi ** 3)
 
 
 def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
@@ -302,10 +290,9 @@ def _default_t_scan(j: int, k: int, nt: int) -> float:
     return min(10.0, 0.25 * nt / spread)
 
 
-def extract_profile(u_list: list[GridFunction], alpha: float, sigma: float,
-                    c_eps: float = 1e6, t_scan: float | None = None,
-                    nt: int = 257) -> tuple[GridFunction, list[Deformation],
-                                            list[GridFunction], dict]:
+def extract_profile(u_list: list[GridFunction], alpha: float, c_eps: float = 1e6,
+                    t_scan: float | None = None, nt: int = 257
+                    ) -> tuple[GridFunction, list[Deformation], list[GridFunction], dict]:
     """One greedy extraction step over the whole sequence.
 
     Per index: the dyadic selector fixes (h, xi), the space-time argmax of
@@ -370,7 +357,7 @@ def profile_decompose(u_list: list[GridFunction], alpha: float, sigma: float,
     profiles: list[tuple[GridFunction, list[Deformation]]] = []
     selectors = []
     while len(profiles) < j_max:
-        psi, gammas, residuals, diag = extract_profile(current, alpha, sigma, **kwargs)
+        psi, gammas, residuals, diag = extract_profile(current, alpha, **kwargs)
         if diag.get("degenerate") or max(diag["selector"]) < eps_stop:
             break
         profiles.append((psi, gammas))

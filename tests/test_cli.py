@@ -91,6 +91,18 @@ def test_norm_morrey_window_flag(tmp_path, capsys):
     assert json.loads(out_part)["value"] < json.loads(out_full)["value"]
 
 
+@pytest.mark.parametrize("window", ["abc", "3"])
+def test_norm_bad_window_is_a_usage_error(tmp_path, capsys, window):
+    path = tmp_path / "g.gf"
+    write_sample(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "kind=morrey_hat,p=1.8,q=2.0,r=3.0", str(path),
+              f"--window={window}", "--no-timestamps"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --window: expected jmin:jmax, got '{window}'" in err
+
+
 def test_norm_ell_reports_minimizer(tmp_path, capsys):
     path = tmp_path / "g.gf"
     write_sample(path)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlab.deformations import airy_flow, modulate
-from dlab.embedding import (EmbeddingConfig, build_approx_solution,
+from dlab.deformations import airy_flow, modulate, translate
+from dlab.embedding import (EmbeddingConfig, approx_field, build_approx_solution,
                             embedding_constants, embedding_experiment,
                             fourier_sin_coeff, residual_field, sharp_cutoff)
 from dlab.evolutions import SolveConfig, nls_solve
-from dlab.grid import FOURIER, PHYSICAL, Grid, GridFunction, SpaceTimeField
+from dlab.grid import FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
 
 
 def gaussian(grid: Grid) -> GridFunction:
@@ -129,6 +129,38 @@ def test_build_approx_solution_validation():
         build_approx_solution(v, 8.0, -1.0, 0.0)
 
 
+def test_approx_field_matches_per_frame_composition():
+    # reference: interpolate v, translate, put on the carrier, one frame at a time
+    g = Grid(256, 8 * np.pi, -4 * np.pi)
+    v = schrodinger_run(g, gaussian(g), T=0.5)
+    xi_n, seam = 8.0, 0.5 / 24.0
+    times = np.linspace(-seam, seam, ROW_BLOCK + 7)  # crosses a block seam
+    got = approx_field(v, xi_n, times)
+    assert np.array_equal(got.times, times) and got.side == PHYSICAL
+    for t, row in zip(times, got.values):
+        s = -3.0 * xi_n * t
+        i = min(max(int(np.searchsorted(v.times, s)) - 1, 0), len(v) - 2)
+        w = (s - v.times[i]) / (v.times[i + 1] - v.times[i])
+        interp = GridFunction(g, (1.0 - w) * v.values[i] + w * v.values[i + 1])
+        frame = modulate(translate(interp, -3.0 * xi_n ** 2 * t), xi_n)
+        want = (frame * np.exp(-1j * t * xi_n ** 3)).values.real
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(row.imag)) == 0.0
+    # build_approx_solution is the same evaluator at one time
+    one = build_approx_solution(v, xi_n, 0.5, float(times[3]))
+    assert np.max(np.abs(one.values - got.values[3])) <= 1e-12 * np.max(np.abs(one.values))
+
+
+def test_approx_field_outside_stored_range_raises():
+    g = Grid(128, 8 * np.pi, -4 * np.pi)
+    v = schrodinger_run(g, gaussian(g), T=0.1)  # Schrodinger times [-0.1, 0.1]
+    with pytest.raises(ValueError, match="outside stored range"):
+        approx_field(v, 8.0, np.array([0.0, 0.1 / 24.0 + 1e-3]))
+    # inside the seams of T = 0.5, but beyond what v holds
+    with pytest.raises(ValueError, match="outside stored range"):
+        build_approx_solution(v, 8.0, 0.5, -0.01)
+
+
 # ---------------------------------------------------------------------------
 # residual
 # ---------------------------------------------------------------------------
@@ -187,8 +219,6 @@ def test_embedding_config_validation():
         EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(16.0, 8.0))
     with pytest.raises(ValueError, match="positive"):
         EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), T=0.0)
-    with pytest.raises(ValueError, match="t_n"):
-        EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), t_n=0.5)
     with pytest.raises(ValueError, match="lattice"):
         EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.3,))
 
@@ -206,3 +236,13 @@ def test_embedding_experiment_small_sweep():
     assert row["seam_time"] == pytest.approx(0.25 / 12.0)
     for key in ("err_lhat_alpha", "norm_S", "norm_L", "residual_Y"):
         assert math.isfinite(row[key]) and row[key] > 0
+
+
+def test_embedding_experiment_reports_solver_range_warning():
+    # alpha = 1.5 lies outside the range of the nonlinear estimates
+    g = Grid(64, 8 * np.pi, -4 * np.pi)
+    cfg = EmbeddingConfig(alpha=1.5, phi=gaussian(g), xi_list=(4.0,),
+                          T=0.1, nls_dt=1e-2)
+    with pytest.warns(UserWarning, match="outside the range"):
+        rows = embedding_experiment(cfg)
+    assert len(rows) == 1

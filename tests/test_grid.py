@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlab.deformations import translate
 from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
                        SpaceTimeField, derivative_symbol, forward_transform,
                        fractional_derivative, inverse_transform, match_sides,
@@ -187,3 +188,16 @@ def test_physical_rows_symbol_matches_fractional_derivative():
     assert physical_rows(g, rows, symbol=symbol, out=rows) is rows
     assert np.array_equal(rows, got)
     assert physical_rows(g, rows) is rows
+
+
+def test_physical_rows_phase_matches_per_row_translate():
+    # row k times e^{i t_k 3 xi}: the translation by -3 t_k, across a block seam
+    g = Grid(128, 16.0, -8.0)
+    rng = np.random.default_rng(8)
+    m = ROW_BLOCK + 5
+    rows = np.exp(-g.nodes() ** 2) * (rng.normal(size=(m, 128)) + 1j * rng.normal(size=(m, 128)))
+    times = np.linspace(-0.4, 0.7, m)
+    got = physical_rows(g, rows, times=times, dispersion=3.0 * g.frequencies())
+    for row, t, out in zip(rows, times, got):
+        want = translate(GridFunction(g, row), -3.0 * t).values
+        assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))

@@ -196,7 +196,7 @@ def test_extract_recovers_planted_parameters():
     planted = Deformation(2, xi=5.0, s=0.1, y=1.0)
     u = apply(planted, psi, d_exponent=ALPHA)
     got_psi, gammas, residuals, diag = extract_profile(
-        [u], ALPHA, SIGMA, t_scan=0.05)
+        [u], ALPHA, t_scan=0.05)
     assert not diag["degenerate"]
     gamma = gammas[0]
     assert gamma.log2_h == planted.log2_h
@@ -212,13 +212,13 @@ def test_extract_recovers_planted_parameters():
 
 def test_extract_degenerate_zero_input():
     zero = GridFunction(PLANT_GRID, np.zeros(PLANT_GRID.n, complex), FOURIER)
-    psi, gammas, residuals, diag = extract_profile([zero, zero], ALPHA, SIGMA)
+    psi, gammas, residuals, diag = extract_profile([zero, zero], ALPHA)
     assert diag["degenerate"]
     assert psi.l2_norm() == 0.0
     assert gammas == [Deformation(0), Deformation(0)]
     assert residuals[0].l2_norm() == 0.0
     with pytest.raises(ValueError, match="empty input"):
-        extract_profile([], ALPHA, SIGMA)
+        extract_profile([], ALPHA)
 
 
 def test_decompose_two_profiles_ordered():
