@@ -51,7 +51,7 @@ class SolveConfig:
             warnings.warn(
                 f"alpha={self.alpha} is outside the range ({lo:g}, {hi:g}) "
                 "covered by the nonlinear estimates; solver runs anyway",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to the caller
             )
 
 

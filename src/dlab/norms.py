@@ -5,7 +5,10 @@ piecewise constant on the frequency cells [xi_k, xi_k + dxi).  Every norm
 below is then an exact integral of that density, so dyadic-interval sums
 can be carried to all scales: scales finer than a cell and coarser than
 the data support are geometric series with closed forms, and only a
-finite band of scales needs explicit enumeration.
+finite band of scales needs explicit enumeration.  One batched pass
+aggregates any number of lattice offsets (modulations): at scale w an
+offset only matters modulo w, so each scale is evaluated once per
+distinct residue, and the modulation scan in ell is a single call.
 
 Implemented norms:
   * lhat_norm          -- L^{r'} of the Fourier density
@@ -24,10 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .grid import GridFunction, SpaceTimeField, derivative_symbol, physical_rows
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
+_BLOCK = 1 << 17   # entries per (residue, interval) block in _dyadic_aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -35,67 +40,80 @@ EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
 # ---------------------------------------------------------------------------
 
 def _dyadic_aggregate(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
-                      a: float, b: float, offset: float = 0.0,
-                      window: tuple[int, int] | None = None) -> float:
+                      a: float, b: float, offsets: ArrayLike = (0.0,),
+                      window: tuple[int, int] | None = None) -> np.ndarray:
     """l^r aggregate over dyadic intervals of w^a * (int_I dens^b)^{1/b}.
 
     cell_vals: nonnegative density values, constant on cells edges[i:i+2].
-    Intervals are [k*w + offset, (k+1)*w + offset) with w = 2^{-j}; the
-    anchor shift 'offset' realizes frequency modulations exactly.
+    Returns one value per entry of 'offsets'.  For an offset the intervals
+    are [k*w + offset, (k+1)*w + offset) with w = 2^{-j}; the anchor shift
+    realizes frequency modulations exactly.
 
     With window=None the whole bi-infinite scale sum is returned: scales
     finer than a cell and coarser than the support are closed-form
     geometric tails.  With window=(j_min, j_max) only those scales are
     summed (a truncated norm) and no tails are added.
+
+    Offsets with the same residue offset mod w see the same intervals at
+    scale j, only relabelled, so each scale is evaluated once per distinct
+    residue: the residues form one (residue, interval) array, cut into
+    blocks of at most _BLOCK entries, and every offset adds its residue's
+    term, in ascending j.
     """
     cell_vals = np.asarray(cell_vals, dtype=np.float64)
     if np.any(cell_vals < 0):
         raise ValueError("density values must be nonnegative")
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
     widths = np.diff(edges)
     powb = cell_vals ** b
     cum = np.concatenate(([0.0], np.cumsum(powb * widths)))
     total_pow = cum[-1]
     if total_pow == 0.0:
-        return 0.0
+        return np.zeros(offsets.size)
 
     nz = np.nonzero(cell_vals)[0]
     lo = edges[nz[0]]
     hi = edges[nz[-1] + 1]
     w_cell = float(np.min(widths[nz]))
 
-    def integral(x: np.ndarray) -> np.ndarray:
-        # exact: cum is piecewise linear with nodes at the cell edges
-        return np.interp(x, edges, cum)
-
     use_tails = window is None
     if window is None:
         j_hi = math.ceil(-math.log2(w_cell)) + 2
-        r_anchor = max(hi - offset, offset - lo, w_cell)
-        j_lo = -(math.ceil(math.log2(r_anchor)) + 1)
-        if j_lo > j_hi:
-            j_lo = j_hi
+        # per offset: the coarsest scale whose two anchor intervals do not
+        # yet hold the whole support; ceil(log2 R) is exact through frexp
+        mant, expo = np.frexp(np.maximum(np.maximum(hi - offsets, offsets - lo), w_cell))
+        j_lo = np.minimum(-(expo - (mant == 0.5) + 1), j_hi)
     else:
-        j_lo, j_hi = window
-        if j_lo > j_hi:
+        if window[0] > window[1]:
             raise ValueError(f"empty scale window {window}")
+        j_hi = window[1]
+        j_lo = np.full(offsets.size, window[0])
 
     finite_r = math.isfinite(r)
-    acc = 0.0
-    best = 0.0
-    for j in range(j_lo, j_hi + 1):
+    acc = np.zeros(offsets.size)
+    for j in range(int(j_lo.min()), j_hi + 1):
         w = 2.0 ** (-j)
-        k0 = math.floor((lo - offset) / w)
-        k1 = math.ceil((hi - offset) / w)
-        bounds = offset + w * np.arange(k0, k1 + 1)
-        ints = np.diff(integral(bounds))
-        ints = ints[ints > 0.0]
-        if ints.size == 0:
-            continue
-        terms = (w ** a) * ints ** (1.0 / b)
-        if finite_r:
-            acc += float(np.sum(terms ** r))
-        else:
-            best = max(best, float(np.max(terms)))
+        first, inv = _residue_classes(offsets, w)
+        reps = offsets[first]
+        k0 = np.floor((lo - reps) / w)
+        n_bounds = int((np.ceil((hi - reps) / w) - k0).max()) + 1
+        per_res = np.empty(reps.size)
+        rows = max(1, _BLOCK // n_bounds)
+        for s in range(0, reps.size, rows):
+            blk = slice(s, s + rows)
+            # reps + w * (k0 + step), built in place to keep the peak low
+            bounds = k0[blk, None] + np.arange(n_bounds)
+            bounds *= w
+            bounds += reps[blk, None]
+            # exact: cum is piecewise linear with nodes at the cell edges
+            terms = np.diff(np.interp(bounds, edges, cum), axis=1)
+            np.maximum(terms, 0.0, out=terms)
+            terms **= 1.0 / b
+            terms *= w ** a
+            per_res[blk] = (terms ** r).sum(axis=1) if finite_r else terms.max(axis=1)
+        # scale j is inside the coarse tail of offsets with j < j_lo
+        term = np.where(j_lo <= j, per_res[inv], 0.0)
+        acc = acc + term if finite_r else np.maximum(acc, term)
 
     if use_tails:
         # scales finer than a cell: every interval sees constant density
@@ -104,32 +122,42 @@ def _dyadic_aggregate(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
         if finite_r:
             e_sub = r * sub_exp - 1.0
             if e_sub <= 0.0:
-                return math.inf
+                return np.full(offsets.size, math.inf)
             mass_r = float(np.sum(widths * cell_vals ** r))
             acc += mass_r * (w_next ** e_sub) / (1.0 - 2.0 ** (-e_sub))
         else:
             if sub_exp < 0.0:
-                return math.inf
+                return np.full(offsets.size, math.inf)
             vmax = float(np.max(cell_vals))
-            best = max(best, vmax if sub_exp == 0.0 else vmax * w_next ** sub_exp)
+            acc = np.maximum(acc, vmax if sub_exp == 0.0 else vmax * w_next ** sub_exp)
 
         # scales coarser than the support: exactly one interval on each
         # side of the anchor carries everything
-        n_plus = max(total_pow - float(integral(np.array([offset]))[0]), 0.0)
-        n_minus = max(float(integral(np.array([offset]))[0]), 0.0)
-        w_prev = 2.0 ** (-(j_lo - 1))
+        below = np.interp(offsets, edges, cum)
+        n_plus = np.maximum(total_pow - below, 0.0)
+        n_minus = np.maximum(below, 0.0)
+        w_prev = 2.0 ** (1.0 - j_lo)
         if finite_r:
             if a >= 0.0:
-                return math.inf
+                return np.full(offsets.size, math.inf)
             halves = n_plus ** (r / b) + n_minus ** (r / b)
             acc += halves * (w_prev ** (a * r)) / (1.0 - 2.0 ** (a * r))
         else:
             if a > 0.0:
-                return math.inf
-            cand = max(n_plus, n_minus) ** (1.0 / b)
-            best = max(best, cand if a == 0.0 else cand * w_prev ** a)
+                return np.full(offsets.size, math.inf)
+            cand = np.maximum(n_plus, n_minus) ** (1.0 / b)
+            acc = np.maximum(acc, cand if a == 0.0 else cand * w_prev ** a)
 
-    return acc ** (1.0 / r) if finite_r else best
+    return acc ** (1.0 / r) if finite_r else acc
+
+
+def _residue_classes(offsets: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one offset per distinct residue offset mod w, and each
+    offset's class (floating mod is exact, so classes are exact)."""
+    if offsets.size == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    _, first, inv = np.unique(np.mod(offsets, w), return_index=True, return_inverse=True)
+    return first, inv
 
 
 def _fourier_cells(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +217,8 @@ def morrey_norm(f: GridFunction, p: float, q: float, r: float,
         raise ValueError("q = 1 (local sup norms) is not supported")
     vals, edges = _fourier_cells(f)
     a = (0.0 if math.isinf(q) else 1.0 / q) - 1.0 / p
-    return _dyadic_aggregate(vals, edges, r=r, a=a, b=qp,
-                             offset=offset, window=window)
+    return float(_dyadic_aggregate(vals, edges, r=r, a=a, b=qp,
+                                   offsets=[offset], window=window)[0])
 
 
 def morrey_physical(f: GridFunction, p: float, q: float, r: float,
@@ -202,7 +230,7 @@ def morrey_physical(f: GridFunction, p: float, q: float, r: float,
         raise ValueError("q == p requires r = inf")
     vals, edges = _physical_cells(f)
     a = 1.0 / p - 1.0 / q
-    return _dyadic_aggregate(vals, edges, r=r, a=a, b=q, window=window)
+    return float(_dyadic_aggregate(vals, edges, r=r, a=a, b=q, window=window)[0])
 
 
 def sigma_range(alpha: float) -> tuple[float, float]:
@@ -223,8 +251,9 @@ def ell(f: GridFunction, alpha: float, sigma: float,
     """Infimum over modulations xi of ||P(xi) f||_{Mhat^alpha_{2,sigma}}.
 
     Coarse scan at twice the cell spacing across the spectral support,
-    then golden-section refinement to 1e-6 relative bracket width.
-    Returns (value, minimizer).
+    all candidates in one batched _dyadic_aggregate pass, then
+    golden-section refinement to 1e-6 relative bracket width, one offset
+    per step.  Returns (value, minimizer).
     """
     _check_ell_exponents(alpha, sigma)
     vals, edges = _fourier_cells(f)
@@ -233,16 +262,19 @@ def ell(f: GridFunction, alpha: float, sigma: float,
     a = 0.5 - 1.0 / alpha
     qp = 2.0
 
-    def objective(xi0: float) -> float:
+    def aggregate(offsets: ArrayLike) -> np.ndarray:
         return _dyadic_aggregate(vals, edges, r=sigma, a=a, b=qp,
-                                 offset=xi0, window=window)
+                                 offsets=offsets, window=window)
+
+    def objective(xi0: float) -> float:
+        return float(aggregate([xi0])[0])
 
     nz = np.nonzero(vals)[0]
     lo, hi = edges[nz[0]], edges[nz[-1] + 1]
     dxi = float(np.min(np.diff(edges)))
     step = 2.0 * dxi
     candidates = np.arange(lo - step, hi + 2 * step, step)
-    cand_vals = np.array([objective(x) for x in candidates])
+    cand_vals = aggregate(candidates)
     i = int(np.argmin(cand_vals))
     xa = candidates[max(i - 1, 0)]
     xb = candidates[min(i + 1, candidates.size - 1)]

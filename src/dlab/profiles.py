@@ -56,16 +56,26 @@ class WhitneyPair:
 
 
 def whitney_pairs(j_min: int, j_max: int, xi_max: float) -> list[WhitneyPair]:
-    """All pairs with scales j in [j_min, j_max] inside [-xi_max, xi_max)."""
+    """All pairs with scales j in [j_min, j_max] inside [-xi_max, xi_max).
+
+    O(K) per scale, K = 2 ceil(xi_max 2^-j) intervals.  A partner k' of k
+    has its parent adjacent to the parent p = k // 2 of k or to its
+    reflection -p-1, so k' lies in [2p-2, 2p+3] or in [-2p-4, -2p+1].
+    Only these <= 12 candidates are tested, in ascending order, so the
+    list and its order are those of testing every (k, k') pair.
+    """
     if j_min > j_max:
         raise ValueError("empty scale window")
+    if not (math.isfinite(xi_max) and xi_max > 0):
+        raise ValueError(f"xi_max must be finite and positive, got {xi_max}")
     pairs = []
     for j in range(j_min, j_max + 1):
         k_hi = int(math.ceil(xi_max / 2.0 ** j))
-        ks = range(-k_hi, k_hi)
-        for k in ks:
-            for kp in ks:
-                if _whitney_related(k, kp):
+        for k in range(-k_hi, k_hi):
+            p = _parent(k)
+            near = {*range(2 * p - 2, 2 * p + 4), *range(-2 * p - 4, -2 * p + 2)}
+            for kp in sorted(near):
+                if -k_hi <= kp < k_hi and _whitney_related(k, kp):
                     pairs.append(WhitneyPair(j, k, kp))
     return pairs
 
@@ -77,6 +87,8 @@ def whitney_scale(xi: float, eta: float) -> int:
     reflection) is monotone in the scale; the pair lives one scale below
     the coarsest non-adjacent level.
     """
+    if not (math.isfinite(xi) and math.isfinite(eta)):
+        raise ValueError(f"point ({xi}, {eta}) is not finite")
     if xi == eta or xi == -eta:
         raise ValueError("points on the diagonals are not covered")
     j = -60

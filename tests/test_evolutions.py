@@ -39,6 +39,12 @@ def test_config_validation():
         SolveConfig(alpha=1.0)
 
 
+def test_alpha_range_warning_names_the_calling_line():
+    with pytest.warns(UserWarning, match="outside the range") as record:
+        SolveConfig(alpha=1.0)
+    assert record[0].filename == __file__
+
+
 def test_suggest_dt_rule():
     assert suggest_dt(GRID, xi_active=4.0) == pytest.approx(0.7 * 2.8 / 64.0)
     full_band = float(np.max(np.abs(GRID.frequencies())))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlab.grid import FOURIER, Grid, GridFunction, SpaceTimeField
-from dlab.norms import (NormSpec, conjugate_exponent, ell, exponents_X,
+from dlab.norms import (NormSpec, _dyadic_aggregate, _fourier_cells, _physical_cells,
+                        conjugate_exponent, ell, exponents_X,
                         exponents_Y, is_acceptable, is_conjugate_acceptable,
                         lhat_norm, morrey_interpolation_check, morrey_norm,
                         morrey_physical, preset_s, sigma_range, spacetime_norm)
@@ -159,10 +160,69 @@ def test_ell_zero_and_validation():
         ell(f, 1.8, lo)  # the left endpoint is excluded
 
 
+def test_ell_minimizer_attains_value_on_planted_profiles():
+    # the criterion-12 planted states: one bump under D(2) P(n) S(0.1) T(1)
+    from dlab.deformations import Deformation, apply
+    alpha, sigma = 1.8, 3.0
+    g = Grid(2048, 2.0 * math.pi * 2 ** 4, -math.pi * 2 ** 4)
+    xi = g.frequencies()
+    v = np.where((xi >= -1e-12) & (xi < 1.0 - 1e-12), np.exp(-(xi - 0.5) ** 2 * 8.0), 0.0)
+    psi = GridFunction(g, v.astype(complex), FOURIER)
+    for n in (2, 3, 5, 8):
+        u = apply(Deformation(2, xi=float(n), s=0.1, y=1.0), psi, d_exponent=alpha)
+        value, xi0 = ell(u, alpha, sigma)
+        assert morrey_norm(u, alpha, 2.0, sigma, offset=xi0) == pytest.approx(
+            value, rel=1e-12)
+
+
 def test_sigma_range_values():
     lo, hi = sigma_range(1.8)
     assert lo == pytest.approx(1.8 / 0.8)
     assert hi == pytest.approx(6 * 1.8 / (3 * 1.8 - 2))
+
+
+# ---------------------------------------------------------------------------
+# batched dyadic aggregation
+# ---------------------------------------------------------------------------
+
+def coarse_anchor_scale(x, lo, hi, w_cell):
+    # the coarsest explicitly summed scale of offset x (its tail starts below)
+    return -(math.ceil(math.log2(max(hi - x, x - lo, w_cell))) + 1)
+
+
+AGGREGATE_CASES = {
+    # hat-Morrey density on a grid whose cells are incommensurate with the
+    # dyadic lattice, so every offset has its own residue at fine scales
+    "finite_r": (lambda: _fourier_cells(random_band(Grid(256, 20.0), seed=2)),
+                 dict(r=3.0, a=0.5 - 1.0 / 1.8, b=2.0)),
+    "finite_r_window": (lambda: _fourier_cells(random_band(Grid(512, 2 * np.pi * 16), seed=3)),
+                        dict(r=3.0, a=0.5 - 1.0 / 1.8, b=2.0, window=(-3, 5))),
+    # the morrey_physical case: physical cells, r = inf
+    "r_inf_physical": (lambda: _physical_cells(gaussian(Grid(256, 16.0, -8.0))),
+                       dict(r=math.inf, a=1.0 / 3.0 - 1.0 / 1.5, b=1.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGGREGATE_CASES))
+def test_batched_aggregate_matches_one_offset_calls(case):
+    cells, kw = AGGREGATE_CASES[case]
+    vals, edges = cells()
+    nz = np.nonzero(vals)[0]
+    lo, hi = edges[nz[0]], edges[nz[-1] + 1]
+    w_cell = float(np.min(np.diff(edges)))
+    rng = np.random.default_rng(7)
+    step = 2.0 * w_cell
+    # the lattice ell scans (repeated residues) plus offsets well outside
+    # the support, whose coarse tails start at other scales
+    offsets = np.concatenate([lo + step * np.arange(-40, 100),
+                              rng.uniform(lo - 3 * (hi - lo), hi + 3 * (hi - lo), 80)])
+    assert offsets.size >= 200
+    assert len({coarse_anchor_scale(x, lo, hi, w_cell) for x in offsets}) > 1
+    batched = _dyadic_aggregate(vals, edges, offsets=offsets, **kw)
+    single = np.array([_dyadic_aggregate(vals, edges, offsets=[x], **kw)[0] for x in offsets])
+    assert batched.shape == offsets.shape
+    assert np.all(np.isfinite(single)) and np.all(single > 0)
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import pytest
 from dlab.deformations import Deformation, airy_flow, apply
 from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, fractional_derivative
 from dlab.norms import morrey_norm
-from dlab.profiles import (WhitneyPair, airy_frames, decoupling_check, extract_profile,
-                           partition_check, partner_counts, profile_decompose,
-                           stein_tomas_ratio, whitney_pairs, whitney_scale)
+from dlab.profiles import (WhitneyPair, _whitney_related, airy_frames, decoupling_check,
+                           extract_profile, partition_check, partner_counts,
+                           profile_decompose, stein_tomas_ratio, whitney_pairs,
+                           whitney_scale)
 
 ALPHA, SIGMA = 1.8, 3.0
 
@@ -62,6 +63,38 @@ def test_whitney_scale_consistency():
         j = whitney_scale(xi, eta)
         w = 2.0 ** j
         assert (math.floor(xi / w), math.floor(eta / w)) in by_scale[j]
+
+
+def whitney_pairs_brute_force(j_min: int, j_max: int, xi_max: float) -> list[WhitneyPair]:
+    """The definition: test every (k, k') at every scale, O(K^2)."""
+    pairs = []
+    for j in range(j_min, j_max + 1):
+        k_hi = int(math.ceil(xi_max / 2.0 ** j))
+        ks = range(-k_hi, k_hi)
+        for k in ks:
+            for kp in ks:
+                if _whitney_related(k, kp):
+                    pairs.append(WhitneyPair(j, k, kp))
+    return pairs
+
+
+@pytest.mark.parametrize("args", [(-2, 1, 8.0), (-3, 2, 16.0), (-1, 1, 5.5), (-4, 0, 12.0)])
+def test_whitney_pairs_equal_brute_force(args):
+    # same list in the same order
+    assert whitney_pairs(*args) == whitney_pairs_brute_force(*args)
+
+
+@pytest.mark.parametrize("xi_max", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_whitney_pairs_rejects_bad_xi_max(xi_max):
+    with pytest.raises(ValueError, match="xi_max must be finite and positive"):
+        whitney_pairs(-1, 0, xi_max)
+
+
+@pytest.mark.parametrize("point", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.5),
+                                   (0.5, math.nan)])
+def test_whitney_scale_rejects_non_finite_points(point):
+    with pytest.raises(ValueError, match="not finite"):
+        whitney_scale(*point)
 
 
 def test_whitney_scale_rejects_diagonals():
