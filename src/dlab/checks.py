@@ -34,6 +34,11 @@ def _result(name: str, passed: bool, measured: dict) -> dict:
     return {"name": name, "passed": bool(passed), "measured": measured}
 
 
+def warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
+    """One line per warning recorded by catch_warnings(record=True)."""
+    return [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 def check_exponents() -> dict:
     """Preset exponent pairs, and the acceptability windows they live in."""
     measured = {}
@@ -99,8 +104,8 @@ def check_soliton() -> dict:
 
     u0 = soliton_Q(alpha, grid, c=1.0)
     dt = suggest_dt(grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         cfg = SolveConfig(alpha=alpha, mu=-1, t_end=0.5, dt=dt, store_every=50)
         run = gkdv_solve(u0, cfg)
     err = 0.0
@@ -109,6 +114,7 @@ def check_soliton() -> dict:
         err = max(err, (GridFunction(grid, row) - exact).l2_norm() / exact.l2_norm())
     measured["dt"] = dt
     measured["max_rel_l2_error"] = err
+    measured["warnings"] = warning_lines(caught)
     ok &= err < 1e-5
     return _result("soliton benchmark", ok, measured)
 

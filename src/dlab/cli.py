@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .grid import FOURIER, PHYSICAL, Grid, GridFunction
 from . import checks as _checks
-from .evolutions import BlowupError, SolveConfig, gkdv_solve, mass, nls_solve, soliton_Q, suggest_dt
+from .evolutions import (BlowupError, SolveConfig, energy, gkdv_solve, mass, nls_solve,
+                         soliton_Q, suggest_dt)
 from .embedding import EmbeddingConfig, embedding_experiment
 from .fileio import (GridFileError, read_grid_function, read_space_time_field,
                      write_grid_function, write_space_time_field)
@@ -44,11 +45,16 @@ def _json_default(obj):
 
 
 def _emit(manifest: dict, args) -> None:
+    """Write the manifest as JSON; a NaN or infinity in it raises ValueError
+    before anything reaches stdout."""
     if not args.no_timestamps:
         manifest["wall_clock"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest["version"] = __version__
-    json.dump(manifest, sys.stdout, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(manifest, indent=2, default=_json_default, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{manifest['command']}: result is not finite") from None
+    sys.stdout.write(text + "\n")
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -82,26 +88,34 @@ def _initial_data(args, grid: Grid) -> GridFunction:
     return read_grid_function(args.preset)
 
 
+def _drift(values: list[float]) -> float:
+    """max_k |values[k] - values[0]| / |values[0]|."""
+    return max(abs(v - values[0]) for v in values) / abs(values[0])
+
+
 def cmd_solve(args) -> int:
     grid = _make_grid(args)
     u0 = _initial_data(args, grid)
     dt = args.dt if args.dt is not None else suggest_dt(grid)
     solver = gkdv_solve if args.equation == "gkdv" else nls_solve
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         cfg = SolveConfig(alpha=args.alpha, mu=args.mu, coupling=args.coupling,
                           t_end=args.t_end, dt=dt, store_every=args.store_every)
         try:
             run = solver(u0, cfg)
         except BlowupError as err:
             _emit({"command": "solve", "equation": args.equation,
-                   "blowup": True, "t_last": err.t_last}, args)
+                   "blowup": True, "t_last": err.t_last,
+                   "warnings": _checks.warning_lines(caught)}, args)
             return 1
-    per_frame = [{"t": float(t), "mass": mass(GridFunction(run.grid, row)),
-                  "sup": float(np.max(np.abs(row)))}
-                 for t, row in zip(run.times, run.physical_array())]
-    m0 = per_frame[0]["mass"]
-    drift = max(abs(row["mass"] - m0) for row in per_frame) / m0
+        frames = [GridFunction(run.grid, row) for row in run.physical_array()]
+        per_frame = [{"t": float(t), "mass": mass(f), "sup": float(np.max(np.abs(f.values)))}
+                     for t, f in zip(run.times, frames)]
+        health = {"steps": cfg.n_steps, "mass_drift": _drift([r["mass"] for r in per_frame])}
+        if args.equation == "gkdv":
+            health["energy_drift"] = _drift(
+                [energy(f, args.alpha, args.mu * args.coupling) for f in frames])
     if args.out:
         write_space_time_field(run, args.out)
     if args.csv:
@@ -111,8 +125,8 @@ def cmd_solve(args) -> int:
                       "coupling": args.coupling, "t_end": args.t_end,
                       "dt": dt, "n": args.n, "length": args.length,
                       "preset": args.preset, "store_every": args.store_every},
-           "frames": len(run), "mass_drift": drift,
-           "out": args.out}, args)
+           "frames": len(run), **health, "out": args.out,
+           "warnings": _checks.warning_lines(caught)}, args)
     return 0
 
 

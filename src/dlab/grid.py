@@ -12,10 +12,12 @@ approximated by the scaled DFT (L/(n*sqrt(2*pi))) * sum_j e^{-i x_j xi_k} f_j,
 so Fourier-side values are samples of a spectral *density* with quadrature
 weight dxi = 2*pi/L.
 
-Fourier multipliers go through this module (the solvers' time-stepping
-loops keep their own): fourier_multiply multiplies one GridFunction's
-Fourier side by a symbol and returns to the input's side; physical_rows
-does the same for the rows of an (n_t, n) array, such as a
+Fourier multipliers go through this module, except in the solvers'
+time-stepping loops, which multiply raw DFT coefficients by step factors
+built once per solve (gKdV's e^{i dt xi^3 / 2} on an rfft, NLS's
+e^{i dt xi^2 / 2} on an fft): fourier_multiply multiplies one
+GridFunction's Fourier side by a symbol and returns to the input's side;
+physical_rows does the same for the rows of an (n_t, n) array, such as a
 SpaceTimeField's values, ROW_BLOCK rows at a time, optionally with a
 per-row phase e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation
 for p linear in xi), and can spread one shared spectrum over all rows.

@@ -85,21 +85,21 @@ def whitney_scale(xi: float, eta: float) -> int:
 
     Adjacency of the containing intervals (to each other or to the
     reflection) is monotone in the scale; the pair lives one scale below
-    the coarsest non-adjacent level.
+    the coarsest non-adjacent level.  Adjacent intervals of width w have
+    min(|xi - eta|, |xi + eta|) <= 2 w, so the search starts two levels
+    below the points' own scale, where they cannot be adjacent.
     """
     if not (math.isfinite(xi) and math.isfinite(eta)):
         raise ValueError(f"point ({xi}, {eta}) is not finite")
     if xi == eta or xi == -eta:
         raise ValueError("points on the diagonals are not covered")
-    j = -60
+    j = math.floor(math.log2(min(abs(xi - eta), abs(xi + eta)))) - 2
     while True:
-        k = math.floor(xi / 2.0 ** j)
-        kp = math.floor(eta / 2.0 ** j)
+        k = math.floor(math.ldexp(xi, -j))
+        kp = math.floor(math.ldexp(eta, -j))
         if _adjacent(k, kp) or _adjacent(k, _reflect(kp)):
             return j - 1
         j += 1
-        if j > 60:
-            raise RuntimeError("scale search did not terminate")
 
 
 def partition_check(pairs: list[WhitneyPair], samples: np.ndarray) -> dict:

@@ -223,6 +223,35 @@ def test_solve_gkdv_gaussian(tmp_path, capsys):
     assert json.loads(out)["value"] > 0
 
 
+def test_solve_reports_health_and_warnings(capsys):
+    code, out, err = run(capsys, "solve", "gkdv", "--alpha", "1.0", "--preset", "soliton",
+                         "--t-end", "0.1", "--no-timestamps")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["steps"] == round(0.1 / payload["config"]["dt"])
+    assert payload["mass_drift"] < 1e-10
+    assert payload["energy_drift"] < 1e-10
+    [line] = payload["warnings"]
+    assert line.startswith("UserWarning: alpha=1.0 is outside the range")
+
+
+def test_verify_soliton_lists_the_range_warning(capsys):
+    code, out, _ = run(capsys, "verify", "soliton", "--no-timestamps")
+    assert code == 0
+    [line] = json.loads(out)["results"][0]["measured"]["warnings"]
+    assert "alpha=1.0 is outside the range" in line
+
+
+def test_non_finite_result_exits_1_with_empty_stdout(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.gf"
+    write_sample(path)
+    monkeypatch.setattr("dlab.cli.lhat_norm", lambda f, r: float("nan"))
+    code, out, err = run(capsys, "norm", "kind=lhat,r=2.0", str(path), "--no-timestamps")
+    assert code == 1
+    assert out == ""
+    assert err == "norm: result is not finite\n"
+
+
 def test_profiles_extract_round_trip(tmp_path, capsys):
     from dlab.deformations import Deformation, apply
     g = Grid(1024, 2 * np.pi * 16, -np.pi * 16)

@@ -65,6 +65,32 @@ def test_whitney_scale_consistency():
         assert (math.floor(xi / w), math.floor(eta / w)) in by_scale[j]
 
 
+def whitney_scale_brute_force(xi: float, eta: float) -> int:
+    """The definition with exact integer floors at every scale, walking up
+    from 2^-1100, below every float's own scale, with no upper limit."""
+    (a, b), (c, d) = xi.as_integer_ratio(), eta.as_integer_ratio()
+    j = -1100
+    while True:
+        k = (a << -j) // b if j < 0 else a // (b << j)
+        kp = (c << -j) // d if j < 0 else c // (d << j)
+        if abs(k - kp) <= 1 or abs(k + kp + 1) <= 1:
+            return j - 1
+        j += 1
+
+
+def test_whitney_scale_equals_unbounded_search():
+    rng = np.random.default_rng(7)
+    points = [(1e-20, 3e-20), (1e30, -3e30), (3.3, -9.7), (5e-324, 0.0), (1.7e308, -1.0)]
+    for _ in range(200):
+        xi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
+        near = rng.choice([-1.0, 1.0]) * xi * (1.0 + 10.0 ** rng.uniform(-15, 0))
+        far = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
+        points += [(xi, near), (xi, far)]
+    for xi, eta in points:
+        assert whitney_scale(xi, eta) == whitney_scale_brute_force(xi, eta), (xi, eta)
+    assert whitney_scale(1e-20, 3e-20) == -66
+
+
 def whitney_pairs_brute_force(j_min: int, j_max: int, xi_max: float) -> list[WhitneyPair]:
     """The definition: test every (k, k') at every scale, O(K^2)."""
     pairs = []
