@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .grid import FOURIER, PHYSICAL, Grid, GridFunction
 from . import checks as _checks
-from .evolutions import (BlowupError, SolveConfig, energy, gkdv_solve, mass, nls_solve,
-                         soliton_Q, suggest_dt)
+from .evolutions import (BlowupError, SolveConfig, drift, energy, gkdv_solve, mass,
+                         nls_solve, soliton_Q, suggest_dt)
 from .embedding import EmbeddingConfig, embedding_experiment
 from .fileio import (GridFileError, read_grid_function, read_space_time_field,
                      write_grid_function, write_space_time_field)
@@ -57,13 +57,12 @@ def _emit(manifest: dict, args) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
+def _write_csv(path: str, columns: dict) -> None:
+    """CSV with a column per entry of `columns`, written as plain Python floats."""
     with open(path, "w", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns.values())))
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -88,11 +87,6 @@ def _initial_data(args, grid: Grid) -> GridFunction:
     return read_grid_function(args.preset)
 
 
-def _drift(values: list[float]) -> float:
-    """max_k |values[k] - values[0]| / |values[0]|."""
-    return max(abs(v - values[0]) for v in values) / abs(values[0])
-
-
 def cmd_solve(args) -> int:
     grid = _make_grid(args)
     u0 = _initial_data(args, grid)
@@ -109,17 +103,16 @@ def cmd_solve(args) -> int:
                    "blowup": True, "t_last": err.t_last,
                    "warnings": _checks.warning_lines(caught)}, args)
             return 1
-        frames = [GridFunction(run.grid, row) for row in run.physical_array()]
-        per_frame = [{"t": float(t), "mass": mass(f), "sup": float(np.max(np.abs(f.values)))}
-                     for t, f in zip(run.times, frames)]
-        health = {"steps": cfg.n_steps, "mass_drift": _drift([r["mass"] for r in per_frame])}
+        masses = mass(run.grid, run.values)
+        health = {"steps": cfg.n_steps, "mass_drift": drift(masses)}
         if args.equation == "gkdv":
-            health["energy_drift"] = _drift(
-                [energy(f, args.alpha, args.mu * args.coupling) for f in frames])
+            health["energy_drift"] = drift(
+                energy(run.grid, run.values, args.alpha, args.mu * args.coupling))
     if args.out:
         write_space_time_field(run, args.out)
     if args.csv:
-        _write_csv(args.csv, per_frame)
+        _write_csv(args.csv, {"t": run.times, "mass": masses,
+                              "sup": np.max(np.abs(run.values), axis=1)})
     _emit({"command": "solve", "equation": args.equation,
            "config": {"alpha": args.alpha, "mu": args.mu,
                       "coupling": args.coupling, "t_end": args.t_end,
@@ -170,7 +163,7 @@ def cmd_embed(args) -> int:
                           T=args.t_end, nls_dt=args.dt or 1e-3)
     rows = embedding_experiment(cfg)
     if args.csv:
-        _write_csv(args.csv, rows)
+        _write_csv(args.csv, {key: [r[key] for r in rows] for key in rows[0]})
     errs = [r["err_lhat_alpha"] for r in rows]
     _emit({"command": "embed",
            "config": {"alpha": args.alpha, "xi_list": list(xi_list),
@@ -264,9 +257,8 @@ def cmd_gf(args) -> int:
         root, ext = os.path.splitext(args.output)
         if ext == ".csv":
             fp = f.to_physical()
-            rows = [{"x": float(x), "re": float(v.real), "im": float(v.imag)}
-                    for x, v in zip(fp.grid.nodes(), fp.values)]
-            _write_csv(args.output, rows)
+            _write_csv(args.output, {"x": fp.grid.nodes(), "re": fp.values.real,
+                                     "im": fp.values.imag})
         elif ext == ".gf":
             side = FOURIER if args.side == "fourier" else PHYSICAL
             g = f.to_fourier() if side == FOURIER else f.to_physical()

@@ -86,7 +86,7 @@ def approx_field(v: SpaceTimeField, xi_n: float, times: np.ndarray) -> SpaceTime
         rows = slice(lo, lo + ROW_BLOCK)
         out[rows] = (1.0 - w[rows]) * v.values[i[rows]] + w[rows] * v.values[i[rows] + 1]
     # spatial argument x + 3 xi_n^2 t == translation by -3 xi_n^2 t
-    physical_rows(grid, out, v.side, out=out, times=times,
+    physical_rows(grid, out, out=out, times=times,
                   dispersion=3.0 * xi_n ** 2 * grid.frequencies())
     out *= np.exp(-1j * grid.nodes() * xi_n)
     out *= np.exp(-1j * times * xi_n ** 3)[:, None]
@@ -116,7 +116,7 @@ def residual_field(u_tilde: SpaceTimeField, alpha: float, mu: int,
     if len(u_tilde) < 3:
         raise ValueError("need at least 3 frames for centered time differencing")
     grid = u_tilde.grid
-    arr = u_tilde.physical_array()
+    arr = u_tilde.values
     xi = grid.frequencies()
     res = np.gradient(arr, u_tilde.times, axis=0, edge_order=2)[1:-1]
     u = arr[1:-1]
@@ -192,7 +192,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         errs = []
         for t_seam in (-seam, seam):
             i = int(np.argmin(np.abs(u_field.times - t_seam)))
-            u_t = GridFunction(grid, u_field.values[i], u_field.side)
+            u_t = GridFunction(grid, u_field.values[i])
             ut_t = build_approx_solution(v_field, xi_n, cfg.T, float(u_field.times[i]))
             errs.append(lhat_norm(u_t - ut_t, cfg.alpha))
 

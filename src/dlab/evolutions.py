@@ -10,19 +10,21 @@ It drops the Nyquist mode, which e^{i t xi^3} and i xi would turn
 non-real, so frames after u0 are exactly real with no Nyquist content.
 The NLS solver is Strang splitting with the exact pointwise phase
 rotation for the nonlinear flow.  Nonlinear products are dealiased by
-zero padding (fractional powers |u|^{2a} cannot be dealiased exactly).
+zero padding (fractional powers |u|^{2a} cannot be dealiased exactly);
+a padded sample above BLOWUP_SUP stops the solve before |u|^{2a} overflows.
+mass and energy take physical samples (..., n), such as a SpaceTimeField's
+values, and return one value per row.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import PHYSICAL, Grid, GridFunction, SpaceTimeField
+from .grid import PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
 
 BLOWUP_SUP = 1e8
 ESTIMATE_ALPHA_RANGE = (8.0 / 5.0, 10.0 / 3.0)
@@ -86,18 +88,22 @@ def suggest_dt(grid: Grid, xi_active: float | None = None, safety: float = 0.7) 
 
 def _nonlinear_power(uh: np.ndarray, n: int, alpha: float) -> np.ndarray:
     """rfft coefficients of |u|^{2 alpha} u for u = irfft(uh, n), formed on a
-    zero-padded grid and truncated back to the len(uh) modes of uh."""
+    zero-padded grid and truncated back to the len(uh) modes of uh; raises
+    FloatingPointError if a padded sample exceeds BLOWUP_SUP or is not finite."""
     m = DEALIAS_PAD * n
     ubig = np.fft.irfft(uh, m) * DEALIAS_PAD
-    return np.fft.rfft(np.abs(ubig) ** (2.0 * alpha) * ubig)[: uh.size] / DEALIAS_PAD
+    mag = np.abs(ubig)
+    if not mag.max() <= BLOWUP_SUP:
+        raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} in a nonlinear stage")
+    return np.fft.rfft(mag ** (2.0 * alpha) * ubig)[: uh.size] / DEALIAS_PAD
 
 
 def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeField:
     """u0 and every store_every-th and the last (t, u) of steps(dt, n_steps).
 
     The frames go into one array, which a backward solve fills from the end
-    so that times ascend.  A non-finite or huge state raises BlowupError
-    with the frames stored so far.
+    so that times ascend.  A non-finite or huge state, or a step's
+    FloatingPointError, raises BlowupError with the frames stored so far.
     """
     backward = cfg.t_end < 0
     n_steps = cfg.n_steps
@@ -106,15 +112,17 @@ def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeFie
     values = np.empty((n_store, grid.n), dtype=np.complex128)
     i = n_store - 1 if backward else 0
     times[i], values[i] = 0.0, u0
-    for step, (t, u) in enumerate(steps(-cfg.dt if backward else cfg.dt, n_steps), start=1):
-        sup = float(np.max(np.abs(u)))
-        if not math.isfinite(sup) or sup > BLOWUP_SUP:
-            kept = slice(i, None) if backward else slice(0, i + 1)
-            raise BlowupError(float(times[i]),
-                              SpaceTimeField(grid, times[kept], values[kept]))
-        if step % cfg.store_every == 0 or step == n_steps:
-            i += -1 if backward else 1
-            times[i], values[i] = t, u
+    try:
+        for step, (t, u) in enumerate(steps(-cfg.dt if backward else cfg.dt, n_steps), start=1):
+            if not np.max(np.abs(u)) <= BLOWUP_SUP:
+                raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} at t={t:g}")
+            if step % cfg.store_every == 0 or step == n_steps:
+                i += -1 if backward else 1
+                times[i], values[i] = t, u
+    except FloatingPointError:
+        kept = slice(i, None) if backward else slice(0, i + 1)
+        raise BlowupError(float(times[i]),
+                          SpaceTimeField(grid, times[kept], values[kept])) from None
     return SpaceTimeField(grid, times, values)
 
 
@@ -210,36 +218,38 @@ def c_alpha(alpha: float) -> float:
     return c
 
 
-def mass(u: GridFunction) -> float:
-    """M[u] = 1/2 ||u||_{L^2}^2 by grid quadrature."""
-    return 0.5 * u.l2_norm() ** 2
+def _per_row(values: np.ndarray, reduce) -> np.ndarray | np.floating:
+    """reduce(rows) over ROW_BLOCK rows of a (..., n) array at a time: one
+    value per row, a scalar for shape (n,)."""
+    rows = values.reshape(-1, values.shape[-1])
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), ROW_BLOCK):
+        out[lo:lo + ROW_BLOCK] = reduce(rows[lo:lo + ROW_BLOCK])
+    return out.reshape(values.shape[:-1])[()]
 
 
-def energy(u: GridFunction, alpha: float, mu: int = -1) -> float:
-    """E[u] = 1/2 ||u_x||^2 + mu/(2a+2) ||u||^{2a+2}_{L^{2a+2}}."""
-    fh = u.to_fourier()
-    xi = fh.grid.frequencies()
-    kinetic = 0.5 * float(np.sum(np.abs(1j * xi * fh.values) ** 2) * fh.grid.dxi)
-    up = u.to_physical()
-    potential = float(np.sum(np.abs(up.values) ** (2 * alpha + 2)) * up.grid.dx)
-    return kinetic + mu / (2.0 * alpha + 2.0) * potential
+def mass(grid: Grid, values: np.ndarray) -> np.ndarray | np.floating:
+    """M[u] = 1/2 ||u||_{L^2}^2 by grid quadrature, for each row of the
+    physical samples `values` (shape (..., n))."""
+    return _per_row(values, lambda u: 0.5 * np.sum(np.abs(u) ** 2, axis=-1) * grid.dx)
 
 
-def stability_compare(run_a: SpaceTimeField, run_b: SpaceTimeField,
-                      alpha: float) -> dict:
-    """Norm gaps between two runs on their common grid and times."""
-    from .norms import NormSpec, lhat_norm, spacetime_norm
+def energy(grid: Grid, values: np.ndarray, alpha: float,
+           mu: float = -1) -> np.ndarray | np.floating:
+    """E[u] = 1/2 ||u_x||^2 + mu/(2a+2) ||u||^{2a+2}_{L^{2a+2}} for each row
+    of the physical samples `values` (shape (..., n)); by Parseval,
+    ||u_x||^2 = (dx/n) sum_k |xi_k DFT(u)_k|^2."""
+    xi = np.fft.ifftshift(grid.frequencies())
 
-    if not run_a.grid.close_to(run_b.grid):
-        raise ValueError("grid mismatch between runs")
-    if len(run_a) != len(run_b) or not np.allclose(run_a.times, run_b.times):
-        raise ValueError("time stamps mismatch between runs")
-    diff = SpaceTimeField(run_a.grid, run_a.times,
-                          run_a.physical_array() - run_b.physical_array())
-    sup_lhat = max(lhat_norm(GridFunction(diff.grid, row), alpha) for row in diff.values)
-    return {
-        "gap_S": spacetime_norm(diff, NormSpec.from_preset("S", alpha)),
-        "gap_L": spacetime_norm(diff, NormSpec.from_preset("L", alpha)),
-        "gap_sup_lhat_alpha": sup_lhat,
-        "window": (float(run_a.times[0]), float(run_a.times[-1])),
-    }
+    def rows(u):
+        uh = np.fft.fft(u, axis=-1)
+        kinetic = 0.5 * np.sum(np.abs(xi * uh) ** 2, axis=-1) * (grid.dx / grid.n)
+        potential = np.sum(np.abs(u) ** (2 * alpha + 2), axis=-1) * grid.dx
+        return kinetic + mu / (2.0 * alpha + 2.0) * potential
+
+    return _per_row(values, rows)
+
+
+def drift(values: np.ndarray) -> float:
+    """max_k |values[k] - values[0]| / |values[0]|."""
+    return float(np.max(np.abs(values - values[0])) / abs(values[0]))

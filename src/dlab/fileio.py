@@ -4,7 +4,7 @@ GF01 (single GridFunction):
     magic 'G','F','0','1'; u64 LE n; f64 LE length; f64 LE x0;
     u8 side (0 physical, 1 fourier); then n pairs of f64 LE (re, im).
 
-STF1 (SpaceTimeField, frames stored physical-side):
+STF1 (SpaceTimeField, physical samples):
     magic 'S','T','F','1'; u64 LE frame count M; u64 LE n; f64 LE length;
     f64 LE x0; then M records of (f64 LE t; n pairs of f64 LE (re, im)).
 
@@ -39,12 +39,16 @@ def _take(buf: bytes, offset: int, size: int, what: str) -> tuple[bytes, int]:
 
 
 def _stf_record(n: int) -> np.dtype:
-    return np.dtype([("t", "<f8"), ("u", "<c16", (n,))])
-
-
-def _grid(n: int, length: float, x0: float) -> Grid:
     try:
-        return Grid(int(n), length, x0)
+        return np.dtype([("t", "<f8"), ("u", "<c16", (n,))])
+    except ValueError:  # numpy's limit on a record's array size
+        raise GridFileError(f"{n} samples per frame do not fit in one record") from None
+
+
+def _checked(make, *args):
+    """make(*args), with its ValueError raised as a GridFileError."""
+    try:
+        return make(*args)
     except ValueError as exc:
         raise GridFileError(str(exc)) from exc
 
@@ -74,14 +78,14 @@ def read_grid_function(path) -> GridFunction:
     values = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     if not np.all(np.isfinite(values)):
         raise GridFileError("non-finite sample values")
-    return GridFunction(_grid(n, length, x0), values, _SIDE_NAME[side_code])
+    return GridFunction(_checked(Grid, n, length, x0), values, _SIDE_NAME[side_code])
 
 
 def write_space_time_field(field: SpaceTimeField, path) -> None:
     g = field.grid
     records = np.empty(len(field), dtype=_stf_record(g.n))
     records["t"] = field.times
-    records["u"] = field.physical_array()
+    records["u"] = field.values
     with open(path, "wb") as fh:
         fh.write(STF_MAGIC + struct.pack("<QQdd", len(field), g.n, g.length, g.x0))
         fh.write(records)
@@ -95,7 +99,7 @@ def read_space_time_field(path) -> SpaceTimeField:
         raise GridFileError(f"bad magic {magic!r}, expected {STF_MAGIC!r}")
     raw, off = _take(buf, off, 8 + 8 + 8 + 8, "header")
     m, n, length, x0 = struct.unpack("<QQdd", raw)
-    grid = _grid(n, length, x0)
+    grid = _checked(Grid, n, length, x0)
     need, have = m * (8 + 16 * n), len(buf) - off
     if have < need:
         raise GridFileError(f"unexpected end of data: header declares {m} frames of "
@@ -103,8 +107,8 @@ def read_space_time_field(path) -> SpaceTimeField:
     if have > need:
         raise GridFileError(f"{have - need} trailing bytes after frame data")
     records = np.frombuffer(buf, dtype=_stf_record(n), count=m, offset=off)
-    values = records["u"].astype(np.complex128)
-    finite = np.isfinite(values).all(axis=1)
+    times, values = records["t"].astype(np.float64), records["u"].astype(np.complex128)
+    finite = np.isfinite(values).all(axis=1) & np.isfinite(times)
     if not finite.all():
         raise GridFileError(f"non-finite values in frame {int(np.argmin(finite))}")
-    return SpaceTimeField(grid, records["t"].astype(np.float64), values)
+    return _checked(SpaceTimeField, grid, times, values)

@@ -17,17 +17,19 @@ time-stepping loops, which multiply raw DFT coefficients by step factors
 built once per solve (gKdV's e^{i dt xi^3 / 2} on an rfft, NLS's
 e^{i dt xi^2 / 2} on an fft): fourier_multiply multiplies one
 GridFunction's Fourier side by a symbol and returns to the input's side;
-physical_rows does the same for the rows of an (n_t, n) array, such as a
-SpaceTimeField's values, ROW_BLOCK rows at a time, optionally with a
-per-row phase e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation
-for p linear in xi), and can spread one shared spectrum over all rows.
+physical_rows gives the physical samples of the rows of an (m, n) array
+of either side, ROW_BLOCK rows at a time, optionally with a per-row phase
+e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
+in xi), and can spread one shared spectrum over all rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -55,6 +57,8 @@ class Grid:
             raise ValueError(f"grid size must be a power of two, got {self.n}")
         if not (np.isfinite(self.length) and self.length > 0):
             raise ValueError(f"grid length must be positive and finite, got {self.length}")
+        if not (0 < self.dx < np.inf and 0 < self.dxi < np.inf):
+            raise ValueError(f"grid length {self.length} gives a zero or non-finite dx or dxi")
         if not np.isfinite(self.x0):
             raise ValueError(f"grid anchor x0 must be finite, got {self.x0}")
 
@@ -131,9 +135,9 @@ class GridFunction:
     __rmul__ = __mul__
 
     def l2_norm(self) -> float:
-        """Quadrature L2 norm (same on either side, by Plancherel)."""
+        """Quadrature L2 norm (same on either side, by Plancherel), free of overflow."""
         w = self.grid.dx if self.side == PHYSICAL else self.grid.dxi
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * w))
+        return math.sqrt(w) * float(scipy.linalg.norm(self.values, check_finite=False))
 
 
 def match_sides(a: GridFunction, b: GridFunction) -> tuple[GridFunction, GridFunction]:
@@ -241,23 +245,20 @@ def physical_rows(grid: Grid, values: np.ndarray, side: str = PHYSICAL,
 
 
 class SpaceTimeField:
-    """Samples of F(t_i, .) on a common grid, one row per time, in one array."""
+    """Physical samples of F(t_i, .) on a common grid, one row per time, in one array."""
 
-    def __init__(self, grid: Grid, times: np.ndarray, values: np.ndarray,
-                 side: str = PHYSICAL):
+    def __init__(self, grid: Grid, times: np.ndarray, values: np.ndarray):
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.complex128)
         if times.ndim != 1 or values.shape != (times.size, grid.n):
             raise ValueError(f"expected 1-D times and values of shape (len(times), "
                              f"{grid.n}), got {times.shape} and {values.shape}")
-        if times.size >= 2 and not np.all(np.diff(times) > 0):
+        # compared, not differenced: a difference of huge times can overflow
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
-        if side not in (PHYSICAL, FOURIER):
-            raise ValueError(f"unknown side {side!r}")
         self.grid = grid
         self.times = times
         self.values = values
-        self.side = side
 
     def __len__(self) -> int:
         return self.times.size
@@ -265,8 +266,8 @@ class SpaceTimeField:
     @property
     def frames(self) -> list[GridFunction]:
         """Per-time GridFunction views of the rows."""
-        return [GridFunction(self.grid, row, self.side) for row in self.values]
+        return [GridFunction(self.grid, row) for row in self.values]
 
     def physical_array(self) -> np.ndarray:
-        """(n_t, n) physical-side values (the field's own array when physical)."""
-        return physical_rows(self.grid, self.values, self.side)
+        """The (n_t, n) physical samples: the field's own array."""
+        return self.values

@@ -451,7 +451,7 @@ def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
 
     g = field.grid
     symbol = derivative_symbol(g.frequencies(), spec.s) if spec.s != 0.0 else None
-    arr = np.abs(physical_rows(g, field.values, field.side, symbol))  # (n_t, n_x)
+    arr = np.abs(physical_rows(g, field.values, symbol=symbol))  # (n_t, n_x)
 
     if math.isfinite(q):
         arr **= q

@@ -1,13 +1,20 @@
+import contextlib
+import io
+import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dlab.cli import main
 from dlab.fileio import (GridFileError, read_grid_function,
                          read_space_time_field, write_grid_function,
                          write_space_time_field)
-from dlab.grid import FOURIER, Grid, GridFunction, SpaceTimeField
+from dlab.grid import Grid, GridFunction, SpaceTimeField
 
 
 def sample_function(n=64, side="physical"):
@@ -99,17 +106,6 @@ def test_space_time_round_trip(tmp_path):
     assert np.array_equal(back.values, values)
 
 
-def test_space_time_stores_physical_side(tmp_path):
-    g = Grid(32, 6.0, -3.0)
-    f = sample_function(32).to_fourier()
-    field = SpaceTimeField(g, np.array([0.0]), f.values[None, :], side=FOURIER)
-    path = tmp_path / "one.stf"
-    write_space_time_field(field, path)
-    back = read_space_time_field(path)
-    phys = field.frames[0].to_physical().values
-    assert np.max(np.abs(back.frames[0].values - phys)) < 1e-12
-
-
 def test_space_time_truncation(tmp_path):
     g = Grid(32, 6.0, -3.0)
     rng = np.random.default_rng(8)
@@ -169,3 +165,174 @@ def test_non_finite_grid_reported_as_file_error(tmp_path):
         path.write_bytes(bytes(data))
         with pytest.raises(GridFileError, match="finite"):
             read_grid_function(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every malformed GF01/STF1 byte string is a GridFileError, and
+# `dlab gf info` turns it into exit 1 with one stderr line
+# ---------------------------------------------------------------------------
+
+def gf_bytes(values=None, n=8, length=12.5, x0=-3.0, side=0) -> bytes:
+    values = np.arange(n, dtype=complex) * (1 - 0.5j) if values is None else values
+    return (b"GF01" + struct.pack("<Qddb", n, length, x0, side)
+            + np.asarray(values, dtype="<c16").tobytes())
+
+
+def stf_bytes(times=(0.0, 0.5, 1.0), n=8, length=12.5, x0=-3.0) -> bytes:
+    m = len(times)
+    data = b"STF1" + struct.pack("<QQdd", m, n, length, x0)
+    for k, t in enumerate(times):
+        data += struct.pack("<d", t) + np.full(n, 1.0 + k, dtype="<c16").tobytes()
+    return data
+
+
+def read_bytes(data: bytes):
+    """Read `data` as the format its magic names (GF01 otherwise)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.bin")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        reader = read_space_time_field if data[:4] == b"STF1" else read_grid_function
+        return reader(path)
+
+
+def gf_info(data: bytes) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.bin")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gf", "info", path, "--no-timestamps"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_rejected(data: bytes) -> None:
+    with pytest.raises(GridFileError):
+        read_bytes(data)
+    code, out, err = gf_info(data)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1, err
+
+
+VALID = [gf_bytes(), gf_bytes(side=1), stf_bytes(), stf_bytes(times=())]
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+def test_fuzz_inputs_are_valid():
+    for data in VALID:
+        read_bytes(data)
+        code, out, err = gf_info(data)
+        assert code == 0 and err == "" and json.loads(out)["n"] == 8
+
+
+@FUZZ
+@given(st.sampled_from(VALID), st.data())
+def test_fuzz_truncation(data, draw):
+    cut = draw.draw(st.integers(0, len(data) - 1))
+    assert_rejected(data[:cut])
+
+
+@FUZZ
+@given(st.sampled_from(VALID), st.binary(min_size=1, max_size=40))
+def test_fuzz_trailing_bytes(data, extra):
+    assert_rejected(data + extra)
+
+
+@FUZZ
+@given(st.sampled_from(VALID), st.binary(min_size=4, max_size=4))
+def test_fuzz_bad_magic(data, magic):
+    assume(magic not in (b"GF01", b"STF1"))
+    assert_rejected(magic + data[4:])
+
+
+@FUZZ
+@given(st.integers(-128, 127))
+def test_fuzz_unknown_side(code):
+    assume(code not in (0, 1))
+    assert_rejected(gf_bytes(side=code))
+
+
+@FUZZ
+@given(st.integers(0, 40))
+def test_fuzz_bad_n(n):
+    # sizes that are not a power of two, with the data that n declares
+    assume(n == 0 or n & (n - 1))
+    assert_rejected(gf_bytes(values=np.ones(n), n=n))
+    assert_rejected(b"STF1" + struct.pack("<QQdd", 1, n, 12.5, -3.0)
+                    + b"\0" * (8 + 16 * n))
+
+
+SIZES = st.one_of(st.integers(0, 16), st.sampled_from([2 ** 31, 2 ** 40, 2 ** 62]),
+                  st.integers(0, 2 ** 64 - 1))
+
+
+@FUZZ
+@given(SIZES, st.one_of(st.just(8), SIZES), st.integers(0, 3))
+def test_fuzz_declared_sizes_against_data(m, n, frames):
+    # any declared M, n that disagree with the frames that follow
+    body = stf_bytes(times=np.arange(frames, dtype=float))
+    assume((m, n) != (frames, 8))
+    assert_rejected(b"STF1" + struct.pack("<QQ", m, n) + body[20:])
+    if n != 8:
+        assert_rejected(b"GF01" + struct.pack("<Q", n) + gf_bytes()[12:])
+
+
+@FUZZ
+@given(st.sampled_from(["sample", "length", "x0", "time"]), NON_FINITE, st.integers(0, 7))
+def test_fuzz_non_finite_fields(where, bad, k):
+    if where == "sample":
+        values = np.ones(8, dtype=complex)
+        values[k] = complex(bad, 0.0) if k % 2 else complex(0.0, bad)
+        assert_rejected(gf_bytes(values=values))
+    elif where == "time":
+        times = [0.0, 0.5, 1.0]
+        times[k % 3] = bad
+        assert_rejected(stf_bytes(times=times))
+    else:
+        kw = {where: bad}
+        assert_rejected(gf_bytes(**kw))
+        assert_rejected(stf_bytes(**kw))
+
+
+@FUZZ
+@given(st.sampled_from(VALID), st.data())
+def test_fuzz_any_corrupted_byte(data, draw):
+    # a changed byte gives a valid file or a one-line GridFileError, never a
+    # traceback or a numpy warning
+    pos = draw.draw(st.integers(0, len(data) - 1))
+    byte = draw.draw(st.integers(0, 255))
+    corrupted = data[:pos] + bytes([byte]) + data[pos + 1:]
+    try:
+        read_bytes(corrupted)
+    except GridFileError:
+        assert_rejected(corrupted)
+    else:
+        code, out, err = gf_info(corrupted)
+        assert (code, err) == (0, "") or (code == 1 and out == ""
+                                          and len(err.splitlines()) == 1)
+
+
+def test_gf_info_huge_samples_have_a_finite_norm_and_no_warning():
+    code, out, err = gf_info(gf_bytes(values=np.full(8, 1e200), length=8.0))
+    assert code == 0 and err == ""
+    assert json.loads(out)["l2_norm"] == pytest.approx(np.sqrt(8.0) * 1e200, rel=1e-15)
+
+
+def test_gf_info_subnormal_length_is_a_one_line_error():
+    data = gf_bytes(length=5e-324)
+    assert_rejected(data)
+    assert "dx or dxi" in gf_info(data)[2]
+
+
+def test_empty_stf_with_oversized_frames_is_a_file_error():
+    assert_rejected(b"STF1" + struct.pack("<QQdd", 0, 2 ** 40, 1.0, 0.0))
+
+
+def test_stf_times_must_increase_and_may_be_huge():
+    for times in ((0.5, 0.5), (1.0, 0.0)):
+        assert_rejected(stf_bytes(times=times))
+    # their difference overflows; the order check must not warn
+    field = read_bytes(stf_bytes(times=(-1.7e308, 1.7e308)))
+    assert list(field.times) == [-1.7e308, 1.7e308]

@@ -84,6 +84,21 @@ def test_grid_validation():
     for length, x0 in ((np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             Grid(4, length, x0)
+    # a finite length can still give dx = 0 and dxi = inf
+    for n, length in ((8, 5e-324), (2 ** 63, 1e-307)):
+        with pytest.raises(ValueError, match="dx or dxi"):
+            Grid(n, length)
+    assert Grid(8, 1e308).dxi > 0
+
+
+def test_l2_norm_does_not_overflow():
+    g = Grid(8, 8.0)  # dx = 1
+    big = GridFunction(g, np.full(8, 1e200, dtype=complex))
+    assert big.l2_norm() == pytest.approx(np.sqrt(8.0) * 1e200, rel=1e-15)
+    tiny = GridFunction(g, np.full(8, 1e-200, dtype=complex))
+    assert tiny.l2_norm() == pytest.approx(np.sqrt(8.0) * 1e-200, rel=1e-15)
+    # a norm beyond the float range is inf, not an error or a warning
+    assert GridFunction(g, np.full(8, 1e308, dtype=complex)).l2_norm() == np.inf
 
 
 def test_lattice_index():
@@ -136,8 +151,11 @@ def test_space_time_field_validation():
     f = gaussian(g)
     with pytest.raises(ValueError):
         SpaceTimeField(g, np.array([0.0, 0.0]), np.array([f.values, f.values]))
-    with pytest.raises(ValueError, match="side"):
-        SpaceTimeField(g, np.array([0.0]), f.values[None, :], side="spectral")
+    with pytest.raises(ValueError, match="increasing"):
+        SpaceTimeField(g, np.array([0.0, np.nan]), np.array([f.values, f.values]))
+    # compared without differencing, so times whose gap overflows are fine
+    huge = SpaceTimeField(g, np.array([-1.7e308, 1.7e308]), np.array([f.values, f.values]))
+    assert len(huge) == 2
     field = SpaceTimeField(g, np.array([0.0, 0.5]), np.array([f.values, 2 * f.values]))
     assert len(field) == 2
     arr = field.physical_array()
@@ -159,6 +177,7 @@ def test_space_time_frames_are_row_views():
     field = SpaceTimeField(g, np.array([0.0, 0.5]), np.array([f.values, 2 * f.values]))
     frames = field.frames
     assert [fr.side for fr in frames] == [PHYSICAL, PHYSICAL]
+    assert field.physical_array() is field.values
     assert np.shares_memory(frames[1].values, field.values)
     assert np.array_equal(frames[1].values, 2 * f.values)
 
@@ -168,8 +187,7 @@ def test_fourier_side_field_physical_array():
     g = Grid(64, 8.0, -4.0)
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(ROW_BLOCK + 3, 64)) + 1j * rng.normal(size=(ROW_BLOCK + 3, 64))
-    field = SpaceTimeField(g, np.arange(ROW_BLOCK + 3.0), rows, side=FOURIER)
-    arr = field.physical_array()
+    arr = physical_rows(g, rows, FOURIER)
     for row, got in zip(rows, arr):
         want = inverse_transform(GridFunction(g, row, FOURIER)).values
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
