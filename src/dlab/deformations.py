@@ -50,12 +50,13 @@ def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:
     return fourier_multiply(f, np.exp(-1j * t * xi**2))
 
 
-def dyadic_log2(h: float, tol: float = 1e-12) -> int:
+def dyadic_log2(h: float) -> int:
+    """m with h == 2^m (to 1e-12 in m), or raise if h is not a power of two."""
     if not (h > 0):
         raise ValueError(f"dilation must be positive, got {h}")
     m = math.log2(h)
     m_round = round(m)
-    if abs(m - m_round) > tol:
+    if abs(m - m_round) > 1e-12:
         raise ValueError(f"dilation {h} is not a power of two")
     return int(m_round)
 
@@ -80,26 +81,12 @@ class Deformation:
     s: float = 0.0
     y: float = 0.0
 
-    @classmethod
-    def from_scale(cls, h: float, xi: float = 0.0, s: float = 0.0,
-                   y: float = 0.0) -> "Deformation":
-        return cls(dyadic_log2(h), xi, s, y)
-
     @property
     def h(self) -> float:
         return 2.0 ** self.log2_h
 
     def serialize(self) -> str:
         return f"h={self.h:g},xi={self.xi:g},s={self.s:g},y={self.y:g}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Deformation":
-        vals = {}
-        for item in text.split(","):
-            key, _, raw = item.partition("=")
-            vals[key.strip()] = float(raw)
-        return cls.from_scale(vals["h"], vals.get("xi", 0.0),
-                              vals.get("s", 0.0), vals.get("y", 0.0))
 
 
 def apply(gamma: Deformation, f: GridFunction, d_exponent: float = 2.0) -> GridFunction:
@@ -130,21 +117,17 @@ class RelativeParameters:
     phase: float
     probe_residual: float
 
-    def apply(self, f: GridFunction, d_exponent: float = 2.0,
-              with_phase: bool = True) -> GridFunction:
+    def apply(self, f: GridFunction) -> GridFunction:
+        """D(h') P(xi') A(s') S(schro) T(y') f, without the phase e^{i gamma}."""
         out = translate(f, self.y_rel)
         out = schrodinger_flow(out, self.schro)
         out = airy_flow(out, self.s_rel)
         out = modulate(out, self.xi_rel)
-        out = dilate(out, self.h_rel, d_exponent)
-        if with_phase:
-            out = out * np.exp(1j * self.phase)
-        return out
+        return dilate(out, self.h_rel, 2.0)
 
 
 def relative(gamma: Deformation, gamma_t: Deformation,
-             probe: GridFunction | None = None,
-             d_exponent: float = 2.0) -> RelativeParameters:
+             probe: GridFunction | None = None) -> RelativeParameters:
     """Relative parameters of the pair, with the phase measured on a probe.
 
     The commutation algebra gives the composite exactly up to a scalar
@@ -161,9 +144,9 @@ def relative(gamma: Deformation, gamma_t: Deformation,
     phase = 0.0
     residual = 0.0
     if probe is not None:
-        lhs = apply_inverse(gamma_t, apply(gamma, probe, d_exponent), d_exponent)
+        lhs = apply_inverse(gamma_t, apply(gamma, probe))
         raw = RelativeParameters(h_rel, xi_rel, s_rel, schro, y_rel, 0.0, 0.0)
-        rhs = raw.apply(probe, d_exponent, with_phase=False)
+        rhs = raw.apply(probe)
         a = lhs.to_fourier().values
         b = rhs.to_fourier().values
         inner = np.vdot(b, a)

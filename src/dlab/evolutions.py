@@ -74,16 +74,17 @@ class BlowupError(RuntimeError):
         self.partial = partial
 
 
-def suggest_dt(grid: Grid, xi_active: float | None = None, safety: float = 0.7) -> float:
+def suggest_dt(grid: Grid, xi_active: float | None = None) -> float:
     """Time step resolving e^{i t xi^3} on the dynamically active band.
 
     The integrating factor removes the stiff linear term exactly, so this
     is an accuracy rule, not a CFL bound: the RK4 stage phases must stay
-    below O(1) on frequencies where the nonlinearity has content.
+    below O(1) on frequencies where the nonlinearity has content:
+    dt * xi_active^3 = 0.7 * 2.8.
     """
     if xi_active is None:
         xi_active = float(np.max(np.abs(grid.frequencies())))
-    return safety * 2.8 / max(xi_active, 1.0) ** 3
+    return 0.7 * 2.8 / max(xi_active, 1.0) ** 3
 
 
 def _nonlinear_power(uh: np.ndarray, n: int, alpha: float) -> np.ndarray:

@@ -17,10 +17,10 @@ time-stepping loops, which multiply raw DFT coefficients by step factors
 built once per solve (gKdV's e^{i dt xi^3 / 2} on an rfft, NLS's
 e^{i dt xi^2 / 2} on an fft): fourier_multiply multiplies one
 GridFunction's Fourier side by a symbol and returns to the input's side;
-physical_rows gives the physical samples of the rows of an (m, n) array
-of either side, ROW_BLOCK rows at a time, optionally with a per-row phase
+physical_rows gives the physical samples of the rows of an (m, n) physical
+array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), and can spread one shared spectrum over all rows.
+in xi), or spreads one Fourier density spectrum over all rows.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class Grid:
             raise ValueError(f"grid length {self.length} gives a zero or non-finite dx or dxi")
         if not np.isfinite(self.x0):
             raise ValueError(f"grid anchor x0 must be finite, got {self.x0}")
+        # as Python floats: a numpy sum would warn on overflow
+        if not math.isfinite(float(self.x0) + float(self.length)):
+            raise ValueError(f"grid end x0 + length must be finite, got "
+                             f"x0={self.x0}, length={self.length}")
 
     @property
     def dx(self) -> float:
@@ -77,21 +81,22 @@ class Grid:
         """Frequency lattice in ascending order, k = -n/2 .. n/2 - 1."""
         return self.dxi * np.arange(-self.n // 2, self.n // 2)
 
-    def lattice_index(self, xi: float, tol: float = 1e-9) -> int:
-        """Index k with xi_k == xi, or raise if xi is off the lattice."""
+    def lattice_index(self, xi: float) -> int:
+        """Index k with xi_k == xi (to 1e-9 cells), or raise if xi is off the lattice."""
         k = xi / self.dxi
         k_round = round(k)
-        if abs(k - k_round) > tol:
+        if abs(k - k_round) > 1e-9:
             raise ValueError(f"frequency {xi} is not on the lattice (spacing {self.dxi})")
         if not (-self.n // 2 <= k_round < self.n // 2):
             raise ValueError(f"frequency {xi} outside the resolvable band")
         return int(k_round)
 
-    def close_to(self, other: "Grid", tol: float = 1e-12) -> bool:
+    def close_to(self, other: "Grid") -> bool:
+        """Same n, and length and x0 equal to 1e-12 relative (absolute below 1)."""
         return (
             self.n == other.n
-            and abs(self.length - other.length) <= tol * max(1.0, abs(self.length))
-            and abs(self.x0 - other.x0) <= tol * max(1.0, abs(self.x0))
+            and abs(self.length - other.length) <= 1e-12 * max(1.0, abs(self.length))
+            and abs(self.x0 - other.x0) <= 1e-12 * max(1.0, abs(self.x0))
         )
 
 
@@ -202,40 +207,34 @@ def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
     return fourier_multiply(f, derivative_symbol(f.grid.frequencies(), s))
 
 
-def _dft(values: np.ndarray, side: str) -> np.ndarray:
-    """Physical rows -> DFT coefficients; Fourier-side rows are only put into
-    FFT order (their density scale goes into physical_rows' multiplier)."""
-    return np.fft.fft(values, axis=-1) if side == PHYSICAL else np.fft.ifftshift(values, axes=-1)
-
-
-def physical_rows(grid: Grid, values: np.ndarray, side: str = PHYSICAL,
+def physical_rows(grid: Grid, values: np.ndarray,
                   symbol: np.ndarray | None = None,
                   out: np.ndarray | None = None,
                   times: np.ndarray | None = None,
                   dispersion: np.ndarray | None = None) -> np.ndarray:
-    """Physical samples of each row of an (m, n) array of `side`-side samples,
-    times `symbol` on the Fourier side and, given `times`, row k also times
-    e^{i times[k] dispersion}; symbol and dispersion are sampled on
-    grid.frequencies().
+    """Physical samples of each row of `values` times `symbol` on the Fourier
+    side and, given `times`, row k also times e^{i times[k] dispersion};
+    symbol and dispersion are sampled on grid.frequencies().
 
-    A 1-D `values` is one spectrum shared by all len(times) rows: it is
-    transformed, weighted and put into FFT order once.  Physical rows
-    without a symbol or phase come back as they are; otherwise batched FFTs
-    run ROW_BLOCK rows at a time into `out` (new, or `values` itself).
+    A 2-D `values` holds physical rows; without a symbol or phase they come
+    back as they are.  A 1-D `values` is one Fourier density spectrum shared
+    by all len(times) rows: it is weighted and put into FFT order once.
+    Batched FFTs run ROW_BLOCK rows at a time into `out` (new, or `values`
+    itself).
     """
-    if side == PHYSICAL and symbol is None and times is None:
-        return values
-    mult = _from_density(grid, symbol) if side == FOURIER else symbol
-    mult = 1.0 if mult is None else np.fft.ifftshift(mult)
     shared = values.ndim == 1
     if shared:
-        mult = mult * _dft(values, side)
+        mult = np.fft.ifftshift(_from_density(grid, symbol)) * np.fft.ifftshift(values)
+    elif symbol is None and times is None:
+        return values
+    else:
+        mult = 1.0 if symbol is None else np.fft.ifftshift(symbol)
     rate = None if times is None else np.fft.ifftshift(dispersion)
     m = len(times) if shared else len(values)
     out = np.empty((m, grid.n), dtype=np.complex128) if out is None else out
     for lo in range(0, m, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        spec = mult if shared else _dft(values[rows], side) * mult
+        spec = mult if shared else np.fft.fft(values[rows], axis=1) * mult
         if rate is not None:
             phase = np.exp(1j * np.outer(times[rows], rate))
             # into the phase block: a new product array per block ran ~20 % slower

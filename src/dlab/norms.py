@@ -221,8 +221,7 @@ def morrey_norm(f: GridFunction, p: float, q: float, r: float,
                                    offsets=[offset], window=window)[0])
 
 
-def morrey_physical(f: GridFunction, p: float, q: float, r: float,
-                    window: tuple[int, int] | None = None) -> float:
+def morrey_physical(f: GridFunction, p: float, q: float, r: float) -> float:
     """Physical-side Morrey M^p_{q,r}: l^r of |I|^{1/p-1/q}||f||_{L^q(I)}."""
     if not (0 < q <= p):
         raise ValueError(f"need 0 < q <= p, got q={q}, p={p}")
@@ -230,7 +229,7 @@ def morrey_physical(f: GridFunction, p: float, q: float, r: float,
         raise ValueError("q == p requires r = inf")
     vals, edges = _physical_cells(f)
     a = 1.0 / p - 1.0 / q
-    return float(_dyadic_aggregate(vals, edges, r=r, a=a, b=q, window=window)[0])
+    return float(_dyadic_aggregate(vals, edges, r=r, a=a, b=q)[0])
 
 
 def sigma_range(alpha: float) -> tuple[float, float]:
@@ -376,7 +375,6 @@ class NormSpec:
     sigma: float = math.nan
     j_min: int | None = None
     j_max: int | None = None
-    preset: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -385,7 +383,7 @@ class NormSpec:
     @classmethod
     def from_preset(cls, name: str, alpha: float) -> "NormSpec":
         kind = "spacetime_Y" if name == "N" else "spacetime_X"
-        return cls(kind=kind, r=alpha, s=preset_s(name, alpha), preset=name)
+        return cls(kind=kind, r=alpha, s=preset_s(name, alpha))
 
     @property
     def window(self) -> tuple[int, int] | None:
@@ -403,8 +401,6 @@ class NormSpec:
             val = getattr(self, key)
             if val is not None:
                 pairs.append((key, str(val)))
-        if self.preset is not None:
-            pairs.append(("preset", self.preset))
         return "\n".join(f"{k}={v}" for k, v in pairs)
 
     @classmethod
@@ -417,7 +413,7 @@ class NormSpec:
             if "=" not in line:
                 raise ValueError(f"malformed norm spec line {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key in ("kind", "preset"):
+            if key == "kind":
                 kwargs[key] = val
             elif key in ("j_min", "j_max"):
                 kwargs[key] = int(val)

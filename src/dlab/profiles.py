@@ -20,6 +20,10 @@ from .deformations import (Deformation, apply, apply_inverse, nonresonance_gap,
                            orthogonality_gap)
 from .norms import conjugate_exponent, ell, morrey_norm
 
+SCAN_FRAMES = 257   # time samples of the space-time argmax scan
+CLIP_SCALE = 1e6    # band clip level c in c * |I|^{-1/alpha'}
+MERGE_GAP = 10.0    # gap threshold of the conjugate pairing
+
 
 # ---------------------------------------------------------------------------
 # Whitney-type decomposition off the diagonals xi = +-eta
@@ -154,19 +158,18 @@ def airy_frames(f: GridFunction, t_grid: np.ndarray, deriv: float) -> np.ndarray
     """|d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid: (nt, n) physical samples."""
     fh = f.to_fourier()
     xi = fh.grid.frequencies()
-    return physical_rows(fh.grid, fh.values, FOURIER, symbol=derivative_symbol(xi, deriv),
+    return physical_rows(fh.grid, fh.values, symbol=derivative_symbol(xi, deriv),
                          times=t_grid, dispersion=xi ** 3)
 
 
 def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
-                      time_window: float, nt: int = 257,
-                      tail_tol: float = 0.01) -> float:
+                      time_window: float, nt: int = 257) -> float:
     """L^{3a}_{t,x} norm of the weighted free evolution over the Morrey norm.
 
     The time integral runs over [-2 time_window, 2 time_window] with 2nt-1
     samples; the run is rejected if the norm over the middle nt samples,
     which are [-time_window, time_window] at the same spacing, differs from
-    it by more than tail_tol relatively.  nt must be odd.
+    it by more than 1 % relatively.  nt must be odd.
     """
     if not (4.0 / 3.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (4/3, 2)")
@@ -183,7 +186,7 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     mid = slice((nt - 1) // 2, (nt - 1) // 2 + nt)
     num1 = float(np.trapezoid(space[mid], t2[mid]) ** (1.0 / exponent))
     num2 = float(np.trapezoid(space, t2) ** (1.0 / exponent))
-    if num1 > 0 and abs(num2 - num1) / num1 > tail_tol:
+    if num1 > 0 and abs(num2 - num1) / num1 > 0.01:
         raise ValueError(
             f"time window {time_window} too short: doubling moved the norm by "
             f"{abs(num2 - num1) / num1:.2%}; retry with window {4 * time_window}")
@@ -275,10 +278,10 @@ def _band_restrict(f: GridFunction, j: int, k: int,
     return GridFunction(fh.grid, vals, FOURIER)
 
 
-def _spacetime_argmax(f: GridFunction, alpha: float, t_scan: float,
-                      nt: int = 257) -> tuple[float, float]:
-    """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f |."""
-    t_grid = np.linspace(-t_scan, t_scan, nt)
+def _spacetime_argmax(f: GridFunction, alpha: float,
+                      t_scan: float) -> tuple[float, float]:
+    """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f | over SCAN_FRAMES times."""
+    t_grid = np.linspace(-t_scan, t_scan, SCAN_FRAMES)
     mag = np.abs(airy_frames(f, t_grid, 1.0 / (3.0 * alpha)))
     it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
     return float(t_grid[it]), float(f.grid.x0 + ix * f.grid.dx)
@@ -291,26 +294,27 @@ class ProfileDecomposition:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _default_t_scan(j: int, k: int, nt: int) -> float:
+def _default_t_scan(j: int, k: int) -> float:
     """Scan half-width keeping the Airy phase spread across the band
-    resolved by the nt time samples."""
+    resolved by the SCAN_FRAMES time samples."""
     w = 2.0 ** j
     lo, hi = abs(k) * w, (abs(k) + 1) * w
     spread = abs(hi ** 3 - lo ** 3)
     if spread == 0.0:
         return 10.0
-    return min(10.0, 0.25 * nt / spread)
+    return min(10.0, 0.25 * SCAN_FRAMES / spread)
 
 
-def extract_profile(u_list: list[GridFunction], alpha: float, c_eps: float = 1e6,
-                    t_scan: float | None = None, nt: int = 257
+def extract_profile(u_list: list[GridFunction], alpha: float,
+                    t_scan: float | None = None
                     ) -> tuple[GridFunction, list[Deformation], list[GridFunction], dict]:
     """One greedy extraction step over the whole sequence.
 
     Per index: the dyadic selector fixes (h, xi), the space-time argmax of
     the free evolution of the clipped band fixes (s, y); psi averages the
     pulled-back bands of the best few indices and r = u - apply(G, psi).
-    t_scan=None picks a per-band window that the nt samples can resolve.
+    t_scan=None picks a per-band window that the SCAN_FRAMES samples can
+    resolve.
     """
     if len(u_list) == 0:
         raise ValueError("empty input sequence")
@@ -329,10 +333,10 @@ def extract_profile(u_list: list[GridFunction], alpha: float, c_eps: float = 1e6
     for u in u_list:
         score, j, k = _selector(u, alpha, fixed_j=lead_j)
         w = 2.0 ** j
-        clip = c_eps * w ** (-1.0 / conjugate_exponent(alpha))
+        clip = CLIP_SCALE * w ** (-1.0 / conjugate_exponent(alpha))
         clipped = _band_restrict(u, j, k, clip=clip)
-        half = t_scan if t_scan is not None else _default_t_scan(j, k, nt)
-        t_star, x_star = _spacetime_argmax(clipped, alpha, half, nt)
+        half = t_scan if t_scan is not None else _default_t_scan(j, k)
+        t_star, x_star = _spacetime_argmax(clipped, alpha, half)
         gam = Deformation(j, xi=float(-k), s=-(w ** 3) * t_star, y=w * x_star)
         gammas.append(gam)
         scores.append(score)
@@ -355,13 +359,14 @@ def extract_profile(u_list: list[GridFunction], alpha: float, c_eps: float = 1e6
 
 def profile_decompose(u_list: list[GridFunction], alpha: float, sigma: float,
                       j_max: int = 4, eps_stop: float = 1e-3,
-                      merge_gap: float = 10.0, **kwargs) -> ProfileDecomposition:
+                      t_scan: float | None = None) -> ProfileDecomposition:
     """Greedy iteration of extract_profile on the running residuals.
 
-    Stops at j_max profiles or when the selector drops below eps_stop.
-    Extractions that stay within merge_gap of an earlier one in the
-    orthogonality functional but are nonresonance-close are reported as
-    conjugate pairs with multiplicity 2 in the decoupling ledger.
+    Stops at j_max profiles or when the selector drops below eps_stop;
+    t_scan goes to extract_profile.  Extractions orthogonal to an earlier
+    one (gap above MERGE_GAP) but nonresonance-close (gap below MERGE_GAP)
+    are reported as conjugate pairs with multiplicity 2 in the decoupling
+    ledger.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -369,7 +374,7 @@ def profile_decompose(u_list: list[GridFunction], alpha: float, sigma: float,
     profiles: list[tuple[GridFunction, list[Deformation]]] = []
     selectors = []
     while len(profiles) < j_max:
-        psi, gammas, residuals, diag = extract_profile(current, alpha, **kwargs)
+        psi, gammas, residuals, diag = extract_profile(current, alpha, t_scan)
         if diag.get("degenerate") or max(diag["selector"]) < eps_stop:
             break
         profiles.append((psi, gammas))
@@ -394,7 +399,7 @@ def profile_decompose(u_list: list[GridFunction], alpha: float, sigma: float,
         for b in range(a + 1, len(profiles)):
             if b in paired_away or a in paired_away:
                 continue
-            if gaps_orth[a, b] > merge_gap and gaps_nonres[a, b] < merge_gap:
+            if gaps_orth[a, b] > MERGE_GAP and gaps_nonres[a, b] < MERGE_GAP:
                 multiplicity[a] = 2
                 paired_away.add(b)
 

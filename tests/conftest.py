@@ -12,8 +12,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")
-    for row in sorted(ACCEPTANCE_RESULTS, key=lambda r: int(r["criterion"])):
+    # numbered criteria first, then the batteries without a criterion
+    for row in sorted(ACCEPTANCE_RESULTS,
+                      key=lambda r: (r["criterion"] is None, int(r["criterion"] or 0))):
         verdict = "PASS" if row["passed"] else "FAIL"
+        label = "battery" if row["criterion"] is None else f"criterion {row['criterion']:>2}"
         terminalreporter.write_line(
-            f"criterion {row['criterion']:>2} {row['name']}: {verdict} "
-            f"({row['seconds']:.1f} s)")
+            f"{label} {row['name']}: {verdict} ({row['seconds']:.1f} s)")

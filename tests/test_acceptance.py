@@ -1,11 +1,11 @@
-"""End-to-end verification batteries, one test case per criterion.
+"""End-to-end verification batteries, one test case per battery.
 
-One test body runs every criterion of checks.BATTERIES (the table the
+One test body runs every row of checks.BATTERIES (the table the
 `dlab verify` subcommand dispatches through), asserts that the battery
 passed at its built-in tolerances, and records the outcome for the
-one-line per-criterion summary printed at the end of the session.  Each
-case is bound under its own test name, so the ids stay
-test_criterion_<NN>_<topic>.
+one-line per-battery summary printed at the end of the session.  Each
+case is bound under its own test name: test_criterion_<NN>_<topic> for
+a numbered criterion, test_battery_<verify name> for a row without one.
 """
 
 import time
@@ -29,7 +29,7 @@ TOPICS = {
 }
 
 
-def _criterion_test(label: str, battery):
+def _battery_test(label: str | None, verify_name: str, battery):
     def test(acceptance_log):
         t0 = time.perf_counter()
         res = battery()
@@ -41,12 +41,12 @@ def _criterion_test(label: str, battery):
         })
         assert res["passed"], res["measured"]
 
-    test.__name__ = f"test_criterion_{int(label):02d}_{TOPICS[label]}"
+    test.__name__ = (f"test_battery_{verify_name}" if label is None
+                     else f"test_criterion_{int(label):02d}_{TOPICS[label]}")
     return test
 
 
-for _label, _, _battery in checks.BATTERIES:
-    if _label is not None:
-        _test = _criterion_test(_label, _battery)
-        globals()[_test.__name__] = _test
-del _label, _battery, _test
+for _label, _verify_name, _battery in checks.BATTERIES:
+    _test = _battery_test(_label, _verify_name, _battery)
+    globals()[_test.__name__] = _test
+del _label, _verify_name, _battery, _test

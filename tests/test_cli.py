@@ -216,11 +216,16 @@ def test_solve_gkdv_gaussian(tmp_path, capsys):
     assert out_path.exists() and csv_path.exists()
     assert csv_path.read_text().splitlines()[0] == "t,mass,sup"
 
-    code, out, _ = run(capsys, "norm",
-                       "kind=spacetime_X,r=1.8,s=0.0,preset=S",
+    code, out, _ = run(capsys, "norm", "kind=spacetime_X,r=1.8,s=0.0",
                        str(out_path), "--no-timestamps")
     assert code == 0
     assert json.loads(out)["value"] > 0
+
+    # no field reads a preset name, so a spec naming one is rejected
+    code, out, err = run(capsys, "norm", "kind=spacetime_X,r=1.9,preset=L",
+                         str(out_path), "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["unknown norm spec key 'preset'"]
 
 
 def test_solve_reports_health_and_warnings(capsys):

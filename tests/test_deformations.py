@@ -98,16 +98,10 @@ def test_apply_inverse_round_trip(m, xi, s, y):
     assert rel_gap(back, f) < 1e-10
 
 
-def test_deformation_from_scale_and_h():
-    gamma = Deformation.from_scale(0.5, xi=1.0)
-    assert gamma.log2_h == -1 and gamma.h == 0.5
-
-
-def test_serialize_parse_round_trip():
+def test_deformation_h_and_serialize():
+    assert Deformation(-1, xi=1.0).h == 0.5
     gamma = Deformation(2, xi=-3.25, s=0.125, y=1.5)
-    assert Deformation.parse(gamma.serialize()) == gamma
-    partial = Deformation.parse("h=0.25,s=0.5")
-    assert partial == Deformation(-2, s=0.5)
+    assert gamma.serialize() == "h=4,xi=-3.25,s=0.125,y=1.5"
 
 
 def test_translation_modulation_commutator():

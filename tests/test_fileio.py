@@ -165,6 +165,17 @@ def test_non_finite_grid_reported_as_file_error(tmp_path):
         path.write_bytes(bytes(data))
         with pytest.raises(GridFileError, match="finite"):
             read_grid_function(path)
+    # finite length and x0 whose sum overflows: nodes() would be inf
+    path = tmp_path / "overflow.gf"
+    path.write_bytes(gf_bytes(length=1e308, x0=1.5e308))
+    with pytest.raises(GridFileError, match="finite"):
+        read_grid_function(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gf", "convert", str(path), str(tmp_path / "overflow.csv")])
+    assert code == 1 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert not (tmp_path / "overflow.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +282,12 @@ SIZES = st.one_of(st.integers(0, 16), st.sampled_from([2 ** 31, 2 ** 40, 2 ** 62
 @FUZZ
 @given(SIZES, st.one_of(st.just(8), SIZES), st.integers(0, 3))
 def test_fuzz_declared_sizes_against_data(m, n, frames):
-    # any declared M, n that disagree with the frames that follow
+    # any declared M, n that disagree with the frames that follow; with no
+    # frames there are no samples for n to disagree with
     body = stf_bytes(times=np.arange(frames, dtype=float))
     assume((m, n) != (frames, 8))
-    assert_rejected(b"STF1" + struct.pack("<QQ", m, n) + body[20:])
+    if m != frames or frames > 0:
+        assert_rejected(b"STF1" + struct.pack("<QQ", m, n) + body[20:])
     if n != 8:
         assert_rejected(b"GF01" + struct.pack("<Q", n) + gf_bytes()[12:])
 
