@@ -181,10 +181,10 @@ def cmd_profiles(args) -> int:
     u_list = [read_grid_function(os.path.join(base, name))
               for name in listing["inputs"]]
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     if args.action == "extract":
         psi, gammas, residuals, diag = extract_profile(
             u_list, args.alpha, t_scan=args.t_scan)
+        os.makedirs(out_dir, exist_ok=True)
         write_grid_function(psi, os.path.join(out_dir, "psi.gf"))
         for i, r in enumerate(residuals):
             write_grid_function(r, os.path.join(out_dir, f"residual_{i}.gf"))
@@ -196,6 +196,7 @@ def cmd_profiles(args) -> int:
     else:
         dec = profile_decompose(u_list, args.alpha, args.sigma,
                                 j_max=args.j_max, t_scan=args.t_scan)
+        os.makedirs(out_dir, exist_ok=True)
         for j, (psi, gammas) in enumerate(dec.profiles):
             write_grid_function(psi, os.path.join(out_dir, f"psi_{j}.gf"))
         for i, r in enumerate(dec.residuals):

@@ -53,7 +53,17 @@ def _checked(make, *args):
         raise GridFileError(str(exc)) from exc
 
 
+def _check_finite_frames(times: np.ndarray, values: np.ndarray) -> None:
+    finite = np.isfinite(values).all(axis=1) & np.isfinite(times)
+    if not finite.all():
+        raise GridFileError(f"non-finite values in frame {int(np.argmin(finite))}")
+
+
 def write_grid_function(f: GridFunction, path) -> None:
+    """Write f as GF01; non-finite samples, which the reader rejects, are
+    refused before the file is opened."""
+    if not np.all(np.isfinite(f.values)):
+        raise GridFileError("non-finite sample values")
     header = GF_MAGIC + struct.pack(
         "<Qddb", f.grid.n, f.grid.length, f.grid.x0, _SIDE_CODE[f.side]
     )
@@ -82,6 +92,9 @@ def read_grid_function(path) -> GridFunction:
 
 
 def write_space_time_field(field: SpaceTimeField, path) -> None:
+    """Write field as STF1; a non-finite time or sample, which the reader
+    rejects, is refused before the file is opened."""
+    _check_finite_frames(field.times, field.values)
     g = field.grid
     records = np.empty(len(field), dtype=_stf_record(g.n))
     records["t"] = field.times
@@ -108,7 +121,5 @@ def read_space_time_field(path) -> SpaceTimeField:
         raise GridFileError(f"{have - need} trailing bytes after frame data")
     records = np.frombuffer(buf, dtype=_stf_record(n), count=m, offset=off)
     times, values = records["t"].astype(np.float64), records["u"].astype(np.complex128)
-    finite = np.isfinite(values).all(axis=1) & np.isfinite(times)
-    if not finite.all():
-        raise GridFileError(f"non-finite values in frame {int(np.argmin(finite))}")
+    _check_finite_frames(times, values)
     return _checked(SpaceTimeField, grid, times, values)

@@ -169,12 +169,17 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     The time integral runs over [-2 time_window, 2 time_window] with 2nt-1
     samples; the run is rejected if the norm over the middle nt samples,
     which are [-time_window, time_window] at the same spacing, differs from
-    it by more than 1 % relatively.  nt must be odd.
+    it by more than 1 % relatively.  nt must be odd and at least 3, and
+    time_window positive and finite.
     """
     if not (4.0 / 3.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (4/3, 2)")
     if nt % 2 == 0:
         raise ValueError(f"nt must be odd, got {nt}")
+    if nt < 3:
+        raise ValueError(f"nt must be at least 3, got {nt}")
+    if not (math.isfinite(time_window) and time_window > 0):
+        raise ValueError(f"time_window must be positive and finite, got {time_window}")
     denom = morrey_norm(f, alpha, 2.0, sigma)
     if denom == 0.0:
         return 0.0
@@ -314,10 +319,12 @@ def extract_profile(u_list: list[GridFunction], alpha: float,
     the free evolution of the clipped band fixes (s, y); psi averages the
     pulled-back bands of the best few indices and r = u - apply(G, psi).
     t_scan=None picks a per-band window that the SCAN_FRAMES samples can
-    resolve.
+    resolve; a given t_scan must be positive and finite.
     """
     if len(u_list) == 0:
         raise ValueError("empty input sequence")
+    if t_scan is not None and not (math.isfinite(t_scan) and t_scan > 0):
+        raise ValueError(f"t_scan must be positive and finite, got {t_scan}")
     free = [_selector(u, alpha) for u in u_list]
     if max(s for s, _, _ in free) == 0.0:
         zero = GridFunction(u_list[0].grid,

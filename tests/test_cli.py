@@ -280,3 +280,19 @@ def test_profiles_extract_round_trip(tmp_path, capsys):
     assert payload["deformations"][0].startswith("h=2")
     assert (out_dir / "psi.gf").exists()
     assert (out_dir / "residual_0.gf").exists()
+
+
+@pytest.mark.parametrize("action", ["extract", "decompose"])
+@pytest.mark.parametrize("t_scan", ["inf", "nan", "0", "-1"])
+def test_profiles_bad_t_scan_exits_1_and_writes_nothing(tmp_path, capsys, action, t_scan):
+    write_sample(tmp_path / "u0.gf")
+    manifest = tmp_path / "inputs.json"
+    manifest.write_text(json.dumps({"inputs": ["u0.gf"]}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "profiles", action, str(manifest),
+                         "--alpha", "1.8", "--sigma", "3.0", f"--t-scan={t_scan}",
+                         "--out", str(out_dir), "--no-timestamps")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("t_scan must be positive and finite")
+    assert not out_dir.exists()

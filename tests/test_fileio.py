@@ -81,6 +81,27 @@ def test_non_finite_samples_rejected(tmp_path):
         read_grid_function(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite_before_opening(tmp_path, bad):
+    # a file the readers would reject is never written
+    f = sample_function()
+    f.values[3] = complex(0.0, bad)
+    path = tmp_path / "bad.gf"
+    with pytest.raises(GridFileError, match="non-finite sample values"):
+        write_grid_function(f, path)
+    assert not path.exists()
+    g = Grid(8, 2.0, -1.0)
+    values = np.ones((3, 8), dtype=complex)
+    values[1, 4] = bad
+    path = tmp_path / "bad.stf"
+    with pytest.raises(GridFileError, match="non-finite values in frame 1"):
+        write_space_time_field(SpaceTimeField(g, np.array([0.0, 1.0, 2.0]), values), path)
+    with pytest.raises(GridFileError, match="non-finite values in frame 2"):
+        write_space_time_field(SpaceTimeField(g, np.array([0.0, 1.0, np.inf]),
+                                              np.ones((3, 8))), path)
+    assert not path.exists()
+
+
 def test_bad_grid_size_reported_as_file_error(tmp_path):
     f = sample_function()
     path = tmp_path / "size.gf"
@@ -144,12 +165,14 @@ def test_space_time_size_checked_before_allocating(tmp_path):
 def test_space_time_trailing_and_non_finite(tmp_path):
     g = Grid(32, 6.0, -3.0)
     values = np.ones((3, 32), dtype=complex)
-    values[2, 5] = np.inf
     path = tmp_path / "bad.stf"
     write_space_time_field(SpaceTimeField(g, np.array([0.0, 1.0, 2.0]), values), path)
+    data = bytearray(path.read_bytes())
+    at = 36 + 2 * (8 + 16 * 32) + 8 + 16 * 5  # real part of frame 2, sample 5
+    data[at:at + 8] = np.array([np.inf]).tobytes()
+    path.write_bytes(bytes(data))
     with pytest.raises(GridFileError, match="non-finite values in frame 2"):
         read_space_time_field(path)
-    values[2, 5] = 1.0
     write_space_time_field(SpaceTimeField(g, np.array([0.0, 1.0, 2.0]), values), path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(GridFileError, match="8 trailing bytes"):

@@ -7,7 +7,7 @@ from dlab.deformations import translate
 from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
                        SpaceTimeField, derivative_symbol, forward_transform,
                        fractional_derivative, inverse_transform, match_sides,
-                       physical_rows)
+                       physical_rows, _uniform_step)
 
 
 def gaussian(grid: Grid, width: float = 1.0) -> GridFunction:
@@ -212,3 +212,37 @@ def test_physical_rows_phase_matches_per_row_translate():
     for row, t, out in zip(rows, times, got):
         want = translate(GridFunction(g, row), -3.0 * t).values
         assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_physical_rows_non_uniform_times_match_per_row_translate():
+    # one jittered interior time: the rows fall back to the per-entry exp
+    g = Grid(128, 16.0, -8.0)
+    rng = np.random.default_rng(9)
+    m = 2 * ROW_BLOCK + 3
+    rows = np.exp(-g.nodes() ** 2) * (rng.normal(size=(m, 128)) + 1j * rng.normal(size=(m, 128)))
+    times = np.linspace(-0.4, 0.7, m)
+    assert _uniform_step(times) is not None
+    times[ROW_BLOCK + 10] += 1e-3
+    assert _uniform_step(times) is None
+    for values in (rows, np.fft.fftshift(np.fft.fft(rows[0]))):  # physical rows, shared spectrum
+        got = physical_rows(g, values, times=times, dispersion=3.0 * g.frequencies())
+        for k, (t, out) in enumerate(zip(times, got)):
+            row = rows[k] if values.ndim == 2 else inverse_transform(
+                GridFunction(g, values, FOURIER)).values
+            want = translate(GridFunction(g, row), -3.0 * t).values
+            assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_uniform_step_tolerance():
+    t = np.linspace(-64.0, 64.0, 2049)
+    assert _uniform_step(t) == t[1] - t[0]
+    assert _uniform_step(t[::-1]) == t[0] - t[1]
+    nudged = t.copy()
+    nudged[7] += 4 * np.spacing(64.0)
+    assert _uniform_step(nudged) is not None
+    nudged[7] += 4 * np.spacing(64.0)
+    assert _uniform_step(nudged) is None
+    for bad in (np.inf, np.nan):
+        broken = t.copy()
+        broken[-1] = bad
+        assert _uniform_step(broken) is None

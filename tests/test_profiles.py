@@ -213,6 +213,38 @@ def test_stein_tomas_rejects_even_nt():
         stein_tomas_ratio(bump(g, 2.0, 1.0), ALPHA, SIGMA, 4.0, nt=256)
 
 
+@pytest.mark.parametrize("nt", [1, -1])
+def test_stein_tomas_rejects_too_few_samples(nt):
+    g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
+    with pytest.raises(ValueError, match="at least 3"):
+        stein_tomas_ratio(bump(g, 2.0, 1.0), ALPHA, SIGMA, 4.0, nt=nt)
+
+
+@pytest.mark.parametrize("window", [0.0, -4.0, math.inf, -math.inf, math.nan])
+def test_stein_tomas_rejects_bad_time_window(window):
+    g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
+    with pytest.raises(ValueError, match="time_window must be positive and finite"):
+        stein_tomas_ratio(bump(g, 2.0, 1.0), ALPHA, SIGMA, window, nt=33)
+
+
+def test_airy_frames_factorised_phases_match_direct_exp():
+    # the largest criterion-10 shape: 2 * 1025 - 1 times on its n = 4096 grid
+    g = Grid(4096, 2.0 * math.pi * 2 ** 8, -math.pi * 2 ** 8)
+    xi = g.frequencies()
+    f = GridFunction(g, np.exp(-g.nodes() ** 2) + 0j)
+    t_grid = np.linspace(-64.0, 64.0, 2 * 1025 - 1)
+    assert t_grid.size % ROW_BLOCK == 1  # the last block has one row
+    deriv = 1.0 / (3.0 * ALPHA)
+    frames = airy_frames(f, t_grid, deriv)
+    spec = f.to_fourier().values * np.abs(xi) ** deriv
+    err = peak = 0.0
+    for t, got in zip(t_grid, frames):
+        want = GridFunction(g, spec * np.exp(1j * t * xi ** 3), FOURIER).to_physical().values
+        err = max(err, float(np.max(np.abs(got - want))))
+        peak = max(peak, float(np.max(np.abs(want))))
+    assert err <= 1e-12 * peak
+
+
 # ---------------------------------------------------------------------------
 # decoupling ledger
 # ---------------------------------------------------------------------------
@@ -278,6 +310,13 @@ def test_extract_degenerate_zero_input():
     assert residuals[0].l2_norm() == 0.0
     with pytest.raises(ValueError, match="empty input"):
         extract_profile([], ALPHA)
+
+
+@pytest.mark.parametrize("t_scan", [0.0, -1.0, math.inf, math.nan])
+def test_extract_profile_rejects_bad_t_scan(t_scan):
+    g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
+    with pytest.raises(ValueError, match="t_scan must be positive and finite"):
+        extract_profile([bump(g, 2.0, 1.0)], ALPHA, t_scan=t_scan)
 
 
 def test_decompose_two_profiles_ordered():
