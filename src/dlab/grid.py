@@ -20,7 +20,12 @@ GridFunction's Fourier side by a symbol and returns to the input's side;
 physical_rows gives the physical samples of the rows of an (m, n) physical
 array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), or spreads one Fourier density spectrum over all rows.
+in xi), or spreads one Fourier density spectrum over all rows.  When the
+times are uniform (every t_k within 4 ulps of max|t| of t_0 + k dt) and
+there are more than ROW_BLOCK of them, the phases of a block starting at
+row lo are e^{i t_lo p} times a table e^{i j dt p}, j < ROW_BLOCK, built
+once per call: one exp per block row instead of one per entry, exact per
+block, so no rounding error accumulates across blocks.
 """
 
 from __future__ import annotations
@@ -220,7 +225,10 @@ def physical_rows(grid: Grid, values: np.ndarray,
     back as they are.  A 1-D `values` is one Fourier density spectrum shared
     by all len(times) rows: it is weighted and put into FFT order once.
     Batched FFTs run ROW_BLOCK rows at a time into `out` (new, or `values`
-    itself).
+    itself).  More than ROW_BLOCK uniform times (see _uniform_step) take
+    their phases from a once-per-call table e^{i j dt p}, j < ROW_BLOCK,
+    times one row factor e^{i times[lo] p} per block, folded into the
+    symbol and spectrum first; other times get one exp per entry.
     """
     shared = values.ndim == 1
     if shared:
