@@ -17,15 +17,18 @@ time-stepping loops, which multiply raw DFT coefficients by step factors
 built once per solve (gKdV's e^{i dt xi^3 / 2} on an rfft, NLS's
 e^{i dt xi^2 / 2} on an fft): fourier_multiply multiplies one
 GridFunction's Fourier side by a symbol and returns to the input's side;
-physical_rows gives the physical samples of the rows of an (m, n) physical
+row_blocks yields the physical samples of the rows of an (m, n) physical
 array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), or spreads one Fourier density spectrum over all rows.  When the
-times are uniform (every t_k within 4 ulps of max|t| of t_0 + k dt) and
-there are more than ROW_BLOCK of them, the phases of a block starting at
-row lo are e^{i t_lo p} times a table e^{i j dt p}, j < ROW_BLOCK, built
-once per call: one exp per block row instead of one per entry, exact per
-block, so no rounding error accumulates across blocks.
+in xi), or spreads one Fourier density spectrum over all rows.  A caller
+that reduces each block before asking for the next (the restriction ratio,
+the space-time norms) never holds more than one block; physical_rows
+collects the blocks into one (m, n) array.  When the times are uniform
+(every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
+ROW_BLOCK of them, the phases of a block starting at row lo are
+e^{i t_lo p} times a table e^{i j dt p}, j < ROW_BLOCK, built once per
+call: one exp per block row instead of one per entry, exact per block, so
+no rounding error accumulates across blocks.
 """
 
 from __future__ import annotations
@@ -212,34 +215,41 @@ def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
     return fourier_multiply(f, derivative_symbol(f.grid.frequencies(), s))
 
 
-def physical_rows(grid: Grid, values: np.ndarray,
-                  symbol: np.ndarray | None = None,
-                  out: np.ndarray | None = None,
-                  times: np.ndarray | None = None,
-                  dispersion: np.ndarray | None = None) -> np.ndarray:
-    """Physical samples of each row of `values` times `symbol` on the Fourier
-    side and, given `times`, row k also times e^{i times[k] dispersion};
-    symbol and dispersion are sampled on grid.frequencies().
+def row_blocks(grid: Grid, values: np.ndarray,
+               symbol: np.ndarray | None = None,
+               times: np.ndarray | None = None,
+               dispersion: np.ndarray | None = None,
+               out: np.ndarray | None = None):
+    """Yield (rows, block) for consecutive slices `rows` of ROW_BLOCK rows:
+    block holds the physical samples of those rows of `values` times
+    `symbol` on the Fourier side and, given `times`, row k also times
+    e^{i times[k] dispersion}; symbol and dispersion are sampled on
+    grid.frequencies().
 
-    A 2-D `values` holds physical rows; without a symbol or phase they come
-    back as they are.  A 1-D `values` is one Fourier density spectrum shared
-    by all len(times) rows: it is weighted and put into FFT order once.
-    Batched FFTs run ROW_BLOCK rows at a time into `out` (new, or `values`
-    itself).  More than ROW_BLOCK uniform times (see _uniform_step) take
-    their phases from a once-per-call table e^{i j dt p}, j < ROW_BLOCK,
-    times one row factor e^{i times[lo] p} per block, folded into the
-    symbol and spectrum first; other times get one exp per entry.
+    A 2-D `values` holds physical rows; without a symbol or phase the
+    blocks are views of its rows.  A 1-D `values` is one Fourier density
+    spectrum shared by all len(times) rows: it is weighted and put into
+    FFT order once.  Each block's batched ifft writes into out[rows] (out
+    may be `values` itself) or, without `out`, into one reused
+    (ROW_BLOCK, n) buffer, so a yielded block is only valid until the next
+    one.  More than ROW_BLOCK uniform times (see _uniform_step) take their
+    phases from a once-per-call table e^{i j dt p}, j < ROW_BLOCK, times
+    one row factor e^{i times[lo] p} per block, folded into the symbol and
+    spectrum first; other times get one exp per entry.
     """
     shared = values.ndim == 1
+    m = len(times) if shared else len(values)
     if shared:
         mult = np.fft.ifftshift(_from_density(grid, symbol)) * np.fft.ifftshift(values)
     elif symbol is None and times is None:
-        return values
+        for lo in range(0, m, ROW_BLOCK):
+            yield slice(lo, lo + ROW_BLOCK), values[lo:lo + ROW_BLOCK]
+        return
     else:
         mult = 1.0 if symbol is None else np.fft.ifftshift(symbol)
     rate = None if times is None else np.fft.ifftshift(dispersion)
-    m = len(times) if shared else len(values)
-    out = np.empty((m, grid.n), dtype=np.complex128) if out is None else out
+    if out is None:
+        buf = np.empty((min(m, ROW_BLOCK), grid.n), dtype=np.complex128)
     step = _uniform_step(times) if rate is not None and m > ROW_BLOCK else None
     if step is not None:
         # table[k] = e^{i k step p}: row lo + k is e^{i times[lo] p} table[k]
@@ -262,7 +272,25 @@ def physical_rows(grid: Grid, values: np.ndarray,
                 phase = np.exp(1j * np.outer(times[rows], rate))
                 # into the phase block: a new product array per block ran ~20 % slower
                 spec = np.multiply(phase, spec, out=phase)
-        out[rows] = np.fft.ifft(spec, axis=1)
+        target = out[rows] if out is not None else buf[:len(spec)]
+        yield rows, np.fft.ifft(spec, axis=1, out=target)
+
+
+def physical_rows(grid: Grid, values: np.ndarray,
+                  symbol: np.ndarray | None = None,
+                  times: np.ndarray | None = None,
+                  dispersion: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """All blocks of row_blocks collected into `out` (new, or `values`
+    itself), which is returned; 2-D `values` without a symbol or phase
+    come back as they are."""
+    if values.ndim == 2 and symbol is None and times is None:
+        return values
+    if out is None:
+        m = len(times) if values.ndim == 1 else len(values)
+        out = np.empty((m, grid.n), dtype=np.complex128)
+    for _ in row_blocks(grid, values, symbol, times, dispersion, out):
+        pass
     return out
 
 

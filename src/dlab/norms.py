@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .grid import GridFunction, SpaceTimeField, derivative_symbol, physical_rows
+from .grid import ROW_BLOCK, GridFunction, SpaceTimeField, derivative_symbol, row_blocks
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
 _BLOCK = 1 << 17   # entries per (residue, interval) block in _dyadic_aggregate
@@ -431,7 +431,12 @@ class NormSpec:
 # ---------------------------------------------------------------------------
 
 def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
-    """Mixed L^p_x L^q_t norm of |d/dx|^s F over the field's time window."""
+    """Mixed L^p_x L^q_t norm of |d/dx|^s F over the field's time window.
+
+    The weighted rows are never held at once: each row_blocks block is
+    added into the trapezoid sum of |.|^q (or a running max for q = inf)
+    before the next block is made.
+    """
     if len(field) == 0:
         raise ValueError("empty field")
     if spec.kind == "spacetime_X":
@@ -447,13 +452,23 @@ def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
 
     g = field.grid
     symbol = derivative_symbol(g.frequencies(), spec.s) if spec.s != 0.0 else None
-    arr = np.abs(physical_rows(g, field.values, symbol=symbol))  # (n_t, n_x)
-
     if math.isfinite(q):
-        arr **= q
-        inner = np.trapezoid(arr, field.times, axis=0) ** (1.0 / q)
-    else:
-        inner = np.max(arr, axis=0)
+        # trapezoid rule: row k weighs (t[k+1] - t[k-1]) / 2, an end row half its step
+        half = np.diff(field.times) / 2.0
+        weight = np.zeros(len(field))
+        weight[:-1] += half
+        weight[1:] += half
+    inner = np.zeros(g.n)
+    mag = np.empty((min(len(field), ROW_BLOCK), g.n))
+    for rows, block in row_blocks(g, field.values, symbol):
+        part = np.abs(block, out=mag[:len(block)])
+        if math.isfinite(q):
+            part **= q
+            inner += weight[rows] @ part
+        else:
+            np.maximum(inner, np.max(part, axis=0), out=inner)
+    if math.isfinite(q):
+        inner **= 1.0 / q
     if math.isfinite(p):
         return float(np.sum(inner ** p * field.grid.dx) ** (1.0 / p))
     return float(np.max(inner))

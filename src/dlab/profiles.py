@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FOURIER, GridFunction, derivative_symbol, physical_rows
+from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, derivative_symbol, physical_rows,
+                   row_blocks)
 from .deformations import (Deformation, apply, apply_inverse, nonresonance_gap,
                            orthogonality_gap)
 from .norms import conjugate_exponent, ell, morrey_norm
@@ -23,6 +24,7 @@ from .norms import conjugate_exponent, ell, morrey_norm
 SCAN_FRAMES = 257   # time samples of the space-time argmax scan
 CLIP_SCALE = 1e6    # band clip level c in c * |I|^{-1/alpha'}
 MERGE_GAP = 10.0    # gap threshold of the conjugate pairing
+MAX_AIRY_PHASE = 2.0 ** 52  # |t xi^3| beyond which exp(i t xi^3) keeps no correct digit
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +156,30 @@ def partner_counts(pairs: list[WhitneyPair], j: int, k_interior: int) -> dict[in
 # refined restriction-type ratio
 # ---------------------------------------------------------------------------
 
-def airy_frames(f: GridFunction, t_grid: np.ndarray, deriv: float) -> np.ndarray:
-    """|d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid: (nt, n) physical samples."""
+def _airy_args(f: GridFunction, t_grid: np.ndarray, deriv: float) -> tuple:
+    """Arguments of physical_rows / row_blocks for |d/dx|^deriv e^{-t d^3/dx^3} f."""
     fh = f.to_fourier()
     xi = fh.grid.frequencies()
-    return physical_rows(fh.grid, fh.values, symbol=derivative_symbol(xi, deriv),
-                         times=t_grid, dispersion=xi ** 3)
+    return fh.grid, fh.values, derivative_symbol(xi, deriv), t_grid, xi ** 3
+
+
+def airy_frames(f: GridFunction, t_grid: np.ndarray, deriv: float) -> np.ndarray:
+    """|d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid: (nt, n) physical samples."""
+    return physical_rows(*_airy_args(f, t_grid, deriv))
+
+
+def _check_airy_time(name: str, value: float, grid: Grid, reach: float = 1.0) -> None:
+    """Reject a time `value` unless it is positive, finite and keeps the
+    largest Airy phase, (reach * value) * max|xi|^3 on `grid`, within
+    MAX_AIRY_PHASE."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    xi_max = float(grid.n / 2 * grid.dxi)
+    # Python float products: an overflow gives inf (no warning), rejected below
+    phase = reach * float(value) * xi_max * xi_max * xi_max
+    if not phase <= MAX_AIRY_PHASE:
+        raise ValueError(f"{name} {value} puts Airy phases up to {phase:.3g} rad on this "
+                         f"grid, beyond the 2^52 at which exp keeps no correct digit")
 
 
 def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
@@ -170,7 +190,10 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     samples; the run is rejected if the norm over the middle nt samples,
     which are [-time_window, time_window] at the same spacing, differs from
     it by more than 1 % relatively.  nt must be odd and at least 3, and
-    time_window positive and finite.
+    time_window positive, finite and small enough that every Airy phase
+    stays within MAX_AIRY_PHASE.  The frames are never held at once: each
+    row_blocks block is reduced to its rows' sums of |.|^{3a} before the
+    next block is made.
     """
     if not (4.0 / 3.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (4/3, 2)")
@@ -178,16 +201,19 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
         raise ValueError(f"nt must be odd, got {nt}")
     if nt < 3:
         raise ValueError(f"nt must be at least 3, got {nt}")
-    if not (math.isfinite(time_window) and time_window > 0):
-        raise ValueError(f"time_window must be positive and finite, got {time_window}")
+    _check_airy_time("time_window", time_window, f.grid, reach=2.0)
     denom = morrey_norm(f, alpha, 2.0, sigma)
     if denom == 0.0:
         return 0.0
     exponent = 3.0 * alpha
     t2 = np.linspace(-2.0 * time_window, 2.0 * time_window, 2 * nt - 1)
-    space = np.abs(airy_frames(f, t2, 1.0 / exponent))
-    space **= exponent
-    space = np.sum(space, axis=1) * f.grid.dx
+    space = np.empty(t2.size)
+    mag = np.empty((min(t2.size, ROW_BLOCK), f.grid.n))
+    for rows, block in row_blocks(*_airy_args(f, t2, 1.0 / exponent)):
+        part = np.abs(block, out=mag[:len(block)])
+        part **= exponent
+        space[rows] = np.sum(part, axis=1)
+    space *= f.grid.dx
     mid = slice((nt - 1) // 2, (nt - 1) // 2 + nt)
     num1 = float(np.trapezoid(space[mid], t2[mid]) ** (1.0 / exponent))
     num2 = float(np.trapezoid(space, t2) ** (1.0 / exponent))
@@ -287,6 +313,11 @@ def _spacetime_argmax(f: GridFunction, alpha: float,
                       t_scan: float) -> tuple[float, float]:
     """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f | over SCAN_FRAMES times."""
     t_grid = np.linspace(-t_scan, t_scan, SCAN_FRAMES)
+    # materialised, not streamed through row_blocks: freeing the 8 MB scan
+    # array raises glibc's dynamic mmap threshold, so the block temporaries
+    # come from the heap and are reused; streamed, they were mapped and
+    # unmapped on every call (~14k page faults and 41 ms more system time
+    # per profile_decompose)
     mag = np.abs(airy_frames(f, t_grid, 1.0 / (3.0 * alpha)))
     it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
     return float(t_grid[it]), float(f.grid.x0 + ix * f.grid.dx)
@@ -319,12 +350,14 @@ def extract_profile(u_list: list[GridFunction], alpha: float,
     the free evolution of the clipped band fixes (s, y); psi averages the
     pulled-back bands of the best few indices and r = u - apply(G, psi).
     t_scan=None picks a per-band window that the SCAN_FRAMES samples can
-    resolve; a given t_scan must be positive and finite.
+    resolve; a given t_scan must be positive, finite and keep every Airy
+    phase of the scan within MAX_AIRY_PHASE.
     """
     if len(u_list) == 0:
         raise ValueError("empty input sequence")
-    if t_scan is not None and not (math.isfinite(t_scan) and t_scan > 0):
-        raise ValueError(f"t_scan must be positive and finite, got {t_scan}")
+    if t_scan is not None:
+        for u in u_list:
+            _check_airy_time("t_scan", t_scan, u.grid)
     free = [_selector(u, alpha) for u in u_list]
     if max(s for s, _, _ in free) == 0.0:
         zero = GridFunction(u_list[0].grid,

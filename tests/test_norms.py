@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlab.grid import FOURIER, Grid, GridFunction, SpaceTimeField
+from dlab.grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, SpaceTimeField, derivative_symbol,
+                       physical_rows)
 from dlab.norms import (NormSpec, _dyadic_aggregate, _fourier_cells, _physical_cells,
                         conjugate_exponent, ell, exponents_X,
                         exponents_Y, is_acceptable, is_conjugate_acceptable,
@@ -348,6 +349,41 @@ def test_spacetime_single_mode_oracle():
     expected = k ** s * g.length ** (1.0 / p)
     got = spacetime_norm(field, NormSpec(kind="spacetime_X", r=r, s=s))
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def materialised_spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
+    # every weighted row held at once: the reference for the streamed sums
+    exponents = exponents_X if spec.kind == "spacetime_X" else exponents_Y
+    p, q = exponents(spec.s, spec.r)
+    g = field.grid
+    symbol = derivative_symbol(g.frequencies(), spec.s) if spec.s != 0.0 else None
+    arr = np.abs(physical_rows(g, field.values, symbol=symbol))
+    if math.isfinite(q):
+        inner = np.trapezoid(arr ** q, field.times, axis=0) ** (1.0 / q)
+    else:
+        inner = np.max(arr, axis=0)
+    if math.isfinite(p):
+        return float(np.sum(inner ** p * g.dx) ** (1.0 / p))
+    return float(np.max(inner))
+
+
+@pytest.mark.parametrize("m", [ROW_BLOCK - 3, ROW_BLOCK + 7, 2 * ROW_BLOCK])
+@pytest.mark.parametrize("kind, r, s", [
+    ("spacetime_X", 1.9, 0.3), ("spacetime_Y", 1.9, 0.3), ("spacetime_X", 2.0, 0.0),
+    ("spacetime_X", 2.0, -0.25),   # q = inf, p = 4
+    ("spacetime_X", math.inf, 0.0),  # p = q = inf
+])
+def test_spacetime_norm_streamed_matches_materialised(m, kind, r, s):
+    g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
+    rng = np.random.default_rng(m)
+    times = np.linspace(-0.5, 1.5, m)
+    times[min(ROW_BLOCK, m - 2)] += 0.3 * (times[1] - times[0])  # non-uniform, at a seam
+    values = np.exp(-g.nodes() ** 2 / 8.0) * (rng.normal(size=(m, g.n))
+                                              + 1j * rng.normal(size=(m, g.n)))
+    field = SpaceTimeField(g, times, values)
+    spec = NormSpec(kind=kind, r=r, s=s)
+    want = materialised_spacetime_norm(field, spec)
+    assert spacetime_norm(field, spec) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_spacetime_norm_validation():

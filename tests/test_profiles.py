@@ -1,10 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dlab.deformations import Deformation, airy_flow, apply
-from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, fractional_derivative
+from dlab.grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, fractional_derivative,
+                       physical_rows)
 from dlab.norms import morrey_norm
 from dlab.profiles import (WhitneyPair, _whitney_related, airy_frames, decoupling_check,
                            extract_profile, partition_check, partner_counts,
@@ -220,11 +223,55 @@ def test_stein_tomas_rejects_too_few_samples(nt):
         stein_tomas_ratio(bump(g, 2.0, 1.0), ALPHA, SIGMA, 4.0, nt=nt)
 
 
-@pytest.mark.parametrize("window", [0.0, -4.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("window", [0.0, -4.0, math.inf, -math.inf, math.nan, 1e200, 1e308])
 def test_stein_tomas_rejects_bad_time_window(window):
+    # max|xi| = 64 here: 2 * 1e200 * 64^3 is far past 2^52, 2 * 1e308 overflows
     g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
-    with pytest.raises(ValueError, match="time_window must be positive and finite"):
+    message = ("time_window must be positive and finite" if not 0 < window < math.inf
+               else f"time_window {window} puts Airy phases up to")
+    with pytest.raises(ValueError, match=re.escape(message)):
         stein_tomas_ratio(bump(g, 2.0, 1.0), ALPHA, SIGMA, window, nt=33)
+
+
+def materialised_stein_tomas(f: GridFunction, window: float, nt: int) -> float:
+    # every frame held at once: the reference for the streamed row sums
+    e = 3.0 * ALPHA
+    t2 = np.linspace(-2.0 * window, 2.0 * window, 2 * nt - 1)
+    space = np.sum(np.abs(airy_frames(f, t2, 1.0 / e)) ** e, axis=1) * f.grid.dx
+    return float(np.trapezoid(space, t2) ** (1.0 / e)) / morrey_norm(f, ALPHA, 2.0, SIGMA)
+
+
+@pytest.mark.parametrize("nt", [17, 65])
+def test_stein_tomas_streamed_row_sums_match_materialised_frames(nt):
+    # 33 rows fit one block (per-entry exp); 129 rows end in a one-row block (phase table)
+    g = Grid(512, 2 * np.pi * 16, -np.pi * 16)
+    x = g.nodes()
+    f = GridFunction(g, np.exp(-x ** 2) * np.cos(2.0 * x) + 0.3j * np.exp(-(x - 1.0) ** 2))
+    assert (2 * nt - 1) % ROW_BLOCK != 0
+    assert stein_tomas_ratio(f, ALPHA, SIGMA, 2.0, nt=nt) == materialised_stein_tomas(f, 2.0, nt)
+
+
+def test_stein_tomas_traced_peak_stays_small():
+    # the widest criterion-10 window: 2049 x 4096 frames would take 134 MB,
+    # and the parent's materialised frames peaked near 200 MB
+    g = Grid(4096, 2.0 * math.pi * 2 ** 8, -math.pi * 2 ** 8)
+    f0 = GridFunction(g, np.exp(-g.nodes() ** 2) + 0j)
+    tracemalloc.start()
+    try:
+        ratio = stein_tomas_ratio(f0, ALPHA, SIGMA, 32.0, nt=1025)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ratio > 0
+    assert peak < 40e6
+    # collected into a given array, physical_rows hands that array back
+    xi = g.frequencies()
+    t_grid = np.linspace(-1.0, 1.0, ROW_BLOCK + 3)
+    rows = np.empty((t_grid.size, g.n), dtype=complex)
+    spectrum = f0.to_fourier().values
+    got = physical_rows(g, spectrum, times=t_grid, dispersion=xi ** 3, out=rows)
+    assert got is rows
+    assert np.array_equal(rows, airy_frames(f0, t_grid, 0.0))
 
 
 def test_airy_frames_factorised_phases_match_direct_exp():
@@ -312,10 +359,12 @@ def test_extract_degenerate_zero_input():
         extract_profile([], ALPHA)
 
 
-@pytest.mark.parametrize("t_scan", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("t_scan", [0.0, -1.0, math.inf, math.nan, 1e200, 1e308])
 def test_extract_profile_rejects_bad_t_scan(t_scan):
     g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
-    with pytest.raises(ValueError, match="t_scan must be positive and finite"):
+    message = ("t_scan must be positive and finite" if not 0 < t_scan < math.inf
+               else f"t_scan {t_scan} puts Airy phases up to")
+    with pytest.raises(ValueError, match=re.escape(message)):
         extract_profile([bump(g, 2.0, 1.0)], ALPHA, t_scan=t_scan)
 
 
