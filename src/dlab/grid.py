@@ -20,10 +20,11 @@ GridFunction's Fourier side by a symbol and returns to the input's side;
 row_blocks yields the physical samples of the rows of an (m, n) physical
 array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), or spreads one Fourier density spectrum over all rows.  A caller
-that reduces each block before asking for the next (the restriction ratio,
-the space-time norms) never holds more than one block; physical_rows
-collects the blocks into one (m, n) array.  When the times are uniform
+in xi), or spreads one Fourier density spectrum over all rows.  A yielded
+block is only valid until the next one, so a caller that reduces each
+block before asking for the next (the restriction ratio, the space-time
+norms) never holds more than one; physical_rows collects the blocks into
+one (m, n) array.  When the times are uniform
 (every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
 ROW_BLOCK of them, the phases of a block starting at row lo are
 e^{i t_lo p} times a table e^{i j dt p}, j < ROW_BLOCK, built once per

@@ -225,7 +225,7 @@ def test_stein_tomas_rejects_too_few_samples(nt):
 
 @pytest.mark.parametrize("window", [0.0, -4.0, math.inf, -math.inf, math.nan, 1e200, 1e308])
 def test_stein_tomas_rejects_bad_time_window(window):
-    # max|xi| = 64 here: 2 * 1e200 * 64^3 is far past 2^52, 2 * 1e308 overflows
+    # max|xi| = 16 here: 2 * 1e200 * 16^3 is far past 2^52, 2 * 1e308 overflows
     g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
     message = ("time_window must be positive and finite" if not 0 < window < math.inf
                else f"time_window {window} puts Airy phases up to")
