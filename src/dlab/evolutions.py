@@ -9,15 +9,22 @@ the real solution with E = e^{i dt xi^3 / 2} and E^2 built once per solve.
 It drops the Nyquist mode, which e^{i t xi^3} and i xi would turn
 non-real, so frames after u0 are exactly real with no Nyquist content.
 The NLS solver is Strang splitting with the exact pointwise phase
-rotation for the nonlinear flow.  Nonlinear products are dealiased by
-zero padding (fractional powers |u|^{2a} cannot be dealiased exactly);
-a padded sample above BLOWUP_SUP stops the solve before |u|^{2a} overflows.
+rotation for the nonlinear flow; the closing half linear step of one step
+and the opening half step of the next are merged into one full step
+(Strang, SIAM J. Numer. Anal. 5, 1968), so a step is one ifft, the phase
+rotation and one fft, and the closing half step runs only at stored frames.
+Both solvers transform their state back to physical samples only at stored
+frames.  Nonlinear products are dealiased by zero padding (fractional
+powers |u|^{2a} cannot be dealiased exactly); a sample above BLOWUP_SUP in
+a gKdV stage or an NLS phase rotation stops the solve before |u|^{2a}
+overflows.
 mass and energy take physical samples (..., n), such as a SpaceTimeField's
 values, and return one value per row.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,8 +54,12 @@ class SolveConfig:
             raise ValueError(f"mu must be +1 or -1, got {self.mu}")
         if self.coupling < 0:
             raise ValueError("coupling must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end != 0):
+            raise ValueError(f"t_end must be finite and nonzero, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(abs(self.t_end) / self.dt):
+            raise ValueError(f"t_end / dt overflows: t_end={self.t_end}, dt={self.dt}")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
         lo, hi = ESTIMATE_ALPHA_RANGE
@@ -99,27 +110,38 @@ def _nonlinear_power(uh: np.ndarray, n: int, alpha: float) -> np.ndarray:
     return np.fft.rfft(mag ** (2.0 * alpha) * ubig)[: uh.size] / DEALIAS_PAD
 
 
+def _stored(step: int, n_steps: int, store_every: int) -> bool:
+    """Whether a solve of n_steps steps stores its frame after `step`."""
+    return step % store_every == 0 or step == n_steps
+
+
 def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeField:
-    """u0 and every store_every-th and the last (t, u) of steps(dt, n_steps).
+    """u0 and the (t, u) frames of steps(dt, n_steps, store_every), which
+    yields the frame after every step for which _stored holds and no other.
 
     The frames go into one array, which a backward solve fills from the end
-    so that times ascend.  A non-finite or huge state, or a step's
-    FloatingPointError, raises BlowupError with the frames stored so far.
+    so that times ascend; an array too large to allocate is a ValueError.
+    A non-finite or huge stored frame, or a step's FloatingPointError,
+    raises BlowupError with the frames stored so far.
     """
     backward = cfg.t_end < 0
     n_steps = cfg.n_steps
     n_store = 1 + -(-n_steps // cfg.store_every)
+    try:
+        values = np.empty((n_store, grid.n), dtype=np.complex128)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{n_store:.4g} frames of {grid.n} points need "
+                         f"{16.0 * n_store * grid.n:.3g} bytes, more than can be "
+                         "allocated; raise store_every or shorten t_end") from None
     times = np.empty(n_store)
-    values = np.empty((n_store, grid.n), dtype=np.complex128)
     i = n_store - 1 if backward else 0
     times[i], values[i] = 0.0, u0
     try:
-        for step, (t, u) in enumerate(steps(-cfg.dt if backward else cfg.dt, n_steps), start=1):
+        for t, u in steps(-cfg.dt if backward else cfg.dt, n_steps, cfg.store_every):
             if not np.max(np.abs(u)) <= BLOWUP_SUP:
                 raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} at t={t:g}")
-            if step % cfg.store_every == 0 or step == n_steps:
-                i += -1 if backward else 1
-                times[i], values[i] = t, u
+            i += -1 if backward else 1
+            times[i], values[i] = t, u
     except FloatingPointError:
         kept = slice(i, None) if backward else slice(0, i + 1)
         raise BlowupError(float(times[i]),
@@ -140,7 +162,7 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
     modes = (n + 1) // 2  # the rfft modes below Nyquist
     xi = np.fft.ifftshift(up.grid.frequencies())[:modes]
 
-    def steps(dt, n_steps):
+    def steps(dt, n_steps, store_every):
         e = np.exp(0.5j * dt * xi**3)
         e2 = e * e
         g = cfg.mu * cfg.coupling * 1j * dt * xi
@@ -151,7 +173,8 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
             c = g * _nonlinear_power(e * v + b / 2, n, cfg.alpha)
             d = g * _nonlinear_power(e2 * v + e * c, n, cfg.alpha)
             v = e2 * v + (e2 * a + 2 * e * (b + c) + d) / 6
-            yield step * dt, np.fft.irfft(v, n)
+            if _stored(step, n_steps, store_every):
+                yield step * dt, np.fft.irfft(v, n)
 
     return _record(up.grid, up.values, steps, cfg)
 
@@ -161,20 +184,33 @@ def nls_solve(v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
 
     The linear flow is e^{-i t d^2/dx^2} (Fourier phase e^{+i t xi^2});
     the nonlinear flow rotates pointwise by e^{+i mu coupling |v|^{2a} dt}.
-    Mass is conserved exactly up to FFT roundoff.
+    Each step's closing half linear step is merged with the next step's
+    opening one: the state stays on the Fourier side between steps, a step
+    is one ifft, the rotation and one fft followed by a full linear step,
+    and the closing half step is taken only for a stored frame.  The |v| of
+    the rotation is the per-step blow-up check.  Mass is conserved exactly
+    up to FFT roundoff.
     """
     vp = v0.to_physical()
     xi = np.fft.ifftshift(vp.grid.frequencies())
     rate = cfg.mu * cfg.coupling
 
-    def steps(dt, n_steps):
-        half_linear = np.exp(1j * (dt / 2.0) * xi**2)
-        v = vp.values
+    def steps(dt, n_steps, store_every):
+        half = np.exp(0.5j * dt * xi**2)
+        full = np.exp(1j * dt * xi**2)
+        phase = 1j * rate * dt
+        vh = half * np.fft.fft(vp.values)
+        v = np.empty_like(vh)
         for step in range(1, n_steps + 1):
-            v = np.fft.ifft(half_linear * np.fft.fft(v))
-            v = v * np.exp(1j * rate * np.abs(v) ** (2.0 * cfg.alpha) * dt)
-            v = np.fft.ifft(half_linear * np.fft.fft(v))
-            yield step * dt, v
+            np.fft.ifft(vh, out=v)
+            mag = np.abs(v)
+            if not mag.max() <= BLOWUP_SUP:
+                raise FloatingPointError(f"|v| exceeds {BLOWUP_SUP:g} in a nonlinear step")
+            v *= np.exp(phase * mag ** (2.0 * cfg.alpha))
+            np.fft.fft(v, out=vh)
+            if _stored(step, n_steps, store_every):
+                yield step * dt, np.fft.ifft(half * vh)
+            vh *= full
 
     return _record(vp.grid, vp.values, steps, cfg)
 

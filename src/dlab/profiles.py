@@ -220,7 +220,9 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     if num1 > 0 and abs(num2 - num1) / num1 > 0.01:
         raise ValueError(
             f"time window {time_window} too short: doubling moved the norm by "
-            f"{abs(num2 - num1) / num1:.2%}; retry with window {4 * time_window}")
+            f"{abs(num2 - num1) / num1:.2%}; the Airy flow on a torus does not "
+            f"disperse, so the grid's period {f.grid.length:.6g} bounds the usable "
+            "window and a longer one need not converge: use a longer period")
     return num2 / denom
 
 

@@ -241,6 +241,18 @@ def test_solve_reports_health_and_warnings(capsys):
     assert line.startswith("UserWarning: alpha=1.0 is outside the range")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--t-end=inf"], "t_end must be finite and nonzero, got inf"),
+    (["--t-end=0"], "t_end must be finite and nonzero, got 0.0"),
+    (["--dt=inf"], "dt must be positive and finite, got inf"),
+    (["--t-end=1e13", "--dt=1e-3"], "2e+14 frames of 512 points need 1.64e+18 bytes"),
+])
+def test_solve_bad_time_range_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, "solve", "nls", *argv, "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(message)
+
+
 def test_verify_soliton_lists_the_range_warning(capsys):
     code, out, _ = run(capsys, "verify", "soliton", "--no-timestamps")
     assert code == 0

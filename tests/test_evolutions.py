@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlab.deformations import airy_flow, schrodinger_flow
-from dlab.evolutions import (DEALIAS_PAD, BlowupError, SolveConfig, _record,
+from dlab.evolutions import (DEALIAS_PAD, BlowupError, SolveConfig, _record, _stored,
                              c_alpha, drift, energy, gkdv_solve, mass, nls_solve,
                              soliton_exact, soliton_profile, soliton_Q, suggest_dt)
 from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction
@@ -48,7 +48,7 @@ def gkdv_solve_reference(u0: GridFunction, cfg: SolveConfig):
         u = np.fft.ifft(np.exp(1j * t * xi ** 3) * w)
         return np.exp(-1j * t * xi ** 3) * factor * np.fft.fft(nonlinear_power(u))
 
-    def steps(dt, n_steps):
+    def steps(dt, n_steps, store_every):
         w = np.fft.fft(up.values)
         for step in range(1, n_steps + 1):
             t = (step - 1) * dt
@@ -57,9 +57,31 @@ def gkdv_solve_reference(u0: GridFunction, cfg: SolveConfig):
             k3 = rhs(t + dt / 2, w + dt / 2 * k2)
             k4 = rhs(t + dt, w + dt * k3)
             w = w + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            yield step * dt, np.fft.ifft(np.exp(1j * step * dt * xi ** 3) * w)
+            if _stored(step, n_steps, store_every):
+                yield step * dt, np.fft.ifft(np.exp(1j * step * dt * xi ** 3) * w)
 
     return _record(up.grid, up.values, steps, cfg)
+
+
+def nls_solve_reference(v0: GridFunction, cfg: SolveConfig):
+    """The unmerged Strang step: half linear step, nonlinear rotation, half
+    linear step, each step starting and ending on physical samples.
+    nls_solve, which merges adjacent half steps, must reproduce it."""
+    vp = v0.to_physical()
+    xi = np.fft.ifftshift(vp.grid.frequencies())
+    rate = cfg.mu * cfg.coupling
+
+    def steps(dt, n_steps, store_every):
+        half_linear = np.exp(1j * (dt / 2.0) * xi ** 2)
+        v = vp.values
+        for step in range(1, n_steps + 1):
+            v = np.fft.ifft(half_linear * np.fft.fft(v))
+            v = v * np.exp(1j * rate * np.abs(v) ** (2.0 * cfg.alpha) * dt)
+            v = np.fft.ifft(half_linear * np.fft.fft(v))
+            if _stored(step, n_steps, store_every):
+                yield step * dt, v
+
+    return _record(vp.grid, vp.values, steps, cfg)
 
 
 def mass_reference(u: GridFunction) -> float:
@@ -96,6 +118,18 @@ def test_config_validation():
         quiet_config(alpha=1.8, dt=0.0)
     with pytest.raises(ValueError):
         quiet_config(alpha=1.8, coupling=-0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            quiet_config(alpha=1.8, dt=bad)
+        with pytest.raises(ValueError, match="t_end must be finite and nonzero"):
+            quiet_config(alpha=1.8, t_end=bad)
+    with pytest.raises(ValueError, match="t_end must be finite and nonzero"):
+        quiet_config(alpha=1.8, t_end=0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        quiet_config(alpha=1.8, t_end=1e300, dt=1e-300)
+    # 1e16 frames: refused before any step is taken
+    with pytest.raises(ValueError, match=r"^1e\+16 frames of 256 points need 4.1e\+19 bytes"):
+        nls_solve(gaussian(GRID), quiet_config(alpha=1.8, t_end=1e13, dt=1e-3))
     with pytest.warns(UserWarning, match="outside the range"):
         SolveConfig(alpha=1.0)
 
@@ -200,6 +234,38 @@ def test_gkdv_matches_the_direct_integrating_factor_form(t_end):
     assert gap <= 1e-12
 
 
+@pytest.mark.parametrize("t_end", [0.1, -0.1])
+@pytest.mark.parametrize("store_every", [1, 7, 1000])
+def test_nls_merged_step_matches_the_unmerged_strang_step(t_end, store_every):
+    # 100 steps: store_every = 7 leaves a partial last stride, 1000 stores
+    # only u0 and the last frame
+    v0 = gaussian(GRID, amp=1.5)
+    cfg = quiet_config(alpha=2.0, mu=-1, t_end=t_end, dt=1e-3, store_every=store_every)
+    run = nls_solve(v0, cfg)
+    ref = nls_solve_reference(v0, cfg)
+    assert len(run) == len(ref) == 1 + -(-100 // store_every)
+    np.testing.assert_array_equal(run.times, ref.times)
+    gap = np.max(np.abs(run.values - ref.values)) / np.max(np.abs(ref.values))
+    assert gap <= 1e-12
+
+
+def test_solvers_transform_back_only_at_stored_frames(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+            calls.append((_name, kw.get("n", args[1] if len(args) > 1 else None)))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    cfg = quiet_config(alpha=2.0, t_end=0.1, dt=1e-3, store_every=7)  # 100 steps
+    run = nls_solve(gaussian(GRID), cfg)
+    assert len(run) == 16
+    # an opening half step, two transforms a step, one per stored frame
+    assert len(calls) == 2 * 100 + 15 + 1
+    calls.clear()
+    gkdv_solve(gaussian(GRID), cfg)
+    assert calls.count(("irfft", GRID.n)) == 15
+
+
 def test_gkdv_zero_coupling_is_airy():
     u0 = gaussian(GRID)
     cfg = quiet_config(alpha=1.8, coupling=0.0, t_end=0.1, dt=1e-3,
@@ -257,3 +323,9 @@ def test_blowup_detection():
     assert err.t_last >= 0.0
     assert len(err.partial) >= 1
     assert err.partial.times[0] == 0.0
+    # the |v| of the NLS phase rotation is checked in every step, stored or not
+    with warnings.catch_warnings(), pytest.raises(BlowupError) as info:
+        warnings.simplefilter("error")
+        nls_solve(gaussian(GRID, amp=2e8), quiet_config(alpha=2.0, t_end=0.01, store_every=5))
+    assert info.value.t_last == 0.0
+    np.testing.assert_array_equal(info.value.partial.times, [0.0])

@@ -161,8 +161,22 @@ def test_stein_tomas_flags_short_windows():
     xi = g.frequencies()
     vals = (np.abs(xi - 2.0) < g.dxi / 2.0).astype(complex)
     f = GridFunction(g, vals, FOURIER)
-    with pytest.raises(ValueError, match="retry with window"):
+    with pytest.raises(ValueError, match="bounds the usable window"):
         stein_tomas_ratio(f, ALPHA, SIGMA, 4.0)
+
+
+def test_stein_tomas_refusal_names_the_period_not_a_longer_window():
+    # on this torus the Gaussian's Airy flow wraps around instead of
+    # dispersing: windows 2, 4, 8 and 16 are all refused, so the message
+    # must not suggest a longer one
+    g = Grid(512, 32 * np.pi, -16 * np.pi)
+    f = GridFunction(g, np.exp(-g.nodes() ** 2) + 0j)
+    with pytest.raises(ValueError) as info:
+        stein_tomas_ratio(f, ALPHA, SIGMA, 2.0)
+    message = str(info.value)
+    assert "\n" not in message and "retry" not in message
+    assert message.startswith("time window 2.0 too short: doubling moved the norm by 2.15%")
+    assert f"the grid's period {g.length:.6g} bounds the usable window" in message
 
 
 def test_stein_tomas_translation_invariance():
