@@ -11,14 +11,24 @@ the seam times +-T/(3 xi_n) the seam states continue by the free Airy
 flow.  approx_field evaluates u~ at many times as one array: v's rows are
 interpolated in time, translated by the per-row Fourier phase of
 grid.physical_rows, and put on the carrier; build_approx_solution is the
-same evaluator at one time.  The experiment sweeps the carrier frequency
-and records how the gap to the true gKdV solution closes.
+same evaluator at one time.  residual_field measures how far u~ is from
+solving gKdV through the envelope identity
+
+    (d/dt + d^3/dx^3) u~ = Re[e^{i theta} (v_zzz - 3 i xi_n mu C0 |v|^{2a} v)],
+    theta = -x xi_n - t xi_n^3,
+
+so the fast carrier e^{-i t xi_n^3} is never differenced in time and a
+fixed RESIDUAL_FRAMES times resolve the residual at every carrier.  The
+experiment sweeps the carrier frequency and records how the gap to the
+true gKdV solution closes; a row whose third harmonic 3(xi_n + xi_n^{1/4})
+lies above the grid's top frequency says so and warns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,7 +37,7 @@ from scipy.special import gamma as gamma_fn
 from .grid import (PHYSICAL, ROW_BLOCK, GridFunction, SpaceTimeField, fourier_multiply,
                    physical_rows)
 from .deformations import airy_flow, modulate
-from .evolutions import SolveConfig, gkdv_solve, nls_solve, suggest_dt
+from .evolutions import SolveConfig, _nonlinear_power, gkdv_solve, nls_solve, suggest_dt
 from .norms import NormSpec, lhat_norm, spacetime_norm
 
 
@@ -110,24 +120,36 @@ def build_approx_solution(v: SpaceTimeField, xi_n: float, T: float,
     return u if edge == t_query else airy_flow(u, t_query - edge)
 
 
-def residual_field(u_tilde: SpaceTimeField, alpha: float, mu: int,
-                   coupling: float = 1.0) -> SpaceTimeField:
-    """(d/dt + d^3/dx^3) u - mu * coupling * d/dx(|u|^{2a} u) on interior frames."""
-    if len(u_tilde) < 3:
-        raise ValueError("need at least 3 frames for centered time differencing")
-    grid = u_tilde.grid
-    arr = u_tilde.values
+def residual_field(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: float,
+                   alpha: float, mu: int) -> SpaceTimeField:
+    """(d/dt + d^3/dx^3) u~ - mu d/dx(|u~|^{2a} u~) at the times of u_tilde.
+
+    u_tilde must be approx_field(v, xi_n, times), with v the NLS solution of
+    coupling c0.  The linear part is approx_field of
+    w = v_zzz - 3 i xi_n mu c0 |v|^{2a} v on v's stored rows, by the envelope
+    identity of the module docstring, which is exact when v solves the NLS;
+    no time derivative is formed.  The power |u~|^{2a} u~ is formed on the
+    DEALIAS_PAD grid and truncated back, as in gkdv_solve.
+    """
+    grid = v.grid
     xi = grid.frequencies()
-    res = np.gradient(arr, u_tilde.times, axis=0, edge_order=2)[1:-1]
-    u = arr[1:-1]
-    res += physical_rows(grid, u, symbol=(1j * xi) ** 3)
-    nl = np.abs(u) ** (2.0 * alpha) * u
-    res -= physical_rows(grid, nl, symbol=mu * coupling * 1j * xi, out=nl)
-    return SpaceTimeField(grid, u_tilde.times[1:-1], res)
+    w = physical_rows(grid, v.values, symbol=(1j * xi) ** 3)
+    w -= (3j * xi_n * mu * c0) * np.abs(v.values) ** (2.0 * alpha) * v.values
+    res = approx_field(SpaceTimeField(grid, v.times, w), xi_n, u_tilde.times).values
+    # rfft modes below Nyquist, as in gkdv_solve
+    n = grid.n
+    modes = (n + 1) // 2
+    uh = np.fft.rfft(u_tilde.values.real)[:, :modes]
+    nl = _nonlinear_power(uh, n, alpha)
+    nl *= mu * 1j * np.fft.ifftshift(xi)[:modes]
+    res -= np.fft.irfft(nl, n)
+    return SpaceTimeField(grid, u_tilde.times, res)
 
 
 # gKdV frames kept per time direction
 GKDV_FRAMES = 33
+# residual times, uniform in +-0.9 of the seam time
+RESIDUAL_FRAMES = 257
 
 
 @dataclass
@@ -149,10 +171,11 @@ class EmbeddingConfig:
             self.phi.grid.lattice_index(x)
 
 
-def _solve_both_ways(solver, v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
-    """Solve from t=0 to cfg.t_end and to -cfg.t_end; merge into one field."""
-    run_f = solver(v0, cfg)
-    run_b = solver(v0, replace(cfg, t_end=-cfg.t_end))
+def _solve_both_ways(solver, v0: GridFunction, t_end: float, **cfg) -> SpaceTimeField:
+    """Solve from t=0 to t_end and to -t_end; merge into one field.  Both
+    SolveConfigs are built here, so their warnings point at this module."""
+    run_f = solver(v0, SolveConfig(t_end=t_end, **cfg))
+    run_b = solver(v0, SolveConfig(t_end=-t_end, **cfg))
     times = np.concatenate([run_b.times[:-1], run_f.times])
     values = np.concatenate([run_b.values[:-1], run_f.values])
     return SpaceTimeField(run_f.grid, times, values)
@@ -165,6 +188,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
     spec_s = NormSpec.from_preset("S", cfg.alpha)
     spec_l = NormSpec.from_preset("L", cfg.alpha)
     spec_n = NormSpec.from_preset("N", cfg.alpha)
+    top = float(np.max(grid.frequencies()))
 
     rows = []
     for xi_n in cfg.xi_list:
@@ -173,9 +197,8 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         # NLS on the slow scale, frequency-cut data, coupling C0
         v0 = sharp_cutoff(cfg.phi, xi_n ** 0.25)
         store = max(1, int(math.floor((cfg.T / 64.0) / cfg.nls_dt)))
-        v_field = _solve_both_ways(nls_solve, v0, SolveConfig(
-            alpha=cfg.alpha, mu=cfg.mu, coupling=c0, t_end=cfg.T, dt=cfg.nls_dt,
-            store_every=store))
+        v_field = _solve_both_ways(nls_solve, v0, cfg.T, alpha=cfg.alpha, mu=cfg.mu,
+                                   coupling=c0, dt=cfg.nls_dt, store_every=store)
 
         # gKdV with the full (uncut) profile on the carrier; the step follows
         # the per-carrier accuracy rule
@@ -184,9 +207,8 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         xi_active = xi_n + 8.0
         dt = min(suggest_dt(grid, xi_active), seam / 64.0)
         g_store = max(1, round(seam / dt / (GKDV_FRAMES - 1)))
-        u_field = _solve_both_ways(gkdv_solve, u0, SolveConfig(
-            alpha=cfg.alpha, mu=cfg.mu, coupling=1.0, t_end=seam, dt=dt,
-            store_every=g_store))
+        u_field = _solve_both_ways(gkdv_solve, u0, seam, alpha=cfg.alpha, mu=cfg.mu,
+                                   coupling=1.0, dt=dt, store_every=g_store)
 
         # seam-time gap in the critical data norm
         errs = []
@@ -196,11 +218,16 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
             ut_t = build_approx_solution(v_field, xi_n, cfg.T, float(u_field.times[i]))
             errs.append(lhat_norm(u_t - ut_t, cfg.alpha))
 
-        # residual of the approximation measured in the Y-type norm; the
-        # frame spacing must resolve the carrier oscillation e^{-i t xi_n^3}
-        n_res = int(np.clip(math.ceil(1.8 * seam * xi_n ** 3 / 0.05), 33, 4097))
-        t_res = np.linspace(-0.9 * seam, 0.9 * seam, n_res)
-        resid = residual_field(approx_field(v_field, xi_n, t_res), cfg.alpha, cfg.mu)
+        # residual of the approximation measured in the Y-type norm; beyond
+        # the grid's top frequency the third harmonic of the carrier is cut
+        harmonic = 3.0 * (xi_n + xi_n ** 0.25)
+        if harmonic > top:
+            warnings.warn(f"xi={xi_n:g}: the third harmonic band edge 3(xi + xi^(1/4)) = "
+                          f"{harmonic:.4g} exceeds the grid's top frequency {top:g}; "
+                          "residual_Y omits it", stacklevel=2)
+        t_res = np.linspace(-0.9 * seam, 0.9 * seam, RESIDUAL_FRAMES)
+        resid = residual_field(approx_field(v_field, xi_n, t_res), v_field, xi_n, c0,
+                               cfg.alpha, cfg.mu)
         rows.append({
             "xi": float(xi_n),
             "seam_time": float(seam),
@@ -208,5 +235,6 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
             "norm_S": float(spacetime_norm(u_field, spec_s)),
             "norm_L": float(spacetime_norm(u_field, spec_l)),
             "residual_Y": float(spacetime_norm(resid, spec_n)),
+            "harmonics_resolved": bool(harmonic <= top),
         })
     return rows

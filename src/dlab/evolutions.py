@@ -100,14 +100,15 @@ def suggest_dt(grid: Grid, xi_active: float | None = None) -> float:
 
 def _nonlinear_power(uh: np.ndarray, n: int, alpha: float) -> np.ndarray:
     """rfft coefficients of |u|^{2 alpha} u for u = irfft(uh, n), formed on a
-    zero-padded grid and truncated back to the len(uh) modes of uh; raises
-    FloatingPointError if a padded sample exceeds BLOWUP_SUP or is not finite."""
+    zero-padded grid and truncated back to the uh.shape[-1] modes of uh, row
+    by row along the last axis; raises FloatingPointError if a padded sample
+    exceeds BLOWUP_SUP or is not finite."""
     m = DEALIAS_PAD * n
     ubig = np.fft.irfft(uh, m) * DEALIAS_PAD
     mag = np.abs(ubig)
     if not mag.max() <= BLOWUP_SUP:
         raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} in a nonlinear stage")
-    return np.fft.rfft(mag ** (2.0 * alpha) * ubig)[: uh.size] / DEALIAS_PAD
+    return np.fft.rfft(mag ** (2.0 * alpha) * ubig)[..., :uh.shape[-1]] / DEALIAS_PAD
 
 
 def _stored(step: int, n_steps: int, store_every: int) -> bool:

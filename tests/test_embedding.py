@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlab import embedding
 from dlab.deformations import airy_flow, modulate, translate
 from dlab.embedding import (EmbeddingConfig, approx_field, build_approx_solution,
                             embedding_constants, embedding_experiment,
                             fourier_sin_coeff, residual_field, sharp_cutoff)
-from dlab.evolutions import SolveConfig, nls_solve
+from dlab.evolutions import SolveConfig, _nonlinear_power, nls_solve
 from dlab.grid import FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
 
 
@@ -165,47 +167,54 @@ def test_approx_field_outside_stored_range_raises():
 # residual
 # ---------------------------------------------------------------------------
 
-def test_residual_vanishes_on_free_solutions():
-    g = Grid(256, 16 * np.pi, -8 * np.pi)
-    xi = g.frequencies()
-    u0 = GridFunction(g, np.exp(-xi ** 2 / 2.0) * (np.abs(xi) <= 2.0), FOURIER)
-    u0 = GridFunction(g, u0.to_physical().values.real, PHYSICAL)
-    times = np.linspace(-0.2, 0.2, 201)
-    values = np.array([airy_flow(u0, float(t)).values for t in times])
-    field = SpaceTimeField(g, times, values)
-    res = residual_field(field, alpha=1.9, mu=-1, coupling=0.0)
-    sup_res = float(np.max(np.abs(res.values)))
-    uxxx_scale = float(np.max(np.abs(
-        GridFunction(g, (1j * xi) ** 3 * u0.to_fourier().values,
-                     FOURIER).to_physical().values)))
-    assert sup_res / uxxx_scale < 1e-3
-    assert len(res) == len(field) - 2
+def direct_residual(u_tilde: SpaceTimeField, alpha: float, mu: int):
+    """(d/dt + d^3/dx^3) u and (d/dt + d^3/dx^3) u - mu d/dx(|u|^{2a} u) on
+    interior frames: np.gradient in time, spectral d^3/dx^3, the power padded
+    as in the solver."""
+    g, u = u_tilde.grid, u_tilde.values.real
+    k = np.fft.ifftshift(g.frequencies())
+    modes = g.n // 2
+    lin = np.gradient(u, u_tilde.times, axis=0, edge_order=2)
+    lin += np.fft.ifft((1j * k) ** 3 * np.fft.fft(u)).real
+    nl = mu * 1j * k[:modes] * _nonlinear_power(np.fft.rfft(u)[:, :modes], g.n, alpha)
+    return lin[1:-1], lin[1:-1] - np.fft.irfft(nl, g.n)[1:-1]
 
 
-def test_residual_matches_per_frame_loop():
-    # reference: the per-frame spectral derivatives, one FFT pair per frame
-    g = Grid(128, 8 * np.pi, -4 * np.pi)
-    rng = np.random.default_rng(12)
-    times = np.linspace(0.0, 0.1, 70)  # more interior frames than one block
-    values = np.exp(-g.nodes() ** 2) * (1.0 + 0.1 * rng.normal(size=(70, 128)))
-    res = residual_field(SpaceTimeField(g, times, values), alpha=1.9, mu=-1, coupling=0.7)
-    dudt = np.gradient(values, times, axis=0, edge_order=2)
-    xi = np.fft.ifftshift(g.frequencies())
-    for i in range(1, 69):
-        u = values[i]
-        uxxx = np.fft.ifft((1j * xi) ** 3 * np.fft.fft(u))
-        nlx = np.fft.ifft(1j * xi * np.fft.fft(np.abs(u) ** 3.8 * u))
-        want = dudt[i] + uxxx + 0.7 * nlx
-        assert np.max(np.abs(res.values[i - 1] - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(res.times, times[1:-1])
+@pytest.mark.parametrize("dt, tol", [(1e-3, 2e-2), (1e-4, 2e-3)])
+def test_residual_envelope_form_matches_time_differencing(dt, tol):
+    # times much shorter than 1/xi^3 inside one stored step of v, where
+    # np.gradient resolves the carrier; the gap is the linear interpolation
+    # of v between stored rows, first order in the stored spacing
+    g = Grid(256, 8 * np.pi, -4 * np.pi)
+    alpha, mu, xi_n = 1.9, -1, 4.0
+    c0, _ = embedding_constants(alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = dict(alpha=alpha, mu=mu, coupling=c0, dt=dt, store_every=1)
+        v_f = nls_solve(gaussian(g), SolveConfig(t_end=0.01, **cfg))
+        v_b = nls_solve(gaussian(g), SolveConfig(t_end=-0.01, **cfg))
+    v = SpaceTimeField(g, np.concatenate([v_b.times[:-1], v_f.times]),
+                       np.concatenate([v_b.values[:-1], v_f.values]))
+    times = np.linspace(0.1, 0.9, 41) * dt / (3.0 * xi_n)
+    u_tilde = approx_field(v, xi_n, times)
+    res = residual_field(u_tilde, v, xi_n, c0, alpha, mu)
+    assert np.array_equal(res.times, times)
+    assert np.max(np.abs(res.values.imag)) == 0.0
+    lin, want = direct_residual(u_tilde, alpha, mu)
+    gap = np.max(np.abs(res.values[1:-1] - want)) / np.max(np.abs(lin))
+    assert gap < tol
 
 
-def test_residual_needs_three_frames():
-    g = Grid(64, 8.0, -4.0)
-    f = gaussian(g)
-    field = SpaceTimeField(g, np.array([0.0, 1.0]), np.array([f.values, f.values]))
-    with pytest.raises(ValueError, match="at least 3 frames"):
-        residual_field(field, 1.9, -1)
+def test_residual_Y_is_stable_under_frame_refinement(monkeypatch):
+    # criterion 11's input: doubling the residual times moves residual_Y by < 1 %
+    g = Grid(1024, 8.0 * math.pi, -4.0 * math.pi)
+    cfg = EmbeddingConfig(alpha=1.9, phi=gaussian(g), xi_list=(16.0, 32.0), T=1.0,
+                          nls_dt=1e-3)
+    coarse = [r["residual_Y"] for r in embedding_experiment(cfg)]
+    monkeypatch.setattr(embedding, "RESIDUAL_FRAMES", 2 * embedding.RESIDUAL_FRAMES - 1)
+    fine = [r["residual_Y"] for r in embedding_experiment(cfg)]
+    for a, b in zip(coarse, fine):
+        assert abs(b - a) < 0.01 * a
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +240,8 @@ def test_embedding_experiment_small_sweep():
     assert len(rows) == 1
     row = rows[0]
     assert set(row) == {"xi", "seam_time", "err_lhat_alpha", "norm_S",
-                        "norm_L", "residual_Y"}
+                        "norm_L", "residual_Y", "harmonics_resolved"}
+    assert row["harmonics_resolved"] is True  # 3 (4 + 4^{1/4}) < 31.75
     assert row["xi"] == 4.0
     assert row["seam_time"] == pytest.approx(0.25 / 12.0)
     for key in ("err_lhat_alpha", "norm_S", "norm_L", "residual_Y"):
@@ -243,6 +253,16 @@ def test_embedding_experiment_reports_solver_range_warning():
     g = Grid(64, 8 * np.pi, -4 * np.pi)
     cfg = EmbeddingConfig(alpha=1.5, phi=gaussian(g), xi_list=(4.0,),
                           T=0.1, nls_dt=1e-2)
-    with pytest.warns(UserWarning, match="outside the range"):
+    with pytest.warns(UserWarning) as record:
         rows = embedding_experiment(cfg)
     assert len(rows) == 1
+    # the solver warnings point at the module that builds the SolveConfigs
+    solver = [w for w in record if "outside the range" in str(w.message)]
+    assert solver
+    assert all(os.path.basename(w.filename) == "embedding.py" for w in solver)
+    # 3 (4 + 4^{1/4}) lies above this grid's top frequency 7.75: the row says
+    # so, and the warning points at the caller of embedding_experiment
+    assert rows[0]["harmonics_resolved"] is False
+    harmonic = [w for w in record if "third harmonic" in str(w.message)]
+    assert len(harmonic) == 1 and harmonic[0].filename == __file__
+    assert len(solver) + len(harmonic) == len(record)

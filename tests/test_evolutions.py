@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dlab.deformations import airy_flow, schrodinger_flow
-from dlab.evolutions import (DEALIAS_PAD, BlowupError, SolveConfig, _record, _stored,
-                             c_alpha, drift, energy, gkdv_solve, mass, nls_solve,
-                             soliton_exact, soliton_profile, soliton_Q, suggest_dt)
+from dlab.evolutions import (DEALIAS_PAD, BlowupError, SolveConfig, _nonlinear_power,
+                             _record, _stored, c_alpha, drift, energy, gkdv_solve, mass,
+                             nls_solve, soliton_exact, soliton_profile, soliton_Q, suggest_dt)
 from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction
 
 
@@ -232,6 +232,17 @@ def test_gkdv_matches_the_direct_integrating_factor_form(t_end):
     assert np.all(run.values.imag == 0.0)
     gap = np.max(np.abs(run.values - ref.values)) / np.max(np.abs(ref.values))
     assert gap <= 1e-12
+
+
+def test_nonlinear_power_of_rows_matches_row_by_row_calls():
+    # a 2-D call pads and truncates along the last axis, one row at a time
+    n = 128
+    rng = np.random.default_rng(5)
+    uh = np.fft.rfft(rng.normal(size=(5, n)))[:, : n // 2]
+    rows = _nonlinear_power(uh, n, 1.9)
+    assert rows.shape == uh.shape
+    for k in range(len(uh)):
+        np.testing.assert_array_equal(rows[k], _nonlinear_power(uh[k], n, 1.9))
 
 
 @pytest.mark.parametrize("t_end", [0.1, -0.1])
