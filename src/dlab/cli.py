@@ -58,7 +58,8 @@ def _emit(manifest: dict, args) -> None:
 
 
 def _write_csv(path: str, columns: dict) -> None:
-    """CSV with a column per entry of `columns`, written as plain Python floats."""
+    """CSV with a column per entry of `columns`, written as plain Python values
+    (floats; a flag such as `harmonics_resolved` as True/False)."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

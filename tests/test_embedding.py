@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dlab import embedding
 from dlab.deformations import airy_flow, modulate, translate
-from dlab.embedding import (EmbeddingConfig, approx_field, build_approx_solution,
-                            embedding_constants, embedding_experiment,
+from dlab.embedding import (EmbeddingConfig, _solve_both_ways, approx_field,
+                            build_approx_solution, embedding_constants, embedding_experiment,
                             fourier_sin_coeff, residual_field, sharp_cutoff)
 from dlab.evolutions import SolveConfig, _nonlinear_power, nls_solve
 from dlab.grid import FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
@@ -190,11 +190,8 @@ def test_residual_envelope_form_matches_time_differencing(dt, tol):
     c0, _ = embedding_constants(alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg = dict(alpha=alpha, mu=mu, coupling=c0, dt=dt, store_every=1)
-        v_f = nls_solve(gaussian(g), SolveConfig(t_end=0.01, **cfg))
-        v_b = nls_solve(gaussian(g), SolveConfig(t_end=-0.01, **cfg))
-    v = SpaceTimeField(g, np.concatenate([v_b.times[:-1], v_f.times]),
-                       np.concatenate([v_b.values[:-1], v_f.values]))
+        v = _solve_both_ways(nls_solve, gaussian(g), 0.01, alpha=alpha, mu=mu,
+                             coupling=c0, dt=dt, store_every=1)
     times = np.linspace(0.1, 0.9, 41) * dt / (3.0 * xi_n)
     u_tilde = approx_field(v, xi_n, times)
     res = residual_field(u_tilde, v, xi_n, c0, alpha, mu)
