@@ -3,13 +3,16 @@
 Each check_* function runs one battery, measures its numbers against the
 stated tolerances, and returns a dict with at least {"name", "passed",
 "measured"}.  BATTERIES lists each one once, with its acceptance
-criterion and its `dlab verify` name; the CLI and the acceptance test
-suite both dispatch through it, so that a pass means the same thing in
-both places.
+criterion and its `dlab verify` name.  run_battery is the one way to run
+a battery: it passes the seed to the batteries that sample, and adds the
+warnings the battery raised under "warnings".  `dlab verify` and the
+acceptance test suite both call it, so that a pass means the same thing
+in both places.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 
@@ -32,11 +35,6 @@ from .norms import ell
 
 def _result(name: str, passed: bool, measured: dict) -> dict:
     return {"name": name, "passed": bool(passed), "measured": measured}
-
-
-def warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
-    """One line per warning recorded by catch_warnings(record=True)."""
-    return [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
 def check_exponents() -> dict:
@@ -104,15 +102,11 @@ def check_soliton() -> dict:
 
     u0 = soliton_Q(alpha, grid, c=1.0)
     dt = suggest_dt(grid)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        cfg = SolveConfig(alpha=alpha, mu=-1, t_end=0.5, dt=dt, store_every=50)
-        run = gkdv_solve(u0, cfg)
+    run = gkdv_solve(u0, SolveConfig(alpha=alpha, mu=-1, t_end=0.5, dt=dt, store_every=50))
     exact = soliton_profile(alpha, x - run.times[:, None])
     err = float(np.sqrt(np.max(mass(grid, run.values - exact) / mass(grid, exact))))
     measured["dt"] = dt
     measured["max_rel_l2_error"] = err
-    measured["warnings"] = warning_lines(caught)
     ok &= err < 1e-5
     return _result("soliton benchmark", ok, measured)
 
@@ -451,3 +445,12 @@ BATTERIES = [
     (None, "interpolation", check_interpolation),
 ]
 
+
+def run_battery(fn, seed: int) -> dict:
+    """Run one battery of BATTERIES, passing `seed` if it samples; the warnings
+    it raised go under "warnings" as warnings.WarningMessage objects."""
+    kwargs = {"seed": seed} if "seed" in inspect.signature(fn).parameters else {}
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(**kwargs)
+    result["warnings"] = caught
+    return result

@@ -1,16 +1,18 @@
 """Command line front end.
 
 Subcommands: solve gkdv|nls, norm, embed, profiles extract|decompose,
-verify <battery>, gf info|convert.  Results go to stdout as JSON; CSV
-tables go to --csv where a command writes one.  Exit code 0 when all
-requested checks pass, 1 on a failed check or bad data, 2 on usage errors.
+verify <battery>, gf info|convert.  Each cmd_* returns its exit code and
+its report; main runs it under one warnings recorder, adds the warnings
+it raised to the report as "<file>:<line>: <Category>: <message>" lines
+and writes the report to stdout as JSON.  CSV tables go to --csv where a
+command writes one.  Exit code 0 when all requested checks pass, 1 on a
+failed check or bad data (one line on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import math
 import os
@@ -21,13 +23,13 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .grid import FOURIER, PHYSICAL, Grid, GridFunction
+from .grid import PHYSICAL, Grid, GridFunction
 from . import checks as _checks
 from .evolutions import (BlowupError, SolveConfig, drift, energy, gkdv_solve, mass,
                          nls_solve, soliton_Q, suggest_dt)
 from .embedding import EmbeddingConfig, embedding_experiment
-from .fileio import (GridFileError, read_grid_function, read_space_time_field,
-                     write_grid_function, write_space_time_field)
+from .fileio import (read_grid_function, read_space_time_field, write_grid_function,
+                     write_space_time_field)
 from .norms import NormSpec, ell, lhat_norm, morrey_norm, spacetime_norm
 from .profiles import extract_profile, profile_decompose
 
@@ -35,6 +37,9 @@ VERIFY_BATTERIES = {name: fn for _, name, fn in _checks.BATTERIES}
 
 
 def _json_default(obj):
+    if isinstance(obj, warnings.WarningMessage):
+        return (f"{os.path.basename(obj.filename)}:{obj.lineno}: "
+                f"{obj.category.__name__}: {obj.message}")
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -88,94 +93,81 @@ def _initial_data(args, grid: Grid) -> GridFunction:
     return read_grid_function(args.preset)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict]:
     grid = _make_grid(args)
     u0 = _initial_data(args, grid)
     dt = args.dt if args.dt is not None else suggest_dt(grid)
     solver = gkdv_solve if args.equation == "gkdv" else nls_solve
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        cfg = SolveConfig(alpha=args.alpha, mu=args.mu, coupling=args.coupling,
-                          t_end=args.t_end, dt=dt, store_every=args.store_every)
-        try:
-            run = solver(u0, cfg)
-        except BlowupError as err:
-            _emit({"command": "solve", "equation": args.equation,
-                   "blowup": True, "t_last": err.t_last,
-                   "warnings": _checks.warning_lines(caught)}, args)
-            return 1
-        masses = mass(run.grid, run.values)
-        health = {"steps": cfg.n_steps, "mass_drift": drift(masses)}
-        if args.equation == "gkdv":
-            health["energy_drift"] = drift(
-                energy(run.grid, run.values, args.alpha, args.mu * args.coupling))
+    cfg = SolveConfig(alpha=args.alpha, mu=args.mu, coupling=args.coupling,
+                      t_end=args.t_end, dt=dt, store_every=args.store_every)
+    try:
+        run = solver(u0, cfg)
+    except BlowupError as err:
+        return 1, {"command": "solve", "equation": args.equation,
+                   "blowup": True, "t_last": err.t_last}
+    masses = mass(run.grid, run.values)
+    # times ascend either way, so a backward solve ends at the first frame
+    health = {"steps": cfg.n_steps, "t_reached": run.times[0 if args.t_end < 0 else -1],
+              "mass_drift": drift(masses)}
+    if args.equation == "gkdv":
+        health["energy_drift"] = drift(
+            energy(run.grid, run.values, args.alpha, args.mu * args.coupling))
     if args.out:
         write_space_time_field(run, args.out)
     if args.csv:
         _write_csv(args.csv, {"t": run.times, "mass": masses,
                               "sup": np.max(np.abs(run.values), axis=1)})
-    _emit({"command": "solve", "equation": args.equation,
-           "config": {"alpha": args.alpha, "mu": args.mu,
-                      "coupling": args.coupling, "t_end": args.t_end,
-                      "dt": dt, "n": args.n, "length": args.length,
-                      "preset": args.preset, "store_every": args.store_every},
-           "frames": len(run), **health, "out": args.out,
-           "warnings": _checks.warning_lines(caught)}, args)
-    return 0
+    return 0, {"command": "solve", "equation": args.equation,
+               "config": {"alpha": args.alpha, "mu": args.mu,
+                          "coupling": args.coupling, "t_end": args.t_end,
+                          "dt": dt, "n": args.n, "length": args.length,
+                          "preset": args.preset, "store_every": args.store_every},
+               "frames": len(run), **health, "out": args.out}
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args) -> tuple[int, dict]:
     import dataclasses
     spec = NormSpec.parse(args.spec)
     if args.window:
         lo, hi = args.window
         spec = dataclasses.replace(spec, j_min=lo, j_max=hi)
     extra = {}
-    try:
-        if spec.kind in ("spacetime_X", "spacetime_Y"):
-            field = read_space_time_field(args.input)
-            value = spacetime_norm(field, spec)
-            extra["frames"] = len(field)
-        else:
-            f = read_grid_function(args.input)
-            if spec.kind == "lhat":
-                value = lhat_norm(f, spec.r)
-            elif spec.kind == "morrey_hat":
-                value = morrey_norm(f, spec.p, spec.q, spec.r,
-                                    window=spec.window)
-            else:  # ell
-                value, minimizer = ell(f, spec.p, spec.sigma,
-                                       window=spec.window)
-                extra["minimizer_xi"] = minimizer
-    except GridFileError as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    _emit({"command": "norm", "spec": spec.serialize().replace("\n", ","),
-           "input": args.input, "value": value, **extra}, args)
-    return 0
+    if spec.kind in ("spacetime_X", "spacetime_Y"):
+        field = read_space_time_field(args.input)
+        value = spacetime_norm(field, spec)
+        extra["frames"] = len(field)
+    else:
+        f = read_grid_function(args.input)
+        if spec.kind == "lhat":
+            value = lhat_norm(f, spec.r)
+        elif spec.kind == "morrey_hat":
+            value = morrey_norm(f, spec.p, spec.q, spec.r, window=spec.window)
+        else:  # ell
+            value, minimizer = ell(f, spec.p, spec.sigma, window=spec.window)
+            extra["minimizer_xi"] = minimizer
+    return 0, {"command": "norm", "spec": spec.serialize(), "input": args.input,
+               "value": value, **extra}
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[int, dict]:
     grid = _make_grid(args)
     x = grid.nodes()
     phi = GridFunction(grid, np.exp(-x ** 2).astype(complex), PHYSICAL)
     xi_list = tuple(float(v) for v in args.xi.split(","))
     cfg = EmbeddingConfig(alpha=args.alpha, phi=phi, xi_list=xi_list,
-                          T=args.t_end, nls_dt=args.dt or 1e-3)
+                          T=args.t_end, nls_dt=args.dt)
     rows = embedding_experiment(cfg)
     if args.csv:
         _write_csv(args.csv, {key: [r[key] for r in rows] for key in rows[0]})
     errs = [r["err_lhat_alpha"] for r in rows]
-    _emit({"command": "embed",
-           "config": {"alpha": args.alpha, "xi_list": list(xi_list),
-                      "T": args.t_end, "n": args.n, "length": args.length},
-           "rows": rows,
-           "error_decreasing": all(b < a for a, b in zip(errs, errs[1:]))},
-          args)
-    return 0
+    return 0, {"command": "embed",
+               "config": {"alpha": args.alpha, "xi_list": list(xi_list),
+                          "T": args.t_end, "n": args.n, "length": args.length},
+               "rows": rows,
+               "error_decreasing": all(b < a for a, b in zip(errs, errs[1:]))}
 
 
-def cmd_profiles(args) -> int:
+def cmd_profiles(args) -> tuple[int, dict]:
     with open(args.manifest) as fh:
         listing = json.load(fh)
     base = os.path.dirname(os.path.abspath(args.manifest))
@@ -217,63 +209,43 @@ def cmd_profiles(args) -> int:
                   "nonresonance_gaps": d["nonresonance_gaps"],
                   "out": out_dir}
     report["config"] = {"alpha": args.alpha, "sigma": args.sigma}
-    _emit(report, args)
-    return 0
+    return 0, report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     names = list(VERIFY_BATTERIES) if args.battery == "all" else [args.battery]
-    results = []
-    for fn in (VERIFY_BATTERIES[name] for name in names):
-        seeded = "seed" in inspect.signature(fn).parameters
-        results.append(fn(seed=args.seed) if seeded else fn())
+    results = [_checks.run_battery(VERIFY_BATTERIES[name], args.seed) for name in names]
     ok = all(r["passed"] for r in results)
-    _emit({"command": "verify", "battery": args.battery,
-           "config": {"seed": args.seed}, "results": results,
-           "passed": ok}, args)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"command": "verify", "battery": args.battery,
+                              "config": {"seed": args.seed}, "results": results,
+                              "passed": ok}
 
 
-def cmd_gf(args) -> int:
-    try:
-        if args.action == "info":
-            with open(args.input, "rb") as fh:
-                magic = fh.read(4)
-            if magic == b"STF1":
-                field = read_space_time_field(args.input)
-                _emit({"command": "gf info", "input": args.input,
+def cmd_gf(args) -> tuple[int, dict]:
+    if args.action == "info":
+        with open(args.input, "rb") as fh:
+            magic = fh.read(4)
+        if magic == b"STF1":
+            field = read_space_time_field(args.input)
+            return 0, {"command": "gf info", "input": args.input,
                        "format": "STF1", "frames": len(field),
                        "n": field.grid.n, "length": field.grid.length,
                        "x0": field.grid.x0,
-                       "t_range": field.times[[0, -1]].tolist() if len(field) else []},
-                      args)
-                return 0
-            f = read_grid_function(args.input)
-            _emit({"command": "gf info", "input": args.input,
-                   "format": "GF01",
+                       "t_range": field.times[[0, -1]].tolist() if len(field) else []}
+        f = read_grid_function(args.input)
+        return 0, {"command": "gf info", "input": args.input, "format": "GF01",
                    "n": f.grid.n, "length": f.grid.length, "x0": f.grid.x0,
                    "side": f.side, "l2_norm": f.l2_norm(),
-                   "sup": float(np.max(np.abs(f.values)))}, args)
-            return 0
-        f = read_grid_function(args.input)
-        root, ext = os.path.splitext(args.output)
-        if ext == ".csv":
-            fp = f.to_physical()
-            _write_csv(args.output, {"x": fp.grid.nodes(), "re": fp.values.real,
-                                     "im": fp.values.imag})
-        elif ext == ".gf":
-            side = FOURIER if args.side == "fourier" else PHYSICAL
-            g = f.to_fourier() if side == FOURIER else f.to_physical()
-            write_grid_function(g, args.output)
-        else:
-            print(f"unsupported output extension: {ext}", file=sys.stderr)
-            return 2
-    except GridFileError as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    _emit({"command": "gf convert", "input": args.input,
-           "output": args.output}, args)
-    return 0
+                   "sup": float(np.max(np.abs(f.values)))}
+    f = read_grid_function(args.input)
+    if args.output.endswith(".csv"):
+        fp = f.to_physical()
+        _write_csv(args.output, {"x": fp.grid.nodes(), "re": fp.values.real,
+                                 "im": fp.values.imag})
+    else:
+        write_grid_function(f.to_fourier() if args.side == "fourier" else f.to_physical(),
+                            args.output)
+    return 0, {"command": "gf convert", "input": args.input, "output": args.output}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -316,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated carrier frequencies")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--length", type=float, default=8.0 * math.pi)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=1e-3, help="NLS time step")
     p.add_argument("--t-end", type=float, default=1.0,
                    help="handoff time T")
     p.add_argument("--csv", default=None, help="CSV file for the result rows")
@@ -353,15 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and emit its report with the warnings it raised."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gf" and args.action == "convert" and not args.output:
-        parser.error("gf convert requires an output path")
+    if args.command == "gf" and args.action == "convert":
+        if not args.output:
+            parser.error("gf convert requires an output path")
+        ext = os.path.splitext(args.output)[1]
+        if ext not in (".csv", ".gf"):
+            print(f"unsupported output extension: {ext}", file=sys.stderr)
+            return 2
     try:
-        return args.func(args)
+        # the process's filters stay, so one that makes a warning an error still raises
+        with warnings.catch_warnings(record=True) as caught:
+            code, report = args.func(args)
+        report["warnings"] = caught
+        _emit(report, args)
     except (ValueError, OSError) as err:
         print(str(err), file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

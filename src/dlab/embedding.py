@@ -121,11 +121,11 @@ def build_approx_solution(v: SpaceTimeField, xi_n: float, T: float,
 
 
 def residual_field(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: float,
-                   alpha: float, mu: int) -> SpaceTimeField:
-    """(d/dt + d^3/dx^3) u~ - mu d/dx(|u~|^{2a} u~) at the times of u_tilde.
+                   alpha: float) -> SpaceTimeField:
+    """(d/dt + d^3/dx^3) u~ - mu d/dx(|u~|^{2a} u~) at the times of u_tilde, mu = MU.
 
     u_tilde must be approx_field(v, xi_n, times), with v the NLS solution of
-    coupling c0.  The linear part is approx_field of
+    sign MU and coupling c0.  The linear part is approx_field of
     w = v_zzz - 3 i xi_n mu c0 |v|^{2a} v on v's stored rows, by the envelope
     identity of the module docstring, which is exact when v solves the NLS;
     no time derivative is formed.  The power |u~|^{2a} u~ is formed on the
@@ -134,14 +134,14 @@ def residual_field(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: 
     grid = v.grid
     xi = grid.frequencies()
     w = physical_rows(grid, v.values, symbol=(1j * xi) ** 3)
-    w -= (3j * xi_n * mu * c0) * np.abs(v.values) ** (2.0 * alpha) * v.values
+    w -= (3j * xi_n * MU * c0) * np.abs(v.values) ** (2.0 * alpha) * v.values
     res = approx_field(SpaceTimeField(grid, v.times, w), xi_n, u_tilde.times).values
     # rfft modes below Nyquist, as in gkdv_solve
     n = grid.n
     modes = (n + 1) // 2
     uh = np.fft.rfft(u_tilde.values.real)[:, :modes]
     nl = _nonlinear_power(uh, n, alpha)
-    nl *= mu * 1j * np.fft.ifftshift(xi)[:modes]
+    nl *= MU * 1j * np.fft.ifftshift(xi)[:modes]
     res -= np.fft.irfft(nl, n)
     return SpaceTimeField(grid, u_tilde.times, res)
 
@@ -150,6 +150,8 @@ def residual_field(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: 
 GKDV_FRAMES = 33
 # residual times, uniform in +-0.9 of the seam time
 RESIDUAL_FRAMES = 257
+# sign of the gKdV nonlinearity in the sweep: the focusing equation
+MU = -1
 
 
 @dataclass
@@ -158,12 +160,13 @@ class EmbeddingConfig:
     phi: GridFunction
     xi_list: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
     T: float = 1.0
-    mu: int = -1
     nls_dt: float = 1e-3
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not (math.isfinite(self.nls_dt) and self.nls_dt > 0):
+            raise ValueError(f"nls_dt must be positive and finite, got {self.nls_dt}")
         xs = tuple(self.xi_list)
         if any(b <= a for a, b in zip(xs, xs[1:])) or any(x <= 0 for x in xs):
             raise ValueError("xi_list must be ascending and positive")
@@ -197,7 +200,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         # NLS on the slow scale, frequency-cut data, coupling C0
         v0 = sharp_cutoff(cfg.phi, xi_n ** 0.25)
         store = max(1, int(math.floor((cfg.T / 64.0) / cfg.nls_dt)))
-        v_field = _solve_both_ways(nls_solve, v0, cfg.T, alpha=cfg.alpha, mu=cfg.mu,
+        v_field = _solve_both_ways(nls_solve, v0, cfg.T, alpha=cfg.alpha, mu=MU,
                                    coupling=c0, dt=cfg.nls_dt, store_every=store)
 
         # gKdV with the full (uncut) profile on the carrier; the step follows
@@ -207,7 +210,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         xi_active = xi_n + 8.0
         dt = min(suggest_dt(grid, xi_active), seam / 64.0)
         g_store = max(1, round(seam / dt / (GKDV_FRAMES - 1)))
-        u_field = _solve_both_ways(gkdv_solve, u0, seam, alpha=cfg.alpha, mu=cfg.mu,
+        u_field = _solve_both_ways(gkdv_solve, u0, seam, alpha=cfg.alpha, mu=MU,
                                    coupling=1.0, dt=dt, store_every=g_store)
 
         # seam-time gap in the critical data norm
@@ -227,7 +230,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
                           "residual_Y omits it", stacklevel=2)
         t_res = np.linspace(-0.9 * seam, 0.9 * seam, RESIDUAL_FRAMES)
         resid = residual_field(approx_field(v_field, xi_n, t_res), v_field, xi_n, c0,
-                               cfg.alpha, cfg.mu)
+                               cfg.alpha)
         rows.append({
             "xi": float(xi_n),
             "seam_time": float(seam),

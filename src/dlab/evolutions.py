@@ -69,6 +69,10 @@ class SolveConfig:
                 "covered by the nonlinear estimates; solver runs anyway",
                 stacklevel=3,  # past the generated __init__ to the caller
             )
+        reach = self.n_steps * self.dt
+        if abs(reach - abs(self.t_end)) > self.dt / 2:
+            warnings.warn(f"the solve ends at |t|={reach:g}, not |t_end|={abs(self.t_end):g}: "
+                          f"{self.n_steps} step(s) of dt={self.dt:g}", stacklevel=3)
 
     @property
     def n_steps(self) -> int:

@@ -401,7 +401,7 @@ class NormSpec:
             val = getattr(self, key)
             if val is not None:
                 pairs.append((key, str(val)))
-        return "\n".join(f"{k}={v}" for k, v in pairs)
+        return ",".join(f"{k}={v}" for k, v in pairs)
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":

@@ -17,5 +17,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                       key=lambda r: (r["criterion"] is None, int(r["criterion"] or 0))):
         verdict = "PASS" if row["passed"] else "FAIL"
         label = "battery" if row["criterion"] is None else f"criterion {row['criterion']:>2}"
-        terminalreporter.write_line(
-            f"{label} {row['name']}: {verdict} ({row['seconds']:.1f} s)")
+        plural = "" if row["warnings"] == 1 else "s"
+        terminalreporter.write_line(f"{label} {row['name']}: {verdict} ({row['seconds']:.1f} s, "
+                                    f"{row['warnings']} warning{plural})")

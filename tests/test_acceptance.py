@@ -1,11 +1,12 @@
 """End-to-end verification batteries, one test case per battery.
 
-One test body runs every row of checks.BATTERIES (the table the
-`dlab verify` subcommand dispatches through), asserts that the battery
-passed at its built-in tolerances, and records the outcome for the
-one-line per-battery summary printed at the end of the session.  Each
-case is bound under its own test name: test_criterion_<NN>_<topic> for
-a numbered criterion, test_battery_<verify name> for a row without one.
+One test body runs every row of checks.BATTERIES through
+checks.run_battery at seed 0, as `dlab verify` does, asserts that the
+battery passed at its built-in tolerances, and records the outcome and
+the number of warnings the battery raised for the one-line per-battery
+summary printed at the end of the session.  Each case is bound under its
+own test name: test_criterion_<NN>_<topic> for a numbered criterion,
+test_battery_<verify name> for a row without one.
 """
 
 import time
@@ -32,12 +33,13 @@ TOPICS = {
 def _battery_test(label: str | None, verify_name: str, battery):
     def test(acceptance_log):
         t0 = time.perf_counter()
-        res = battery()
+        res = checks.run_battery(battery, seed=0)
         acceptance_log.append({
             "criterion": label,
             "name": res["name"],
             "passed": res["passed"],
             "seconds": time.perf_counter() - t0,
+            "warnings": len(res["warnings"]),
         })
         assert res["passed"], res["measured"]
 

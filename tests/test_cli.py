@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -237,8 +239,21 @@ def test_solve_reports_health_and_warnings(capsys):
     assert payload["steps"] == round(0.1 / payload["config"]["dt"])
     assert payload["mass_drift"] < 1e-10
     assert payload["energy_drift"] < 1e-10
+    assert payload["t_reached"] == pytest.approx(payload["steps"] * payload["config"]["dt"])
     [line] = payload["warnings"]
-    assert line.startswith("UserWarning: alpha=1.0 is outside the range")
+    assert re.fullmatch(r"cli\.py:\d+: UserWarning: alpha=1\.0 is outside the range .*", line)
+
+
+@pytest.mark.parametrize("t_end, t_reached", [("1e-4", 1e-3), ("-1e-4", -1e-3)])
+def test_solve_reports_the_time_reached_and_warns_on_overshoot(capsys, t_end, t_reached):
+    code, out, err = run(capsys, "solve", "nls", "--n", "64", f"--t-end={t_end}",
+                         "--dt", "1e-3", "--no-timestamps")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["steps"] == 1 and payload["t_reached"] == pytest.approx(t_reached)
+    [line] = payload["warnings"]
+    assert re.fullmatch(r"cli\.py:\d+: UserWarning: the solve ends at \|t\|=0\.001, "
+                        r"not \|t_end\|=0\.0001: 1 step\(s\) of dt=0\.001", line)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -254,10 +269,73 @@ def test_solve_bad_time_range_exits_1(capsys, argv, message):
 
 
 def test_verify_soliton_lists_the_range_warning(capsys):
-    code, out, _ = run(capsys, "verify", "soliton", "--no-timestamps")
-    assert code == 0
-    [line] = json.loads(out)["results"][0]["measured"]["warnings"]
-    assert "alpha=1.0 is outside the range" in line
+    code, out, err = run(capsys, "verify", "soliton", "--no-timestamps")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["warnings"] == []
+    [line] = payload["results"][0]["warnings"]
+    assert re.fullmatch(r"checks\.py:\d+: UserWarning: alpha=1\.0 is outside the range .*",
+                        line)
+
+
+@pytest.mark.parametrize("command", ["solve", "norm", "embed", "profiles", "verify",
+                                     "gf info", "gf convert"])
+def test_every_report_lists_its_warnings(tmp_path, capsys, command):
+    gf = tmp_path / "g.gf"
+    write_sample(gf)
+    manifest = tmp_path / "inputs.json"
+    manifest.write_text(json.dumps({"inputs": ["g.gf"]}))
+    argv = {
+        "solve": ["solve", "nls", "--n", "64", "--t-end", "0.01", "--dt", "1e-3"],
+        "norm": ["norm", "kind=lhat,r=2.0", str(gf)],
+        "embed": ["embed", "--xi", "4", "--n", "64", "--t-end", "0.1"],
+        "profiles": ["profiles", "extract", str(manifest), "--t-scan", "0.1",
+                     "--out", str(tmp_path / "out")],
+        "verify": ["verify", "exponents"],
+        "gf info": ["gf", "info", str(gf)],
+        "gf convert": ["gf", "convert", str(gf), str(tmp_path / "g.csv")],
+    }[command]
+    code, out, err = run(capsys, *argv, "--no-timestamps")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["command"].startswith(command.split()[0])
+    assert isinstance(payload["warnings"], list)
+    assert all(isinstance(line, str) for line in payload["warnings"])
+
+
+def test_embed_lists_its_warnings_in_the_report(capsys):
+    code, out, err = run(capsys, "embed", "--alpha", "1.5", "--xi", "4", "--n", "64",
+                         "--t-end", "0.1", "--no-timestamps")
+    assert code == 0 and err == ""
+    lines = json.loads(out)["warnings"]
+    solver = [w for w in lines if "alpha=1.5 is outside the range" in w]
+    harmonic = [w for w in lines if "third harmonic" in w]
+    # one alpha-range warning per solve direction, from the SolveConfigs of embedding.py
+    assert len(solver) == 2 and all(w.startswith("embedding.py:") for w in solver)
+    assert len(harmonic) == 1 and harmonic[0].startswith("cli.py:")
+    assert len(lines) == 3
+
+
+def test_recording_keeps_the_error_filter(tmp_path, capsys, monkeypatch):
+    # pyproject.toml makes a RuntimeWarning an error; main records warnings under
+    # the process's filters, so it still raises instead of landing in the report
+    path = tmp_path / "g.gf"
+    write_sample(path)
+
+    def overflowing(f, r):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return 1.0
+
+    monkeypatch.setattr("dlab.cli.lhat_norm", overflowing)
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        main(["norm", "kind=lhat,r=2.0", str(path), "--no-timestamps"])
+    assert capsys.readouterr().out == ""
+
+
+def test_embed_zero_dt_exits_1(capsys):
+    code, out, err = run(capsys, "embed", "--dt", "0", "--n", "64", "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == "nls_dt must be positive and finite, got 0.0\n"
 
 
 def test_non_finite_result_exits_1_with_empty_stdout(tmp_path, capsys, monkeypatch):

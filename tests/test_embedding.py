@@ -194,7 +194,7 @@ def test_residual_envelope_form_matches_time_differencing(dt, tol):
                              coupling=c0, dt=dt, store_every=1)
     times = np.linspace(0.1, 0.9, 41) * dt / (3.0 * xi_n)
     u_tilde = approx_field(v, xi_n, times)
-    res = residual_field(u_tilde, v, xi_n, c0, alpha, mu)
+    res = residual_field(u_tilde, v, xi_n, c0, alpha)
     assert np.array_equal(res.times, times)
     assert np.max(np.abs(res.values.imag)) == 0.0
     lin, want = direct_residual(u_tilde, alpha, mu)
@@ -227,6 +227,11 @@ def test_embedding_config_validation():
         EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), T=0.0)
     with pytest.raises(ValueError, match="lattice"):
         EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.3,))
+    for bad in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nls_dt must be positive and finite"):
+            EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), nls_dt=bad)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), T=bad)
 
 
 def test_embedding_experiment_small_sweep():

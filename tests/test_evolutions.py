@@ -140,6 +140,22 @@ def test_alpha_range_warning_names_the_calling_line():
     assert record[0].filename == __file__
 
 
+@pytest.mark.parametrize("t_end, dt, warns", [
+    (1e-4, 1e-3, True),     # one step, ten times t_end
+    (-1e-4, 1e-3, True),
+    (0.01, 9.346e-4, False),  # 11 steps end at 0.0102806, within dt / 2
+    (0.5, 1e-3, False),
+])
+def test_end_time_warning_when_the_last_step_overshoots(t_end, dt, warns):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        cfg = SolveConfig(alpha=1.8, t_end=t_end, dt=dt)
+    lines = [str(w.message) for w in record]
+    assert lines == ([f"the solve ends at |t|={cfg.n_steps * dt:g}, not |t_end|={abs(t_end):g}: "
+                      f"{cfg.n_steps} step(s) of dt={dt:g}"] if warns else [])
+    assert all(w.filename == __file__ for w in record)
+
+
 def test_suggest_dt_rule():
     assert suggest_dt(GRID, xi_active=4.0) == pytest.approx(0.7 * 2.8 / 64.0)
     full_band = float(np.max(np.abs(GRID.frequencies())))

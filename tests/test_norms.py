@@ -297,6 +297,11 @@ def test_norm_spec_round_trip():
     assert back.window == (-2, 5)
 
 
+def test_norm_spec_serializes_on_one_line():
+    spec = NormSpec(kind="morrey_hat", p=1.8, q=2.0, r=3.0, j_min=-2, j_max=5)
+    assert spec.serialize() == "kind=morrey_hat,p=1.8,q=2.0,r=3.0,s=0.0,j_min=-2,j_max=5"
+
+
 def test_norm_spec_parse_commas_and_inf():
     spec = NormSpec.parse("kind=lhat, r=inf")
     assert spec.kind == "lhat" and math.isinf(spec.r)
