@@ -127,7 +127,7 @@ def check_c_alpha() -> dict:
     return _result("zero-energy speed", ok, measured)
 
 
-def check_galilean(seed: int = 0) -> dict:
+def check_galilean(seed: int) -> dict:
     """Exact commutation of the Airy flow with lattice modulations."""
     grid = Grid(1024, 16.0 * math.pi, -8.0 * math.pi)
     x = grid.nodes()
@@ -142,7 +142,7 @@ def check_galilean(seed: int = 0) -> dict:
     return _result("Galilean identity", ok, {"max_residual": worst})
 
 
-def check_scale_lemma(seed: int = 0) -> dict:
+def check_scale_lemma(seed: int) -> dict:
     """Morrey-norm quasi-invariance under the deformation group."""
     alpha, sigma = 1.8, 3.0
     grid = Grid(1024, 16.0 * math.pi, -8.0 * math.pi)
@@ -235,7 +235,7 @@ def check_decoupling() -> dict:
                    {"n": ns, "deficits": deficits})
 
 
-def check_whitney(seed: int = 0) -> dict:
+def check_whitney(seed: int) -> dict:
     """Pair counts and the off-diagonal partition of unity."""
     pairs = whitney_pairs(-3, 2, 16.0)
     counts_ok = True
@@ -258,7 +258,7 @@ def check_whitney(seed: int = 0) -> dict:
                     "samples": counted, "bad": bad})
 
 
-def check_stein_tomas(seed: int = 0) -> dict:
+def check_stein_tomas(seed: int) -> dict:
     """Ratio battery, deformation invariance, and window stability."""
     alpha, sigma = 1.8, 3.0
     grid = Grid(4096, 2.0 * math.pi * 2 ** 8, -math.pi * 2 ** 8)
@@ -402,7 +402,7 @@ def check_solver_sanity() -> dict:
     return _result("solver sanity", ok, measured)
 
 
-def check_interpolation(seed: int = 0) -> dict:
+def check_interpolation(seed: int) -> dict:
     """Physical-side Morrey interpolation ratio on a random battery."""
     grid = Grid(1024, 16.0 * math.pi, -8.0 * math.pi)
     xi = grid.frequencies()

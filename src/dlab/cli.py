@@ -1,12 +1,16 @@
 """Command line front end.
 
 Subcommands: solve gkdv|nls, norm, embed, profiles extract|decompose,
-verify <battery>, gf info|convert.  Each cmd_* returns its exit code and
-its report; main runs it under one warnings recorder, adds the warnings
-it raised to the report as "<file>:<line>: <Category>: <message>" lines
-and writes the report to stdout as JSON.  CSV tables go to --csv where a
-command writes one.  Exit code 0 when all requested checks pass, 1 on a
-failed check or bad data (one line on stderr), 2 on usage errors.
+verify <battery>, gf info|convert.  Each subcommand and action declares
+only the options its cmd_* reads; a norm's dyadic window is the spec's
+j_min and j_max.  Each cmd_* returns its exit code and what it computed
+(solve: the resolved dt beside steps and t_reached); main runs it under
+one warnings recorder and writes the report to stdout as JSON, adding
+the command, every parsed argument with its default filled in under
+"config", and the warnings the run raised as
+"<file>:<line>: <Category>: <message>" lines.  CSV tables go to --csv
+where a command writes one.  Exit code 0 when all requested checks pass,
+1 on a failed check or bad data (one line on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from . import checks as _checks
 from .evolutions import (BlowupError, SolveConfig, drift, energy, gkdv_solve, mass,
                          nls_solve, soliton_Q, suggest_dt)
 from .embedding import EmbeddingConfig, embedding_experiment
-from .fileio import (read_grid_function, read_space_time_field, write_grid_function,
-                     write_space_time_field)
+from .fileio import (GF_MAGIC, STF_MAGIC, read_grid_function, read_space_time_field,
+                     write_grid_function, write_space_time_field)
 from .norms import NormSpec, ell, lhat_norm, morrey_norm, spacetime_norm
 from .profiles import extract_profile, profile_decompose
 
@@ -71,13 +75,12 @@ def _write_csv(path: str, columns: dict) -> None:
         writer.writerows(zip(*(np.asarray(c).tolist() for c in columns.values())))
 
 
-def _window(text: str) -> tuple[int, int]:
-    """argparse type of --window: jmin:jmax."""
-    lo, _, hi = text.partition(":")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected jmin:jmax, got {text!r}") from None
+def _convert_output(path: str) -> str:
+    """argparse type of gf convert's output: a .csv or a .gf path."""
+    ext = os.path.splitext(path)[1]
+    if ext not in (".csv", ".gf"):
+        raise argparse.ArgumentTypeError(f"unsupported output extension: {ext}")
+    return path
 
 
 def _make_grid(args) -> Grid:
@@ -103,11 +106,11 @@ def cmd_solve(args) -> tuple[int, dict]:
     try:
         run = solver(u0, cfg)
     except BlowupError as err:
-        return 1, {"command": "solve", "equation": args.equation,
-                   "blowup": True, "t_last": err.t_last}
+        return 1, {"blowup": True, "t_last": err.t_last}
     masses = mass(run.grid, run.values)
     # times ascend either way, so a backward solve ends at the first frame
-    health = {"steps": cfg.n_steps, "t_reached": run.times[0 if args.t_end < 0 else -1],
+    health = {"steps": cfg.n_steps, "dt": dt,
+              "t_reached": run.times[0 if args.t_end < 0 else -1],
               "mass_drift": drift(masses)}
     if args.equation == "gkdv":
         health["energy_drift"] = drift(
@@ -117,36 +120,26 @@ def cmd_solve(args) -> tuple[int, dict]:
     if args.csv:
         _write_csv(args.csv, {"t": run.times, "mass": masses,
                               "sup": np.max(np.abs(run.values), axis=1)})
-    return 0, {"command": "solve", "equation": args.equation,
-               "config": {"alpha": args.alpha, "mu": args.mu,
-                          "coupling": args.coupling, "t_end": args.t_end,
-                          "dt": dt, "n": args.n, "length": args.length,
-                          "preset": args.preset, "store_every": args.store_every},
-               "frames": len(run), **health, "out": args.out}
+    return 0, {"frames": len(run), **health}
 
 
 def cmd_norm(args) -> tuple[int, dict]:
-    import dataclasses
     spec = NormSpec.parse(args.spec)
-    if args.window:
-        lo, hi = args.window
-        spec = dataclasses.replace(spec, j_min=lo, j_max=hi)
-    extra = {}
+    report = {"spec": spec.serialize()}
     if spec.kind in ("spacetime_X", "spacetime_Y"):
         field = read_space_time_field(args.input)
-        value = spacetime_norm(field, spec)
-        extra["frames"] = len(field)
+        report["value"] = spacetime_norm(field, spec)
+        report["frames"] = len(field)
     else:
         f = read_grid_function(args.input)
         if spec.kind == "lhat":
-            value = lhat_norm(f, spec.r)
+            report["value"] = lhat_norm(f, spec.r)
         elif spec.kind == "morrey_hat":
-            value = morrey_norm(f, spec.p, spec.q, spec.r, window=spec.window)
+            report["value"] = morrey_norm(f, spec.p, spec.q, spec.r, window=spec.window)
         else:  # ell
-            value, minimizer = ell(f, spec.p, spec.sigma, window=spec.window)
-            extra["minimizer_xi"] = minimizer
-    return 0, {"command": "norm", "spec": spec.serialize(), "input": args.input,
-               "value": value, **extra}
+            report["value"], report["minimizer_xi"] = ell(f, spec.p, spec.sigma,
+                                                          window=spec.window)
+    return 0, report
 
 
 def cmd_embed(args) -> tuple[int, dict]:
@@ -160,83 +153,75 @@ def cmd_embed(args) -> tuple[int, dict]:
     if args.csv:
         _write_csv(args.csv, {key: [r[key] for r in rows] for key in rows[0]})
     errs = [r["err_lhat_alpha"] for r in rows]
-    return 0, {"command": "embed",
-               "config": {"alpha": args.alpha, "xi_list": list(xi_list),
-                          "T": args.t_end, "n": args.n, "length": args.length},
-               "rows": rows,
+    return 0, {"rows": rows,
                "error_decreasing": all(b < a for a, b in zip(errs, errs[1:]))}
 
 
-def cmd_profiles(args) -> tuple[int, dict]:
-    with open(args.manifest) as fh:
+def _read_inputs(manifest: str) -> list[GridFunction]:
+    """The GF01 states a profiles manifest lists, relative to the manifest."""
+    with open(manifest) as fh:
         listing = json.load(fh)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    u_list = [read_grid_function(os.path.join(base, name))
-              for name in listing["inputs"]]
-    out_dir = args.out or "."
-    if args.action == "extract":
-        psi, gammas, residuals, diag = extract_profile(
-            u_list, args.alpha, t_scan=args.t_scan)
-        os.makedirs(out_dir, exist_ok=True)
-        write_grid_function(psi, os.path.join(out_dir, "psi.gf"))
-        for i, r in enumerate(residuals):
-            write_grid_function(r, os.path.join(out_dir, f"residual_{i}.gf"))
-        report = {"command": "profiles extract",
-                  "deformations": [g.serialize() for g in gammas],
-                  "selector": diag["selector"],
-                  "degenerate": diag.get("degenerate", False),
-                  "out": out_dir}
-    else:
-        dec = profile_decompose(u_list, args.alpha, args.sigma,
-                                j_max=args.j_max, t_scan=args.t_scan)
-        os.makedirs(out_dir, exist_ok=True)
-        for j, (psi, gammas) in enumerate(dec.profiles):
-            write_grid_function(psi, os.path.join(out_dir, f"psi_{j}.gf"))
-        for i, r in enumerate(dec.residuals):
-            write_grid_function(r, os.path.join(out_dir, f"residual_{i}.gf"))
-        d = dec.diagnostics
-        report = {"command": "profiles decompose",
-                  "profiles": [
-                      {"index": j,
-                       "deformations": [g.serialize() for g in gammas]}
-                      for j, (_, gammas) in enumerate(dec.profiles)],
-                  "selector_values": d["selector_values"],
-                  "ledger_entries": d["ledger_entries"],
-                  "ledger_sum": d["ledger_sum"],
-                  "ell_input": d["ell_input"],
-                  "ell_residual": d["ell_residual"],
-                  "orthogonality_gaps": d["orthogonality_gaps"],
-                  "nonresonance_gaps": d["nonresonance_gaps"],
-                  "out": out_dir}
-    report["config"] = {"alpha": args.alpha, "sigma": args.sigma}
-    return 0, report
+    base = os.path.dirname(os.path.abspath(manifest))
+    return [read_grid_function(os.path.join(base, name)) for name in listing["inputs"]]
+
+
+def _write_states(out_dir: str, stem: str, states) -> None:
+    """Write the states to out_dir as <stem>_<i>.gf, making out_dir if needed."""
+    os.makedirs(out_dir, exist_ok=True)
+    for i, f in enumerate(states):
+        write_grid_function(f, os.path.join(out_dir, f"{stem}_{i}.gf"))
+
+
+def cmd_profiles_extract(args) -> tuple[int, dict]:
+    psi, gammas, residuals, diag = extract_profile(
+        _read_inputs(args.manifest), args.alpha, t_scan=args.t_scan)
+    _write_states(args.out, "residual", residuals)
+    write_grid_function(psi, os.path.join(args.out, "psi.gf"))
+    return 0, {"deformations": [g.serialize() for g in gammas],
+               "selector": diag["selector"],
+               "degenerate": diag.get("degenerate", False)}
+
+
+def cmd_profiles_decompose(args) -> tuple[int, dict]:
+    dec = profile_decompose(_read_inputs(args.manifest), args.alpha, args.sigma,
+                            j_max=args.j_max, t_scan=args.t_scan)
+    _write_states(args.out, "psi", [psi for psi, _ in dec.profiles])
+    _write_states(args.out, "residual", dec.residuals)
+    d = dec.diagnostics
+    return 0, {"profiles": [{"index": j, "deformations": [g.serialize() for g in gammas]}
+                            for j, (_, gammas) in enumerate(dec.profiles)],
+               "selector_values": d["selector_values"],
+               "ledger_entries": d["ledger_entries"],
+               "ledger_sum": d["ledger_sum"],
+               "ell_input": d["ell_input"],
+               "ell_residual": d["ell_residual"],
+               "orthogonality_gaps": d["orthogonality_gaps"],
+               "nonresonance_gaps": d["nonresonance_gaps"]}
 
 
 def cmd_verify(args) -> tuple[int, dict]:
     names = list(VERIFY_BATTERIES) if args.battery == "all" else [args.battery]
     results = [_checks.run_battery(VERIFY_BATTERIES[name], args.seed) for name in names]
     ok = all(r["passed"] for r in results)
-    return (0 if ok else 1), {"command": "verify", "battery": args.battery,
-                              "config": {"seed": args.seed}, "results": results,
-                              "passed": ok}
+    return (0 if ok else 1), {"results": results, "passed": ok}
 
 
-def cmd_gf(args) -> tuple[int, dict]:
-    if args.action == "info":
-        with open(args.input, "rb") as fh:
-            magic = fh.read(4)
-        if magic == b"STF1":
-            field = read_space_time_field(args.input)
-            return 0, {"command": "gf info", "input": args.input,
-                       "format": "STF1", "frames": len(field),
-                       "n": field.grid.n, "length": field.grid.length,
-                       "x0": field.grid.x0,
-                       "t_range": field.times[[0, -1]].tolist() if len(field) else []}
-        f = read_grid_function(args.input)
-        return 0, {"command": "gf info", "input": args.input, "format": "GF01",
-                   "n": f.grid.n, "length": f.grid.length, "x0": f.grid.x0,
-                   "side": f.side, "l2_norm": f.l2_norm(),
-                   "sup": float(np.max(np.abs(f.values)))}
+def cmd_gf_info(args) -> tuple[int, dict]:
+    with open(args.input, "rb") as fh:
+        magic = fh.read(len(STF_MAGIC))
+    if magic == STF_MAGIC:
+        field = read_space_time_field(args.input)
+        return 0, {"format": STF_MAGIC.decode(), "frames": len(field),
+                   "n": field.grid.n, "length": field.grid.length, "x0": field.grid.x0,
+                   "t_range": field.times[[0, -1]].tolist() if len(field) else []}
+    f = read_grid_function(args.input)
+    return 0, {"format": GF_MAGIC.decode(),
+               "n": f.grid.n, "length": f.grid.length, "x0": f.grid.x0,
+               "side": f.side, "l2_norm": f.l2_norm(),
+               "sup": float(np.max(np.abs(f.values)))}
+
+
+def cmd_gf_convert(args) -> tuple[int, dict]:
     f = read_grid_function(args.input)
     if args.output.endswith(".csv"):
         fp = f.to_physical()
@@ -245,11 +230,13 @@ def cmd_gf(args) -> tuple[int, dict]:
     else:
         write_grid_function(f.to_fourier() if args.side == "fourier" else f.to_physical(),
                             args.output)
-    return 0, {"command": "gf convert", "input": args.input, "output": args.output}
+    return 0, {}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, func) -> None:
+    """The option every action takes, and the cmd_* the action runs."""
     p.add_argument("--no-timestamps", action="store_true")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,15 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gaussian, soliton, or a GF01 file path")
     p.add_argument("--out", default=None, help="STF1 file for the trajectory")
     p.add_argument("--csv", default=None, help="CSV file for per-frame mass and sup")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    _add_common(p, cmd_solve)
 
     p = sub.add_parser("norm", help="evaluate a norm on stored data")
-    p.add_argument("spec", help="key=value norm specification")
+    p.add_argument("spec", help="key=value norm specification; "
+                   "j_min and j_max set the dyadic window")
     p.add_argument("input", help="GF01 or STF1 file")
-    p.add_argument("--window", type=_window, default=None, metavar="jmin:jmax")
-    _add_common(p)
-    p.set_defaults(func=cmd_norm)
+    _add_common(p, cmd_norm)
 
     p = sub.add_parser("embed", help="carrier-frequency embedding sweep")
     p.add_argument("--alpha", type=float, default=1.9)
@@ -292,54 +277,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=1.0,
                    help="handoff time T")
     p.add_argument("--csv", default=None, help="CSV file for the result rows")
-    _add_common(p)
-    p.set_defaults(func=cmd_embed)
+    _add_common(p, cmd_embed)
 
-    p = sub.add_parser("profiles", help="profile extraction")
-    p.add_argument("action", choices=["extract", "decompose"])
-    p.add_argument("manifest", help='JSON file with {"inputs": [gf paths]}')
-    p.add_argument("--alpha", type=float, default=1.8)
-    p.add_argument("--sigma", type=float, default=3.0)
-    p.add_argument("--j-max", type=int, default=4)
-    p.add_argument("--t-scan", type=float, default=None,
-                   help="half-width of the Airy-parameter scan")
-    p.add_argument("--out", default=None, help="directory for the GF01 outputs")
-    _add_common(p)
-    p.set_defaults(func=cmd_profiles)
+    actions = sub.add_parser("profiles", help="profile extraction").add_subparsers(
+        dest="action", required=True)
+    for name, func, summary in (("extract", cmd_profiles_extract, "extract one profile"),
+                                ("decompose", cmd_profiles_decompose,
+                                 "iterated profile decomposition")):
+        p = actions.add_parser(name, help=summary)
+        p.add_argument("manifest", help='JSON file with {"inputs": [gf paths]}')
+        p.add_argument("--alpha", type=float, default=1.8)
+        if func is cmd_profiles_decompose:
+            p.add_argument("--sigma", type=float, default=3.0)
+            p.add_argument("--j-max", type=int, default=4)
+        p.add_argument("--t-scan", type=float, default=None,
+                       help="half-width of the Airy-parameter scan")
+        p.add_argument("--out", default=".", help="directory for the GF01 outputs")
+        _add_common(p, func)
 
     p = sub.add_parser("verify", help="run a verification battery")
     p.add_argument("battery", choices=sorted(VERIFY_BATTERIES) + ["all"])
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled batteries")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    _add_common(p, cmd_verify)
 
-    p = sub.add_parser("gf", help="grid file tooling")
-    p.add_argument("action", choices=["info", "convert"])
+    actions = sub.add_parser("gf", help="grid file tooling").add_subparsers(
+        dest="action", required=True)
+    p = actions.add_parser("info", help="describe a GF01 or STF1 file")
     p.add_argument("input")
-    p.add_argument("output", nargs="?", default=None)
-    p.add_argument("--side", choices=["physical", "fourier"],
-                   default="physical")
-    _add_common(p)
-    p.set_defaults(func=cmd_gf)
+    _add_common(p, cmd_gf_info)
+    p = actions.add_parser("convert", help="rewrite a GF01 file as .gf or .csv")
+    p.add_argument("input")
+    p.add_argument("output", type=_convert_output, help="a .gf or a .csv path")
+    p.add_argument("--side", choices=["physical", "fourier"], default="physical",
+                   help="side of a .gf output")
+    _add_common(p, cmd_gf_convert)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and emit its report with the warnings it raised."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gf" and args.action == "convert":
-        if not args.output:
-            parser.error("gf convert requires an output path")
-        ext = os.path.splitext(args.output)[1]
-        if ext not in (".csv", ".gf"):
-            print(f"unsupported output extension: {ext}", file=sys.stderr)
-            return 2
+    """Run one subcommand and emit its report: what it computed, its parsed
+    arguments as "config" and the warnings it raised."""
+    args = build_parser().parse_args(argv)
+    config = dict(vars(args))
+    func = config.pop("func")
+    command = " ".join(config.pop(key) for key in ("command", "action") if key in config)
     try:
         # the process's filters stay, so one that makes a warning an error still raises
         with warnings.catch_warnings(record=True) as caught:
-            code, report = args.func(args)
-        report["warnings"] = caught
+            code, computed = func(args)
+        report = {"command": command, **computed, "config": config, "warnings": caught}
         _emit(report, args)
     except (ValueError, OSError) as err:
         print(str(err), file=sys.stderr)

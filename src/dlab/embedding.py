@@ -158,9 +158,9 @@ MU = -1
 class EmbeddingConfig:
     alpha: float
     phi: GridFunction
-    xi_list: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
-    T: float = 1.0
-    nls_dt: float = 1e-3
+    xi_list: tuple[float, ...]
+    T: float
+    nls_dt: float
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):

@@ -379,6 +379,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
+        if (self.j_min is None) != (self.j_max is None):
+            raise ValueError("a norm window needs both j_min and j_max")
 
     @classmethod
     def from_preset(cls, name: str, alpha: float) -> "NormSpec":
@@ -387,9 +389,7 @@ class NormSpec:
 
     @property
     def window(self) -> tuple[int, int] | None:
-        if self.j_min is None or self.j_max is None:
-            return None
-        return (self.j_min, self.j_max)
+        return None if self.j_min is None else (self.j_min, self.j_max)
 
     def serialize(self) -> str:
         pairs = [("kind", self.kind)]

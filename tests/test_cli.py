@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dlab.cli import main
+from dlab.cli import build_parser, main
 from dlab.fileio import read_grid_function, write_grid_function
 from dlab.grid import FOURIER, Grid, GridFunction
 
@@ -52,9 +52,15 @@ def test_verify_seed_is_used(capsys):
 def test_options_only_where_read(tmp_path, capsys):
     path = tmp_path / "g.gf"
     write_sample(path)
-    for extra in (["--csv", "x.csv"], ["--seed", "1"], ["--out", "x"]):
+    manifest = tmp_path / "inputs.json"
+    manifest.write_text(json.dumps({"inputs": ["g.gf"]}))
+    norm = ["norm", "kind=lhat,r=2.0", str(path)]
+    extract = ["profiles", "extract", str(manifest)]
+    for argv in (norm + ["--csv", "x.csv"], norm + ["--seed", "1"], norm + ["--out", "x"],
+                 norm + ["--window=-2:4"], ["gf", "info", str(path), "--side", "fourier"],
+                 extract + ["--sigma", "3.0"], extract + ["--j-max", "2"]):
         with pytest.raises(SystemExit) as info:
-            main(["norm", "kind=lhat,r=2.0", str(path), *extra])
+            main(argv)
         assert info.value.code == 2
 
 
@@ -81,29 +87,21 @@ def test_norm_lhat_matches_l2(tmp_path, capsys):
     assert payload["spec"].startswith("kind=lhat")
 
 
-def test_norm_morrey_window_flag(tmp_path, capsys):
+def test_norm_morrey_window_from_spec(tmp_path, capsys):
     path = tmp_path / "g.gf"
     write_sample(path)
-    code_full, out_full, _ = run(
-        capsys, "norm", "kind=morrey_hat,p=1.8,q=2.0,r=3.0", str(path),
-        "--no-timestamps")
-    code_part, out_part, _ = run(
-        capsys, "norm", "kind=morrey_hat,p=1.8,q=2.0,r=3.0", str(path),
-        "--window=-2:4", "--no-timestamps")
+    spec = "kind=morrey_hat,p=1.8,q=2.0,r=3.0"
+    code_full, out_full, _ = run(capsys, "norm", spec, str(path), "--no-timestamps")
+    code_part, out_part, _ = run(capsys, "norm", spec + ",j_min=-2,j_max=4", str(path),
+                                 "--no-timestamps")
     assert code_full == 0 and code_part == 0
     assert json.loads(out_part)["value"] < json.loads(out_full)["value"]
+    assert json.loads(out_part)["spec"].endswith(",j_min=-2,j_max=4")
 
-
-@pytest.mark.parametrize("window", ["abc", "3"])
-def test_norm_bad_window_is_a_usage_error(tmp_path, capsys, window):
-    path = tmp_path / "g.gf"
-    write_sample(path)
-    with pytest.raises(SystemExit) as exc:
-        main(["norm", "kind=morrey_hat,p=1.8,q=2.0,r=3.0", str(path),
-              f"--window={window}", "--no-timestamps"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --window: expected jmin:jmax, got '{window}'" in err
+    # half a window is rejected, not silently dropped
+    code, out, err = run(capsys, "norm", spec + ",j_min=-2", str(path), "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == "a norm window needs both j_min and j_max\n"
 
 
 def test_norm_ell_reports_minimizer(tmp_path, capsys):
@@ -198,10 +196,11 @@ def test_gf_convert_requires_output(capsys):
 def test_gf_convert_unknown_extension(tmp_path, capsys):
     path = tmp_path / "g.gf"
     write_sample(path)
-    code, _, err = run(capsys, "gf", "convert", str(path),
-                       str(tmp_path / "g.txt"))
-    assert code == 2
-    assert "unsupported output extension" in err
+    with pytest.raises(SystemExit) as info:
+        main(["gf", "convert", str(path), str(tmp_path / "g.txt")])
+    assert info.value.code == 2
+    assert "unsupported output extension: .txt" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_solve_gkdv_gaussian(tmp_path, capsys):
@@ -213,7 +212,7 @@ def test_solve_gkdv_gaussian(tmp_path, capsys):
                        "--no-timestamps")
     assert code == 0
     payload = json.loads(out)
-    assert payload["equation"] == "gkdv"
+    assert payload["config"]["equation"] == "gkdv"
     assert payload["mass_drift"] < 1e-8
     assert payload["frames"] >= 2
     assert out_path.exists() and csv_path.exists()
@@ -236,10 +235,11 @@ def test_solve_reports_health_and_warnings(capsys):
                          "--t-end", "0.1", "--no-timestamps")
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["steps"] == round(0.1 / payload["config"]["dt"])
+    assert payload["config"]["dt"] is None  # the default: solve picks dt
+    assert payload["steps"] == round(0.1 / payload["dt"])
     assert payload["mass_drift"] < 1e-10
     assert payload["energy_drift"] < 1e-10
-    assert payload["t_reached"] == pytest.approx(payload["steps"] * payload["config"]["dt"])
+    assert payload["t_reached"] == pytest.approx(payload["steps"] * payload["dt"])
     [line] = payload["warnings"]
     assert re.fullmatch(r"cli\.py:\d+: UserWarning: alpha=1\.0 is outside the range .*", line)
 
@@ -278,29 +278,63 @@ def test_verify_soliton_lists_the_range_warning(capsys):
                         line)
 
 
-@pytest.mark.parametrize("command", ["solve", "norm", "embed", "profiles", "verify",
-                                     "gf info", "gf convert"])
-def test_every_report_lists_its_warnings(tmp_path, capsys, command):
+def sample_argv(tmp_path, command):
+    """A quick run of `command` on a sample GF01 file written under tmp_path."""
     gf = tmp_path / "g.gf"
     write_sample(gf)
     manifest = tmp_path / "inputs.json"
     manifest.write_text(json.dumps({"inputs": ["g.gf"]}))
-    argv = {
+    return {
         "solve": ["solve", "nls", "--n", "64", "--t-end", "0.01", "--dt", "1e-3"],
         "norm": ["norm", "kind=lhat,r=2.0", str(gf)],
         "embed": ["embed", "--xi", "4", "--n", "64", "--t-end", "0.1"],
         "profiles": ["profiles", "extract", str(manifest), "--t-scan", "0.1",
                      "--out", str(tmp_path / "out")],
+        "profiles decompose": ["profiles", "decompose", str(manifest), "--t-scan", "0.1",
+                               "--out", str(tmp_path / "out")],
         "verify": ["verify", "exponents"],
         "gf info": ["gf", "info", str(gf)],
         "gf convert": ["gf", "convert", str(gf), str(tmp_path / "g.csv")],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["solve", "norm", "embed", "profiles", "verify",
+                                     "gf info", "gf convert"])
+def test_every_report_lists_its_warnings(tmp_path, capsys, command):
+    argv = sample_argv(tmp_path, command)
     code, out, err = run(capsys, *argv, "--no-timestamps")
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["command"].startswith(command.split()[0])
     assert isinstance(payload["warnings"], list)
     assert all(isinstance(line, str) for line in payload["warnings"])
+
+
+@pytest.mark.parametrize("command, extra, expect, absent", [
+    ("solve", ["--store-every", "5"], {"equation": "nls", "store_every": 5}, ()),
+    ("norm", [], {"spec": "kind=lhat,r=2.0"}, ()),
+    ("embed", ["--dt", "5e-4"], {"dt": 5e-4, "alpha": 1.9}, ()),
+    ("profiles", [], {"alpha": 1.8, "t_scan": 0.1}, ("sigma", "j_max")),
+    ("profiles decompose", ["--j-max", "2"], {"j_max": 2, "sigma": 3.0}, ()),
+    ("verify", ["--seed", "4"], {"battery": "exponents", "seed": 4}, ()),
+    ("gf info", [], {}, ("side", "output")),
+    ("gf convert", [], {"side": "physical"}, ()),
+])
+def test_every_config_is_the_parsed_arguments(tmp_path, capsys, command, extra, expect,
+                                              absent):
+    argv = [*sample_argv(tmp_path, command), *extra, "--no-timestamps"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["func"]
+    assert payload["command"] == " ".join(
+        parsed.pop(key) for key in ("command", "action") if key in parsed)
+    assert payload["config"] == parsed
+    assert parsed["no_timestamps"] is True
+    for key, value in expect.items():
+        assert payload["config"][key] == value
+    assert not set(absent) & set(payload["config"])
 
 
 def test_embed_lists_its_warnings_in_the_report(capsys):
@@ -361,7 +395,7 @@ def test_profiles_extract_round_trip(tmp_path, capsys):
     manifest.write_text(json.dumps({"inputs": ["u0.gf"]}))
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, "profiles", "extract", str(manifest),
-                       "--alpha", "1.8", "--sigma", "3.0",
+                       "--alpha", "1.8",
                        "--t-scan", "0.1", "--out", str(out_dir),
                        "--no-timestamps")
     assert code == 0
@@ -381,7 +415,7 @@ def test_profiles_bad_t_scan_exits_1_and_writes_nothing(tmp_path, capsys, action
     manifest.write_text(json.dumps({"inputs": ["u0.gf"]}))
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, "profiles", action, str(manifest),
-                         "--alpha", "1.8", "--sigma", "3.0", f"--t-scan={t_scan}",
+                         "--alpha", "1.8", f"--t-scan={t_scan}",
                          "--out", str(out_dir), "--no-timestamps")
     assert code == 1
     assert out == ""

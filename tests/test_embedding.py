@@ -221,17 +221,21 @@ def test_residual_Y_is_stable_under_frame_refinement(monkeypatch):
 def test_embedding_config_validation():
     g = Grid(256, 8 * np.pi, -4 * np.pi)
     phi = gaussian(g)
+
+    def config(xi_list=(4.0,), T=1.0, nls_dt=1e-3):
+        return EmbeddingConfig(alpha=1.9, phi=phi, xi_list=xi_list, T=T, nls_dt=nls_dt)
+
     with pytest.raises(ValueError, match="ascending"):
-        EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(16.0, 8.0))
+        config(xi_list=(16.0, 8.0))
     with pytest.raises(ValueError, match="positive"):
-        EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), T=0.0)
+        config(T=0.0)
     with pytest.raises(ValueError, match="lattice"):
-        EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.3,))
+        config(xi_list=(4.3,))
     for bad in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="nls_dt must be positive and finite"):
-            EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), nls_dt=bad)
+            config(nls_dt=bad)
         with pytest.raises(ValueError, match="T must be positive and finite"):
-            EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(4.0,), T=bad)
+            config(T=bad)
 
 
 def test_embedding_experiment_small_sweep():

@@ -328,6 +328,13 @@ def test_norm_spec_errors():
         NormSpec.parse("kind=lhat,weight=3")
 
 
+@pytest.mark.parametrize("half", ["j_min=-2", "j_max=4"])
+def test_norm_spec_rejects_half_a_window(half):
+    # a lone bound used to drop the window while serialize still printed it
+    with pytest.raises(ValueError, match="^a norm window needs both j_min and j_max$"):
+        NormSpec.parse(f"kind=morrey_hat,p=1.8,q=2.0,r=3.0,{half}")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["lhat", "morrey_hat", "ell"]),
        st.floats(min_value=1.0, max_value=9.0, allow_nan=False),
