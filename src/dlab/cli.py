@@ -96,10 +96,19 @@ def _initial_data(args, grid: Grid) -> GridFunction:
     return read_grid_function(args.preset)
 
 
+def _default_dt(grid: Grid, t_end: float) -> float:
+    """The largest step no longer than suggest_dt(grid) that lands on t_end in
+    whole steps; suggest_dt itself when |t_end| / suggest_dt is not a finite
+    positive number, which SolveConfig then rejects."""
+    dt = suggest_dt(grid)
+    steps = abs(t_end) / dt
+    return abs(t_end) / math.ceil(steps) if 0 < steps < math.inf else dt
+
+
 def cmd_solve(args) -> tuple[int, dict]:
     grid = _make_grid(args)
     u0 = _initial_data(args, grid)
-    dt = args.dt if args.dt is not None else suggest_dt(grid)
+    dt = args.dt if args.dt is not None else _default_dt(grid, args.t_end)
     solver = gkdv_solve if args.equation == "gkdv" else nls_solve
     cfg = SolveConfig(alpha=args.alpha, mu=args.mu, coupling=args.coupling,
                       t_end=args.t_end, dt=dt, store_every=args.store_every)
@@ -149,7 +158,10 @@ def cmd_embed(args) -> tuple[int, dict]:
     xi_list = tuple(float(v) for v in args.xi.split(","))
     cfg = EmbeddingConfig(alpha=args.alpha, phi=phi, xi_list=xi_list,
                           T=args.t_end, nls_dt=args.dt)
-    rows = embedding_experiment(cfg)
+    try:
+        rows = embedding_experiment(cfg)
+    except BlowupError as err:
+        raise ValueError(f"embed: {err}") from None
     if args.csv:
         _write_csv(args.csv, {key: [r[key] for r in rows] for key in rows[0]})
     errs = [r["err_lhat_alpha"] for r in rows]

@@ -20,8 +20,10 @@ solving gKdV through the envelope identity
 so the fast carrier e^{-i t xi_n^3} is never differenced in time and a
 fixed RESIDUAL_FRAMES times resolve the residual at every carrier.  The
 experiment sweeps the carrier frequency and records how the gap to the
-true gKdV solution closes; a row whose third harmonic 3(xi_n + xi_n^{1/4})
-lies above the grid's top frequency says so and warns.
+true gKdV solution closes; per carrier it makes one NLS and one gKdV solve,
+each a SolveConfig with both_ways that marches t > 0 and t < 0 together.  A
+row whose third harmonic 3(xi_n + xi_n^{1/4}) lies above the grid's top
+frequency says so and warns.
 """
 
 from __future__ import annotations
@@ -174,16 +176,6 @@ class EmbeddingConfig:
             self.phi.grid.lattice_index(x)
 
 
-def _solve_both_ways(solver, v0: GridFunction, t_end: float, **cfg) -> SpaceTimeField:
-    """Solve from t=0 to t_end and to -t_end; merge into one field.  Both
-    SolveConfigs are built here, so their warnings point at this module."""
-    run_f = solver(v0, SolveConfig(t_end=t_end, **cfg))
-    run_b = solver(v0, SolveConfig(t_end=-t_end, **cfg))
-    times = np.concatenate([run_b.times[:-1], run_f.times])
-    values = np.concatenate([run_b.values[:-1], run_f.values])
-    return SpaceTimeField(run_f.grid, times, values)
-
-
 def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
     """Sweep the carrier frequencies; one result row per xi_n."""
     c0, _ = embedding_constants(cfg.alpha)
@@ -200,8 +192,8 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         # NLS on the slow scale, frequency-cut data, coupling C0
         v0 = sharp_cutoff(cfg.phi, xi_n ** 0.25)
         store = max(1, int(math.floor((cfg.T / 64.0) / cfg.nls_dt)))
-        v_field = _solve_both_ways(nls_solve, v0, cfg.T, alpha=cfg.alpha, mu=MU,
-                                   coupling=c0, dt=cfg.nls_dt, store_every=store)
+        v_field = nls_solve(v0, SolveConfig(alpha=cfg.alpha, mu=MU, coupling=c0, t_end=cfg.T,
+                                            dt=cfg.nls_dt, store_every=store, both_ways=True))
 
         # gKdV with the full (uncut) profile on the carrier; the step follows
         # the per-carrier accuracy rule
@@ -210,8 +202,8 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
         xi_active = xi_n + 8.0
         dt = min(suggest_dt(grid, xi_active), seam / 64.0)
         g_store = max(1, round(seam / dt / (GKDV_FRAMES - 1)))
-        u_field = _solve_both_ways(gkdv_solve, u0, seam, alpha=cfg.alpha, mu=MU,
-                                   coupling=1.0, dt=dt, store_every=g_store)
+        u_field = gkdv_solve(u0, SolveConfig(alpha=cfg.alpha, mu=MU, coupling=1.0, t_end=seam,
+                                             dt=dt, store_every=g_store, both_ways=True))
 
         # seam-time gap in the critical data norm
         errs = []

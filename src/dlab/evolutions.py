@@ -14,10 +14,16 @@ and the opening half step of the next are merged into one full step
 (Strang, SIAM J. Numer. Anal. 5, 1968), so a step is one ifft, the phase
 rotation and one fft, and the closing half step runs only at stored frames.
 Both solvers transform their state back to physical samples only at stored
-frames.  Nonlinear products are dealiased by zero padding (fractional
-powers |u|^{2a} cannot be dealiased exactly); a sample above BLOWUP_SUP in
-a gKdV stage or an NLS phase rotation stops the solve before |u|^{2a}
-overflows.
+frames.  Each steps a (k, modes) stack of Fourier rows with a per-row signed
+step: k = 1 for a one-sided solve, and k = 2 for a SolveConfig with
+both_ways, whose forward and backward rows advance together in every step
+and are recorded from t = 0 outwards into one array with times
+-|t_end| .. |t_end|.  Nonlinear products are dealiased by zero padding
+(fractional powers |u|^{2a} cannot be dealiased exactly): the power is
+formed on the padded samples irfft(uh, DEALIAS_PAD n), which are u /
+DEALIAS_PAD, and the truncated spectrum is rescaled once by
+DEALIAS_PAD^{2a}.  A sample above BLOWUP_SUP in a gKdV stage or an NLS phase
+rotation stops the solve before |u|^{2a} overflows.
 mass and energy take physical samples (..., n), such as a SpaceTimeField's
 values, and return one value per row.
 """
@@ -46,14 +52,15 @@ class SolveConfig:
     t_end: float = 1.0
     dt: float = 1e-3
     store_every: int = 1
+    both_ways: bool = False  # also solve back to -|t_end|, in the same march
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.mu not in (-1, 1):
             raise ValueError(f"mu must be +1 or -1, got {self.mu}")
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative")
+        if not (math.isfinite(self.coupling) and self.coupling >= 0):
+            raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
         if not (math.isfinite(self.t_end) and self.t_end != 0):
             raise ValueError(f"t_end must be finite and nonzero, got {self.t_end}")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -76,7 +83,8 @@ class SolveConfig:
 
     @property
     def n_steps(self) -> int:
-        """Time steps of a solve: |t_end| / dt rounded, at least one."""
+        """Time steps of a solve in each direction: |t_end| / dt rounded, at
+        least one."""
         return max(1, round(abs(self.t_end) / self.dt))
 
 
@@ -106,13 +114,20 @@ def _nonlinear_power(uh: np.ndarray, n: int, alpha: float) -> np.ndarray:
     """rfft coefficients of |u|^{2 alpha} u for u = irfft(uh, n), formed on a
     zero-padded grid and truncated back to the uh.shape[-1] modes of uh, row
     by row along the last axis; raises FloatingPointError if a padded sample
-    exceeds BLOWUP_SUP or is not finite."""
-    m = DEALIAS_PAD * n
-    ubig = np.fft.irfft(uh, m) * DEALIAS_PAD
+    exceeds BLOWUP_SUP or is not finite.
+
+    The padded samples irfft(uh, P n) are u / P, so the power is formed from
+    them unscaled and the truncated spectrum is multiplied once by P^{2 alpha}
+    (P = DEALIAS_PAD); the bound BLOWUP_SUP / P is exact for P = 2."""
+    ubig = np.fft.irfft(uh, DEALIAS_PAD * n)
     mag = np.abs(ubig)
-    if not mag.max() <= BLOWUP_SUP:
+    if not mag.max() <= BLOWUP_SUP / DEALIAS_PAD:
         raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} in a nonlinear stage")
-    return np.fft.rfft(mag ** (2.0 * alpha) * ubig)[..., :uh.shape[-1]] / DEALIAS_PAD
+    mag **= 2.0 * alpha
+    mag *= ubig
+    out = np.fft.rfft(mag)[..., :uh.shape[-1]]
+    out *= DEALIAS_PAD ** (2.0 * alpha)
+    return out
 
 
 def _stored(step: int, n_steps: int, store_every: int) -> bool:
@@ -121,17 +136,21 @@ def _stored(step: int, n_steps: int, store_every: int) -> bool:
 
 
 def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeField:
-    """u0 and the (t, u) frames of steps(dt, n_steps, store_every), which
-    yields the frame after every step for which _stored holds and no other.
+    """u0 and the frames of steps(dts, n_steps, store_every), which advances
+    one row per direction of the solve, row r by the signed step dts[r], and
+    yields the times step * dts and the (k, n) rows after every step for
+    which _stored holds and no other.
 
-    The frames go into one array, which a backward solve fills from the end
-    so that times ascend; an array too large to allocate is a ValueError.
-    A non-finite or huge stored frame, or a step's FloatingPointError,
-    raises BlowupError with the frames stored so far.
+    The frames go into one array, n_side of them per direction around u0,
+    written from t = 0 outwards so that times ascend: a backward row fills
+    the array below u0, a forward row above it.  An array too large to
+    allocate is a ValueError.  A non-finite or huge stored frame, or a
+    step's FloatingPointError, raises BlowupError with the frames stored so
+    far, which always include t = 0.
     """
-    backward = cfg.t_end < 0
-    n_steps = cfg.n_steps
-    n_store = 1 + -(-n_steps // cfg.store_every)
+    signs = np.array([-1, 1] if cfg.both_ways else [-1 if cfg.t_end < 0 else 1])
+    n_side = -(-cfg.n_steps // cfg.store_every)
+    n_store = 1 + len(signs) * n_side
     try:
         values = np.empty((n_store, grid.n), dtype=np.complex128)
     except (MemoryError, ValueError):
@@ -139,17 +158,19 @@ def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeFie
                          f"{16.0 * n_store * grid.n:.3g} bytes, more than can be "
                          "allocated; raise store_every or shorten t_end") from None
     times = np.empty(n_store)
-    i = n_store - 1 if backward else 0
-    times[i], values[i] = 0.0, u0
+    centre = n_side if signs[0] < 0 else 0
+    times[centre], values[centre] = 0.0, u0
+    k = 0  # frames stored per direction
     try:
-        for t, u in steps(-cfg.dt if backward else cfg.dt, n_steps, cfg.store_every):
+        for t, u in steps(signs * cfg.dt, cfg.n_steps, cfg.store_every):
             if not np.max(np.abs(u)) <= BLOWUP_SUP:
-                raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} at t={t:g}")
-            i += -1 if backward else 1
-            times[i], values[i] = t, u
+                raise FloatingPointError(f"|u| exceeds {BLOWUP_SUP:g} in a stored frame")
+            k += 1
+            rows = centre + k * signs
+            times[rows], values[rows] = t, u
     except FloatingPointError:
-        kept = slice(i, None) if backward else slice(0, i + 1)
-        raise BlowupError(float(times[i]),
+        kept = slice(centre - k * (signs[0] < 0), centre + k * (signs[-1] > 0) + 1)
+        raise BlowupError(float(times[centre + k * signs[-1]]),
                           SpaceTimeField(grid, times[kept], values[kept])) from None
     return SpaceTimeField(grid, times, values)
 
@@ -157,8 +178,8 @@ def _record(grid: Grid, u0: np.ndarray, steps, cfg: SolveConfig) -> SpaceTimeFie
 def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
     """Integrating-factor RK4 for gKdV; returns physical frames at cadence.
 
-    cfg.t_end may be negative (backward solve); frames are returned in
-    increasing time order either way.
+    cfg.t_end may be negative (backward solve), and cfg.both_ways solves
+    both ways in one march; frames are returned in increasing time order.
     """
     up = u0.to_physical()
     if float(np.max(np.abs(up.values.imag))) > 1e-12:
@@ -167,11 +188,12 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
     modes = (n + 1) // 2  # the rfft modes below Nyquist
     xi = np.fft.ifftshift(up.grid.frequencies())[:modes]
 
-    def steps(dt, n_steps, store_every):
+    def steps(dts, n_steps, store_every):
+        dt = dts[:, None]
         e = np.exp(0.5j * dt * xi**3)
         e2 = e * e
         g = cfg.mu * cfg.coupling * 1j * dt * xi
-        v = np.fft.rfft(up.values.real)[:modes]
+        v = np.fft.rfft(up.values.real)[:modes]  # one row, broadcast by the first step
         for step in range(1, n_steps + 1):
             a = g * _nonlinear_power(v, n, cfg.alpha)
             b = g * _nonlinear_power(e * (v + a / 2), n, cfg.alpha)
@@ -179,7 +201,7 @@ def gkdv_solve(u0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
             d = g * _nonlinear_power(e2 * v + e * c, n, cfg.alpha)
             v = e2 * v + (e2 * a + 2 * e * (b + c) + d) / 6
             if _stored(step, n_steps, store_every):
-                yield step * dt, np.fft.irfft(v, n)
+                yield step * dts, np.fft.irfft(v, n)
 
     return _record(up.grid, up.values, steps, cfg)
 
@@ -194,13 +216,14 @@ def nls_solve(v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
     is one ifft, the rotation and one fft followed by a full linear step,
     and the closing half step is taken only for a stored frame.  The |v| of
     the rotation is the per-step blow-up check.  Mass is conserved exactly
-    up to FFT roundoff.
+    up to FFT roundoff.  cfg.both_ways solves both ways in one march.
     """
     vp = v0.to_physical()
     xi = np.fft.ifftshift(vp.grid.frequencies())
     rate = cfg.mu * cfg.coupling
 
-    def steps(dt, n_steps, store_every):
+    def steps(dts, n_steps, store_every):
+        dt = dts[:, None]
         half = np.exp(0.5j * dt * xi**2)
         full = np.exp(1j * dt * xi**2)
         phase = 1j * rate * dt
@@ -214,7 +237,7 @@ def nls_solve(v0: GridFunction, cfg: SolveConfig) -> SpaceTimeField:
             v *= np.exp(phase * mag ** (2.0 * cfg.alpha))
             np.fft.fft(v, out=vh)
             if _stored(step, n_steps, store_every):
-                yield step * dt, np.fft.ifft(half * vh)
+                yield step * dts, np.fft.ifft(half * vh)
             vh *= full
 
     return _record(vp.grid, vp.values, steps, cfg)

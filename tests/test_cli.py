@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dlab.cli import build_parser, main
+from dlab.evolutions import BlowupError, suggest_dt
 from dlab.fileio import read_grid_function, write_grid_function
 from dlab.grid import FOURIER, Grid, GridFunction
 
@@ -256,6 +257,44 @@ def test_solve_reports_the_time_reached_and_warns_on_overshoot(capsys, t_end, t_
                         r"not \|t_end\|=0\.0001: 1 step\(s\) of dt=0\.001", line)
 
 
+@pytest.mark.parametrize("t_end", [0.01, -0.01, 1.3])
+def test_solve_default_dt_lands_on_t_end(capsys, t_end):
+    # suggest_dt is 0.4785 on this grid: 1, 1 and 3 steps
+    code, out, err = run(capsys, "solve", "nls", "--n", "64", f"--t-end={t_end}",
+                         "--no-timestamps")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert abs(payload["t_reached"] - t_end) <= 1e-15 * abs(t_end)
+    assert payload["warnings"] == []
+    grid = Grid(64, payload["config"]["length"], -payload["config"]["length"] / 2.0)
+    assert payload["dt"] <= suggest_dt(grid)
+    assert payload["steps"] == math.ceil(abs(t_end) / suggest_dt(grid))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "--n", "64", "--xi", "4", "--t-end", "0.1", "--alpha", "nan"],
+     "alpha must be positive and finite, got nan"),
+    (["solve", "gkdv", "--n", "64", "--coupling", "nan"],
+     "coupling must be nonnegative and finite, got nan"),
+    (["solve", "nls", "--n", "64", "--alpha", "inf"],
+     "alpha must be positive and finite, got inf"),
+])
+def test_non_finite_solver_parameter_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == message + "\n"
+
+
+def test_embed_blowup_exits_1_with_one_line(capsys, monkeypatch):
+    def blowing_up(cfg):
+        raise BlowupError(0.25, None)
+
+    monkeypatch.setattr("dlab.cli.embedding_experiment", blowing_up)
+    code, out, err = run(capsys, "embed", "--n", "64", "--xi", "4", "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == "embed: blow-up or instability detected after t=0.25\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--t-end=inf"], "t_end must be finite and nonzero, got inf"),
     (["--t-end=0"], "t_end must be finite and nonzero, got 0.0"),
@@ -344,7 +383,7 @@ def test_embed_lists_its_warnings_in_the_report(capsys):
     lines = json.loads(out)["warnings"]
     solver = [w for w in lines if "alpha=1.5 is outside the range" in w]
     harmonic = [w for w in lines if "third harmonic" in w]
-    # one alpha-range warning per solve direction, from the SolveConfigs of embedding.py
+    # one alpha-range warning per equation, from the SolveConfigs of embedding.py
     assert len(solver) == 2 and all(w.startswith("embedding.py:") for w in solver)
     assert len(harmonic) == 1 and harmonic[0].startswith("cli.py:")
     assert len(lines) == 3

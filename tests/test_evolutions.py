@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dlab.deformations import airy_flow, schrodinger_flow
-from dlab.evolutions import (DEALIAS_PAD, BlowupError, SolveConfig, _nonlinear_power,
-                             _record, _stored, c_alpha, drift, energy, gkdv_solve, mass,
-                             nls_solve, soliton_exact, soliton_profile, soliton_Q, suggest_dt)
+from dlab.evolutions import (BLOWUP_SUP, DEALIAS_PAD, BlowupError, SolveConfig,
+                             _nonlinear_power, _record, _stored, c_alpha, drift, energy,
+                             gkdv_solve, mass, nls_solve, soliton_exact, soliton_profile,
+                             soliton_Q, suggest_dt)
 from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction
 
 
@@ -132,6 +133,14 @@ def test_config_validation():
         nls_solve(gaussian(GRID), quiet_config(alpha=1.8, t_end=1e13, dt=1e-3))
     with pytest.warns(UserWarning, match="outside the range"):
         SolveConfig(alpha=1.0)
+
+
+@pytest.mark.parametrize("field, bad", [("alpha", math.nan), ("alpha", math.inf),
+                                        ("coupling", math.nan), ("coupling", math.inf)])
+def test_config_rejects_non_finite_alpha_and_coupling(field, bad):
+    kw = {"alpha": 1.8, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be .* and finite, got {bad}$"):
+        quiet_config(**kw)
 
 
 def test_alpha_range_warning_names_the_calling_line():
@@ -261,6 +270,42 @@ def test_nonlinear_power_of_rows_matches_row_by_row_calls():
         np.testing.assert_array_equal(rows[k], _nonlinear_power(uh[k], n, 1.9))
 
 
+def test_nonlinear_power_rescales_once_like_the_two_scale_form():
+    # the power of the unscaled padded samples, rescaled by DEALIAS_PAD^{2 alpha},
+    # against samples scaled up by DEALIAS_PAD and a spectrum scaled down by it
+    n, alpha = 256, 1.9
+    rng = np.random.default_rng(7)
+    uh = np.fft.rfft(rng.normal(size=(3, n)))[:, : n // 2]
+    ubig = np.fft.irfft(uh, DEALIAS_PAD * n) * DEALIAS_PAD
+    direct = np.fft.rfft(np.abs(ubig) ** (2.0 * alpha) * ubig)[:, : n // 2] / DEALIAS_PAD
+    folded = _nonlinear_power(uh, n, alpha)
+    assert np.max(np.abs(folded - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+
+def test_nonlinear_power_blowup_bound_is_on_the_true_samples():
+    # the constant state u = BLOWUP_SUP passes, twice it stops the stage
+    uh = np.zeros(8, dtype=complex)
+    uh[0] = 16 * BLOWUP_SUP
+    _nonlinear_power(uh, 16, 0.01)
+    with pytest.raises(FloatingPointError):
+        _nonlinear_power(2.0 * uh, 16, 0.01)
+
+
+@pytest.mark.parametrize("solver, u0, store_every", [
+    (gkdv_solve, gaussian_plus_noise(GRID), 3),
+    (nls_solve, gaussian(GRID, amp=1.5), 7),
+])
+def test_both_ways_solve_is_the_two_one_sided_solves_joined(solver, u0, store_every):
+    kw = {"alpha": 1.9, "t_end": 0.05, "dt": 1e-3, "store_every": store_every}
+    run = solver(u0, quiet_config(**kw, both_ways=True))
+    fwd = solver(u0, quiet_config(**kw))
+    bwd = solver(u0, quiet_config(**{**kw, "t_end": -0.05}))
+    assert len(run) == len(fwd) + len(bwd) - 1
+    np.testing.assert_array_equal(run.times, np.concatenate([bwd.times[:-1], fwd.times]))
+    joined = np.concatenate([bwd.values[:-1], fwd.values])
+    assert np.max(np.abs(run.values - joined)) <= 1e-15 * np.max(np.abs(joined))
+
+
 @pytest.mark.parametrize("t_end", [0.1, -0.1])
 @pytest.mark.parametrize("store_every", [1, 7, 1000])
 def test_nls_merged_step_matches_the_unmerged_strang_step(t_end, store_every):
@@ -356,3 +401,25 @@ def test_blowup_detection():
         nls_solve(gaussian(GRID, amp=2e8), quiet_config(alpha=2.0, t_end=0.01, store_every=5))
     assert info.value.t_last == 0.0
     np.testing.assert_array_equal(info.value.partial.times, [0.0])
+
+
+@pytest.mark.parametrize("solver, u0, cfg, frames", [
+    # dt far above the accuracy rule: the RK4 stages grow for a few steps
+    (gkdv_solve, gaussian(GRID, amp=2.0),
+     quiet_config(alpha=2.0, t_end=0.4, dt=2e-3, both_ways=True), 23),
+    (nls_solve, gaussian(GRID, amp=2e8),
+     quiet_config(alpha=2.0, t_end=0.01, store_every=5, both_ways=True), 1),
+])
+def test_blowup_in_a_both_ways_solve_keeps_the_frames_around_t0(solver, u0, cfg, frames):
+    with warnings.catch_warnings(), pytest.raises(BlowupError) as info:
+        warnings.simplefilter("error")
+        solver(u0, cfg)
+    partial = info.value.partial
+    assert len(partial) == frames
+    # as many frames on each side of t = 0, times ascending
+    np.testing.assert_array_equal(partial.times, -partial.times[::-1])
+    assert partial.times[len(partial) // 2] == 0.0
+    np.testing.assert_array_equal(partial.values[len(partial) // 2], u0.to_physical().values)
+    assert np.all(np.diff(partial.times) > 0)
+    assert np.all(np.isfinite(partial.values))
+    assert info.value.t_last == partial.times[-1]
