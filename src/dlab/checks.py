@@ -73,12 +73,15 @@ def check_constants() -> dict:
     measured = {"C0_alpha1": c0, "C1_alpha1": c1}
     ok &= abs(c0 - 0.25) < 1e-12 and abs(c1 - 0.25) < 1e-12
     ok &= abs(fourier_sin_coeff(1.0, 1) - 0.25) < 1e-10
-    rel_dev = 0.0
+    rel_dev = quad_dev = 0.0
     for a in np.linspace(1.0, 2.0, 11):
         ca0, ca1 = embedding_constants(float(a))
         rel_dev = max(rel_dev, abs(ca1 - 3.0 * ca0 / (2.0 * a + 1.0)))
+        quad_dev = max(quad_dev, abs(ca1 - fourier_sin_coeff(float(a), 1)))
     measured["relation_dev"] = rel_dev
     ok &= rel_dev < 1e-12
+    measured["quadrature_dev"] = quad_dev
+    ok &= quad_dev < 1e-10
     spectrum = [fourier_sin_coeff(1.0, k) for k in range(1, 9)]
     measured["alpha1_spectrum"] = spectrum
     for k, ck in enumerate(spectrum, start=1):

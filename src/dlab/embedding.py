@@ -6,7 +6,10 @@ is approximated by
     u~(t, x) = Re[e^{-i x xi_n - i t xi_n^3} v(-3 xi_n t, x + 3 xi_n^2 t)]
 
 where v solves i v_s - v_zz = -mu C0 |v|^{2a} v with the coupling C0
-coming from the first Fourier-sine coefficient of |cos|^{2a} sin; beyond
+coming from the first Fourier-sine coefficient C1 = 3 C0 / (2a + 1) of
+|cos|^{2a} sin.  C0 and C1 have Gamma-function closed forms, which
+embedding_constants cross-checks against fourier_sin_coeff, a fixed
+tanh-sinh rule on the three panels between the kinks at +-pi/2; beyond
 the seam times +-T/(3 xi_n) the seam states continue by the free Airy
 flow.  approx_field evaluates u~ at many times as one array: v's rows are
 interpolated in time, translated by the per-row Fourier phase of
@@ -33,36 +36,53 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .grid import (PHYSICAL, ROW_BLOCK, GridFunction, SpaceTimeField, fourier_multiply,
                    physical_rows)
 from .deformations import airy_flow, modulate
-from .evolutions import SolveConfig, _nonlinear_power, gkdv_solve, nls_solve, suggest_dt
+from .evolutions import (SolveConfig, _nonlinear_power, check_alpha, gkdv_solve, nls_solve,
+                         suggest_dt)
 from .norms import NormSpec, lhat_norm, spacetime_norm
 
 
+def _tanh_sinh_panels(edges: tuple[float, ...], h: float, t_max: float):
+    """Nodes and weights of the tanh-sinh rule (Takahasi & Mori, 1974) with step
+    h on |t| <= t_max, on each panel between consecutive edges."""
+    n = round(t_max / h)
+    t = h * np.arange(-n, n + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    x, w = np.tanh(u), h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    mid = [0.5 * (b + a) for a, b in zip(edges, edges[1:])]
+    rad = [0.5 * (b - a) for a, b in zip(edges, edges[1:])]
+    return (np.concatenate([c + r * x for c, r in zip(mid, rad)]),
+            np.concatenate([r * w for r in rad]))
+
+
+# |cos t|^{2 alpha} has kinks at +-pi/2, so the rule runs on the three panels
+# between them, where the double-exponential clustering absorbs the endpoint
+# behaviour; 513 nodes per panel
+_THETA, _THETA_W = _tanh_sinh_panels((-np.pi, -np.pi / 2, np.pi / 2, np.pi), 1.0 / 64.0, 4.0)
+_ABS_COS = np.abs(np.cos(_THETA))
+_SIN_W = np.sin(_THETA) * _THETA_W / np.pi
+
+
 def fourier_sin_coeff(alpha: float, k: int) -> float:
-    """k-th Fourier-sine coefficient of |cos t|^{2 alpha} sin t on (-pi, pi)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """k-th Fourier-sine coefficient of |cos t|^{2 alpha} sin t on (-pi, pi),
+    by the fixed tanh-sinh rule above."""
+    check_alpha(alpha)
     if k < 1:
         raise ValueError("k must be a positive integer")
-
-    def integrand(theta):
-        return np.abs(np.cos(theta)) ** (2.0 * alpha) * np.sin(theta) * np.sin(k * theta)
-
-    val, _ = quad(integrand, -np.pi, np.pi, points=[-np.pi / 2, np.pi / 2],
-                  limit=200, epsabs=1e-12, epsrel=1e-12)
-    return val / np.pi
+    return float(np.dot(_SIN_W * _ABS_COS ** (2.0 * alpha), np.sin(k * _THETA)))
 
 
 def embedding_constants(alpha: float) -> tuple[float, float]:
-    """(C0, C1) from the Gamma-function closed forms, cross-checked."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    c0 = 2.0 * gamma_fn(alpha + 1.5) / (3.0 * math.sqrt(math.pi) * gamma_fn(alpha + 2.0))
+    """(C0, C1) from the Gamma-function closed forms, cross-checked against
+    fourier_sin_coeff(alpha, 1)."""
+    check_alpha(alpha)
+    try:
+        c0 = 2.0 * math.gamma(alpha + 1.5) / (3.0 * math.sqrt(math.pi) * math.gamma(alpha + 2.0))
+    except OverflowError:
+        raise ValueError(f"alpha={alpha} is too large: Gamma(alpha + 2) overflows") from None
     c1 = 3.0 * c0 / (2.0 * alpha + 1.0)
     quadrature = fourier_sin_coeff(alpha, 1)
     if abs(c1 - quadrature) > 1e-10:
@@ -165,6 +185,7 @@ class EmbeddingConfig:
     nls_dt: float
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if not (math.isfinite(self.nls_dt) and self.nls_dt > 0):

@@ -35,13 +35,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
 
 BLOWUP_SUP = 1e8
 ESTIMATE_ALPHA_RANGE = (8.0 / 5.0, 10.0 / 3.0)
 DEALIAS_PAD = 2  # nonlinear products are formed on a grid this many times finer
+# c_alpha's trapezoid nodes: Q and Q' are below roundoff past |x| = 60
+C_ALPHA_NODES = np.linspace(-60.0, 60.0, 24001)
+
+
+def check_alpha(alpha: float) -> None:
+    """The one check of the nonlinearity exponent: finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 @dataclass
@@ -55,8 +62,7 @@ class SolveConfig:
     both_ways: bool = False  # also solve back to -|t_end|, in the same march
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.mu not in (-1, 1):
             raise ValueError(f"mu must be +1 or -1, got {self.mu}")
         if not (math.isfinite(self.coupling) and self.coupling >= 0):
@@ -254,8 +260,7 @@ def soliton_profile(alpha: float, x: np.ndarray) -> np.ndarray:
 
 def soliton_Q(alpha: float, grid: Grid, c: float = 1.0, shift: float = 0.0) -> GridFunction:
     """Traveling-wave initial state c^{1/alpha} Q(c (x - shift))."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     x = grid.nodes()
     vals = c ** (1.0 / alpha) * soliton_profile(alpha, c * (x - shift))
     return GridFunction(grid, vals.astype(np.complex128), PHYSICAL)
@@ -268,16 +273,18 @@ def soliton_exact(alpha: float, grid: Grid, c: float, t: float,
 
 
 def c_alpha(alpha: float) -> float:
-    """Zero-energy speed: ((alpha+1) ||Q'||^2 / ||Q||^{2a+2}_{L^{2a+2}})^{1/(2a)}."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """Zero-energy speed: ((alpha+1) ||Q'||^2 / ||Q||^{2a+2}_{L^{2a+2}})^{1/(2a)}.
 
-    def q(x):
-        return soliton_profile(alpha, np.asarray([x]))[0]
-
-    num = quad(lambda x: (q(x) * np.tanh(alpha * x)) ** 2, -60, 60, limit=200)[0]
-    den = quad(lambda x: q(x) ** (2 * alpha + 2), -60, 60, limit=200)[0]
-    c = ((alpha + 1.0) * num / den) ** (1.0 / (2.0 * alpha))
+    Both integrals are one trapezoid sum on C_ALPHA_NODES, which converges
+    geometrically for these analytic integrands that decay to roundoff
+    (Trefethen & Weideman, SIAM Review 56, 2014).
+    """
+    check_alpha(alpha)
+    # the node spacing cancels in num / den, and both integrands vanish at the ends
+    q = soliton_profile(alpha, C_ALPHA_NODES)
+    num = np.sum((q * np.tanh(alpha * C_ALPHA_NODES)) ** 2)
+    den = np.sum(q ** (2 * alpha + 2))
+    c = float(((alpha + 1.0) * num / den) ** (1.0 / (2.0 * alpha)))
     if not c < 1.0:
         raise AssertionError(f"zero-energy speed must be < 1, got {c}")
     return c

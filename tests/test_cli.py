@@ -3,7 +3,10 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,3 +465,16 @@ def test_profiles_bad_t_scan_exits_1_and_writes_nothing(tmp_path, capsys, action
                else f"t_scan {float(t_scan)} puts Airy phases up to")
     assert err.count("\n") == 1 and err.startswith(message)
     assert not out_dir.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate / special / linalg drag scipy.optimize, numpy.f2py and
+    # numpy.testing into every dlab process; dlab needs only numpy, so a fresh
+    # import of the CLI must not load any scipy module
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dlab, dlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

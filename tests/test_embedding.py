@@ -58,6 +58,27 @@ def test_constants_validation():
         embedding_constants(0.0)
     with pytest.raises(ValueError):
         fourier_sin_coeff(1.5, 0)
+    # NaN passes `alpha <= 0`, and gamma(inf) / gamma(inf) is NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            embedding_constants(bad)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            fourier_sin_coeff(bad, 1)
+    with pytest.raises(ValueError, match="too large"):
+        embedding_constants(300.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.05, max_value=5.0), st.integers(min_value=1, max_value=8))
+def test_sin_coeff_matches_adaptive_quadrature(alpha, k):
+    from scipy.integrate import quad
+
+    # the direct computation: adaptive Gauss-Kronrod split at the kinks;
+    # at tolerance 1e-12 it is itself off by 1e-13 at alpha = 2.0636, k = 3
+    val, _ = quad(lambda t: np.abs(np.cos(t)) ** (2.0 * alpha) * np.sin(t) * np.sin(k * t),
+                  -np.pi, np.pi, points=[-np.pi / 2, np.pi / 2], limit=200,
+                  epsabs=1e-13, epsrel=1e-13)
+    assert abs(fourier_sin_coeff(alpha, k) - val / np.pi) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +257,8 @@ def test_embedding_config_validation():
             config(nls_dt=bad)
         with pytest.raises(ValueError, match="T must be positive and finite"):
             config(T=bad)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            EmbeddingConfig(alpha=bad, phi=phi, xi_list=(4.0,), T=1.0, nls_dt=1e-3)
 
 
 def test_embedding_experiment_small_sweep():

@@ -217,6 +217,30 @@ def test_c_alpha_value_and_energy():
     assert mass(g, soliton_Q(alpha, g).values) > 0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.85, 1.95])
+def test_c_alpha_matches_adaptive_quadrature(alpha):
+    from scipy.integrate import quad
+
+    def q(x):
+        return float(soliton_profile(alpha, np.asarray(x)))
+
+    num = quad(lambda x: (q(x) * math.tanh(alpha * x)) ** 2, -60, 60, limit=200)[0]
+    den = quad(lambda x: q(x) ** (2 * alpha + 2), -60, 60, limit=200)[0]
+    want = ((alpha + 1.0) * num / den) ** (1.0 / (2.0 * alpha))
+    assert abs(c_alpha(alpha) - want) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_alpha_must_be_positive_and_finite(bad):
+    g = Grid(64, 8.0, -4.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        c_alpha(bad)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        soliton_Q(bad, g)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        SolveConfig(alpha=bad)
+
+
 @pytest.mark.parametrize("mu", [-1, 0.7])
 def test_batched_mass_and_energy_match_per_frame_formulas(mu):
     # ROW_BLOCK + 7 complex rows cross a block seam of the batched FFTs

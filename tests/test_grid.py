@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +106,35 @@ def test_l2_norm_does_not_overflow():
     assert tiny.l2_norm() == pytest.approx(np.sqrt(8.0) * 1e-200, rel=1e-15)
     # a norm beyond the float range is inf, not an error or a warning
     assert GridFunction(g, np.full(8, 1e308, dtype=complex)).l2_norm() == np.inf
+
+
+def test_l2_norm_matches_scaled_blas_norm():
+    import scipy.linalg
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = 2 ** int(rng.integers(1, 12))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        # one scale per array across the float range, and a spread within it
+        v *= 10.0 ** rng.uniform(-300.0, 300.0) * 10.0 ** rng.uniform(-20.0, 0.0, size=n)
+        got = GridFunction(Grid(n, float(n)), v).l2_norm()  # dx = 1
+        assert got == pytest.approx(scipy.linalg.norm(v), rel=1e-14)
+
+
+def test_l2_norm_zero_and_nan():
+    g = Grid(8, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GridFunction(g, np.zeros(8, dtype=complex)).l2_norm() == 0.0
+        assert GridFunction(g, np.full(8, 1e-320, dtype=complex)).l2_norm() > 0.0
+        # among ordinary samples and among samples whose squares overflow
+        for scale in (1.0, 1e300):
+            vals = np.full(8, scale, dtype=complex)
+            vals[3] = complex(np.nan, 1.0)
+            assert math.isnan(GridFunction(g, vals).l2_norm())
+        vals = np.ones(8, dtype=complex)
+        vals[0] = np.inf
+        assert GridFunction(g, vals).l2_norm() == np.inf
 
 
 def test_lattice_index():
