@@ -27,9 +27,13 @@ norms) never holds more than one; physical_rows collects the blocks into
 one (m, n) array.  When the times are uniform
 (every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
 ROW_BLOCK of them, the phases of a block starting at row lo are
-e^{i t_lo p} times a table e^{i j dt p}, j < ROW_BLOCK, built once per
-call: one exp per block row instead of one per entry, exact per block, so
-no rounding error accumulates across blocks.
+e^{i t_lo p}, one direct exp per block, times a table e^{i j dt p},
+j < ROW_BLOCK, built once per call by doubling: from the log2(ROW_BLOCK)
+= 6 rows e^{i 2^l dt p}, table[s:2s] = table[:s] * e^{i s dt p} for
+s = 1, 2, 4, ..., so each entry is a product of at most 6 correctly
+rounded exps, and n * log2(ROW_BLOCK) exps replace ROW_BLOCK * n.  The
+table is the same for every block, so no rounding error accumulates
+across blocks.
 """
 
 from __future__ import annotations
@@ -251,9 +255,10 @@ def row_blocks(grid: Grid, values: np.ndarray,
     may be `values` itself) or, without `out`, into one reused
     (ROW_BLOCK, n) buffer, so a yielded block is only valid until the next
     one.  More than ROW_BLOCK uniform times (see _uniform_step) take their
-    phases from a once-per-call table e^{i j dt p}, j < ROW_BLOCK, times
-    one row factor e^{i times[lo] p} per block, folded into the symbol and
-    spectrum first; other times get one exp per entry.
+    phases from a once-per-call table e^{i j dt p}, j < ROW_BLOCK, built by
+    doubling from log2(ROW_BLOCK) row exps, times one row factor
+    e^{i times[lo] p} per block, folded into the symbol and spectrum first;
+    other times get one exp per entry.
     """
     shared = values.ndim == 1
     m = len(times) if shared else len(values)
@@ -270,8 +275,15 @@ def row_blocks(grid: Grid, values: np.ndarray,
         buf = np.empty((min(m, ROW_BLOCK), grid.n), dtype=np.complex128)
     step = _uniform_step(times) if rate is not None and m > ROW_BLOCK else None
     if step is not None:
-        # table[k] = e^{i k step p}: row lo + k is e^{i times[lo] p} table[k]
-        table = np.exp(1j * np.outer(step * np.arange(ROW_BLOCK), rate))
+        # table[k] = e^{i k step p}: row lo + k is e^{i times[lo] p} table[k]; built
+        # by doubling (ROW_BLOCK is a power of two), rows [s, 2s) = rows [0, s)
+        # times e^{i s step p} for s = 1, 2, 4, ...
+        table = np.empty((ROW_BLOCK, grid.n), dtype=np.complex128)
+        table[0] = 1.0
+        s = 1
+        while s < ROW_BLOCK:
+            np.multiply(table[:s], np.exp(1j * (s * step) * rate), out=table[s:2 * s])
+            s *= 2
     for lo in range(0, m, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         if step is not None:

@@ -6,6 +6,12 @@ concentrated frequency block, a space-time scan of the free evolution of
 that block locates the remaining translation parameters, and greedy
 subtraction yields a decomposition u = sum_j apply(G_j, psi_j) + r that
 reconstructs the input exactly by construction.
+
+Whitney pairs off the diagonals xi = +-eta are the rows (j, k, k') of one
+(P, 3) int64 array, enumerated one array pass per scale; whitney_scale,
+partition_check and partner_counts work on whole arrays, and
+partition_check looks pairs up by np.searchsorted on one sorted int64
+key per row.
 """
 
 from __future__ import annotations
@@ -31,125 +37,178 @@ MAX_AIRY_PHASE = 2.0 ** 52  # |t xi^3| beyond which exp(i t xi^3) keeps no corre
 # Whitney-type decomposition off the diagonals xi = +-eta
 # ---------------------------------------------------------------------------
 
-def _adjacent(k: int, kp: int) -> bool:
-    return abs(k - kp) <= 1
+MAX_WHITNEY_INTERVALS = 2 ** 16  # intervals of whitney_pairs, summed over its scales
+WHITNEY_SCALES = (-1022, 1023)   # scales j whose width 2^j is a normal float
 
-def _reflect(k: int) -> int:
-    # -[k w, (k+1) w) = [(-k-1) w, -k w)
-    return -k - 1
-
-def _parent(k: int) -> int:
-    return k // 2
+# a partner k' of k lies at 2p + NEAR or -2p + MIRROR, p = k // 2 (see whitney_pairs)
+_NEAR = np.arange(-2, 4)
+_MIRROR = np.arange(-4, 2)
 
 
-def _whitney_related(k: int, kp: int) -> bool:
-    """Same-scale intervals k, kp are a pair iff they are separated at
-    their own scale from each other and from the reflection, but their
-    parents are not."""
-    if _adjacent(k, kp) or _adjacent(k, _reflect(kp)):
-        return False
-    pk, pkp = _parent(k), _parent(kp)
-    return _adjacent(pk, pkp) or _adjacent(pk, _reflect(pkp))
+def _touch(k, kp):
+    """Elementwise: same-scale interval k is adjacent to kp or to its
+    reflection -[kp w, (kp+1) w) = [(-kp-1) w, -kp w)."""
+    return (np.abs(k - kp) <= 1) | (np.abs(k + kp + 1) <= 1)
 
 
-@dataclass(frozen=True)
-class WhitneyPair:
-    """Pair of same-width dyadic intervals [k 2^j, (k+1) 2^j)."""
-
-    j: int
-    k: int
-    k_prime: int
+def _related(k, kp):
+    """Elementwise: same-scale intervals k, kp are a pair iff they are
+    separated at their own scale from each other and from the reflection,
+    but their parents are not."""
+    return ~_touch(k, kp) & _touch(k // 2, kp // 2)
 
 
-def whitney_pairs(j_min: int, j_max: int, xi_max: float) -> list[WhitneyPair]:
+def _half_counts(j_min: int, j_max: int, xi_max: float) -> list[int]:
+    """k_hi = ceil(xi_max 2^-j), in exact integers, for each scale j in
+    [j_min, j_max], or a ValueError if the 2 k_hi intervals summed over the
+    scales exceed MAX_WHITNEY_INTERVALS."""
+    a, b = xi_max.as_integer_ratio()
+    counts = [-(-(a << -j) // b) if j < 0 else -(-a // (b << j))
+              for j in range(j_min, j_max + 1)]
+    if 2 * sum(counts) > MAX_WHITNEY_INTERVALS:
+        raise ValueError(f"scales [{j_min}, {j_max}] with xi_max {xi_max} ask for more than "
+                         f"{MAX_WHITNEY_INTERVALS} intervals")
+    return counts
+
+
+def whitney_pairs(j_min: int, j_max: int, xi_max: float) -> np.ndarray:
     """All pairs with scales j in [j_min, j_max] inside [-xi_max, xi_max).
 
-    O(K) per scale, K = 2 ceil(xi_max 2^-j) intervals.  A partner k' of k
-    has its parent adjacent to the parent p = k // 2 of k or to its
-    reflection -p-1, so k' lies in [2p-2, 2p+3] or in [-2p-4, -2p+1].
-    Only these <= 12 candidates are tested, in ascending order, so the
-    list and its order are those of testing every (k, k') pair.
+    Returns a (P, 3) int64 array of rows (j, k, k'), ascending in j, then
+    k, then k': the pair of same-width dyadic intervals [k 2^j, (k+1) 2^j)
+    and [k' 2^j, (k'+1) 2^j).  Scale j has 2 ceil(xi_max 2^-j) intervals.
+    Bounds, checked before anything is allocated: every scale lies in
+    WHITNEY_SCALES = [-1022, 1023], where 2^j is a normal float, and the
+    intervals summed over the scales number at most
+    MAX_WHITNEY_INTERVALS = 2^16 (a peak near 35 MB); otherwise a
+    ValueError is raised.
+
+    One array pass per scale.  A partner k' of k has its parent adjacent to
+    the parent p = k // 2 of k or to its reflection -p-1, so k' lies in
+    [2p-2, 2p+3] or in [-2p-4, -2p+1].  Only these <= 12 candidates are
+    tested, sorted and with repeats dropped, so the rows and their order
+    are those of testing every (k, k') pair.
     """
     if j_min > j_max:
         raise ValueError("empty scale window")
     if not (math.isfinite(xi_max) and xi_max > 0):
         raise ValueError(f"xi_max must be finite and positive, got {xi_max}")
-    pairs = []
-    for j in range(j_min, j_max + 1):
-        k_hi = int(math.ceil(xi_max / 2.0 ** j))
-        for k in range(-k_hi, k_hi):
-            p = _parent(k)
-            near = {*range(2 * p - 2, 2 * p + 4), *range(-2 * p - 4, -2 * p + 2)}
-            for kp in sorted(near):
-                if -k_hi <= kp < k_hi and _whitney_related(k, kp):
-                    pairs.append(WhitneyPair(j, k, kp))
-    return pairs
+    if not (WHITNEY_SCALES[0] <= j_min and j_max <= WHITNEY_SCALES[1]):
+        raise ValueError(f"scales [{j_min}, {j_max}] leave [{WHITNEY_SCALES[0]}, "
+                         f"{WHITNEY_SCALES[1]}], where the widths 2^j are normal floats")
+    blocks = []
+    for j, k_hi in zip(range(j_min, j_max + 1), _half_counts(j_min, j_max, xi_max)):
+        k = np.arange(-k_hi, k_hi)[:, None]
+        p2 = 2 * (k // 2)
+        cand = np.sort(np.concatenate((p2 + _NEAR, _MIRROR - p2), axis=1), axis=1)
+        keep = (cand >= -k_hi) & (cand < k_hi) & _related(k, cand)
+        keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]  # a candidate in both ranges once
+        rows, cols = np.nonzero(keep)
+        blocks.append(np.column_stack((np.full(rows.size, j), k[rows, 0], cand[rows, cols])))
+    return np.concatenate(blocks)
 
 
-def whitney_scale(xi: float, eta: float) -> int:
-    """The unique scale at which (xi, eta) is covered by a pair.
+def whitney_scale(xi, eta):
+    """The unique scale at which (xi, eta) is covered by a pair; elementwise
+    over arrays (an int64 array), a Python int for two scalars.
 
     Adjacency of the containing intervals (to each other or to the
     reflection) is monotone in the scale; the pair lives one scale below
     the coarsest non-adjacent level.  Adjacent intervals of width w have
     min(|xi - eta|, |xi + eta|) <= 2 w, so the search starts two levels
-    below the points' own scale, where they cannot be adjacent.
+    below the points' own scale, where they cannot be adjacent.  The
+    scales come from np.frexp and the interval indices from floors of
+    np.ldexp, both exact (an ldexp that underflows to -0.0 gives index 0
+    for -1, which the adjacency test, symmetric under k -> -k-1, ignores).
     """
-    if not (math.isfinite(xi) and math.isfinite(eta)):
-        raise ValueError(f"point ({xi}, {eta}) is not finite")
-    if xi == eta or xi == -eta:
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=np.float64),
+                                  np.asarray(eta, dtype=np.float64))
+    finite = np.isfinite(xi) & np.isfinite(eta)
+    if not np.all(finite):
+        i = np.argmin(finite)
+        raise ValueError(f"point ({xi.flat[i]}, {eta.flat[i]}) is not finite")
+    with np.errstate(over="ignore"):  # one of the two may overflow, never both
+        gap = np.minimum(np.abs(xi - eta), np.abs(xi + eta))
+    if np.any(gap == 0):
         raise ValueError("points on the diagonals are not covered")
-    j = math.floor(math.log2(min(abs(xi - eta), abs(xi + eta)))) - 2
-    while True:
-        k = math.floor(math.ldexp(xi, -j))
-        kp = math.floor(math.ldexp(eta, -j))
-        if _adjacent(k, kp) or _adjacent(k, _reflect(kp)):
-            return j - 1
-        j += 1
+    # floor(log2 gap) = exponent - 1 for gap = mantissa 2^exponent, 1/2 <= mantissa < 1
+    j = np.frexp(gap.ravel())[1].astype(np.int64) - 3
+    todo = np.arange(j.size)
+    out = np.empty(j.size, dtype=np.int64)
+    x, y = xi.ravel(), eta.ravel()
+    while todo.size:
+        k = np.floor(np.ldexp(x[todo], -j[todo]))
+        kp = np.floor(np.ldexp(y[todo], -j[todo]))
+        hit = _touch(k, kp)
+        out[todo[hit]] = j[todo[hit]] - 1
+        todo = todo[~hit]
+        j[todo] += 1
+    return int(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
 
-def partition_check(pairs: list[WhitneyPair], samples: np.ndarray) -> dict:
+def _pair_rows(pairs) -> np.ndarray:
+    rows = np.asarray(pairs)
+    if rows.ndim != 2 or rows.shape[1] != 3 or rows.dtype.kind not in "iu":
+        raise ValueError(f"pairs must be whitney_pairs rows, a (P, 3) integer array; "
+                         f"got shape {rows.shape} of {rows.dtype}")
+    return rows
+
+
+def partition_check(pairs: np.ndarray, samples: np.ndarray) -> dict:
     """Indicator-sum statistics at off-diagonal sample points.
 
-    Only samples whose covering scale falls inside the scale range of
-    `pairs` are counted; for those the sum must be exactly 1.
+    `pairs` holds whitney_pairs rows (j, k, k'), `samples` is a finite
+    (N, 2) array of points (xi, eta) off both diagonals.  Only samples
+    whose covering scale (whitney_scale) falls inside the scale range
+    [j_lo, j_hi] of `pairs` are counted; for those the sum of indicators,
+    the number of scales j in [j_lo, j_hi] at which (floor(xi 2^-j),
+    floor(eta 2^-j)) is a pair, must be exactly 1.  All samples and scales
+    are tested at once: each row is one int64 key, found with
+    np.searchsorted in the sorted keys of `pairs`.  `counted` and `bad`
+    are Python ints.
     """
     if len(pairs) == 0:
         raise ValueError("no pairs supplied")
-    j_lo = min(p.j for p in pairs)
-    j_hi = max(p.j for p in pairs)
-    by_scale: dict[int, set] = {}
-    for p in pairs:
-        by_scale.setdefault(p.j, set()).add((p.k, p.k_prime))
-    counted = 0
-    bad = 0
-    for xi, eta in samples:
-        j = whitney_scale(float(xi), float(eta))
-        if not (j_lo <= j <= j_hi):
-            continue
-        w = 2.0 ** j
-        key = (math.floor(xi / w), math.floor(eta / w))
-        total = 1 if key in by_scale.get(j, ()) else 0
-        # any other scale contributing would break the partition
-        for jj in range(j_lo, j_hi + 1):
-            if jj == j:
-                continue
-            ww = 2.0 ** jj
-            if (math.floor(xi / ww), math.floor(eta / ww)) in by_scale.get(jj, ()):
-                total += 1
-        counted += 1
-        if total != 1:
-            bad += 1
+    rows = _pair_rows(pairs)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise ValueError(f"samples must be an (N, 2) array of points, got shape {samples.shape}")
+    j_lo, j_hi = int(rows[:, 0].min()), int(rows[:, 0].max())
+    k_lo, k_hi = int(rows[:, 1:].min()), int(rows[:, 1:].max())
+    # key = ((j - j_lo) span + k - k_lo) span + k' - k_lo, ordered as the rows
+    span = k_hi - k_lo + 1
+    if (j_hi - j_lo + 1) * span * span >= 2 ** 63:
+        raise ValueError("pair indices too far apart for int64 keys")
+    keys = np.sort(((rows[:, 0] - j_lo) * span + rows[:, 1] - k_lo) * span + rows[:, 2] - k_lo)
+    scale = whitney_scale(samples[:, 0], samples[:, 1])
+    points = samples[(scale >= j_lo) & (scale <= j_hi)]
+    # sorted by xi, each scale's queries ascend in k, which keeps the searches
+    # local: three times faster than in sample order
+    points = points[np.argsort(points[:, 0])]
+    levels = np.arange(j_hi - j_lo + 1)[:, None]
+    # exact products, but for an underflow to -0.0 that gives index 0 for -1,
+    # which the pair relation, symmetric under k -> -k-1, ignores
+    inv_width = np.ldexp(1.0, -(levels + j_lo))
+    with np.errstate(over="ignore"):  # an overflow to inf falls outside [k_lo, k_hi]
+        k = np.floor(points[:, 0] * inv_width)
+        kp = np.floor(points[:, 1] * inv_width)
+    inside = (k >= k_lo) & (k <= k_hi) & (kp >= k_lo) & (kp <= k_hi)
+    query = ((levels * span + np.where(inside, k, k_lo).astype(np.int64) - k_lo) * span
+             + np.where(inside, kp, k_lo).astype(np.int64) - k_lo)
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    total = np.sum(inside & (keys[at] == query), axis=0)
+    counted = int(points.shape[0])
+    bad = int(np.count_nonzero(total != 1))
     return {"counted": counted, "bad": bad, "passed": bad == 0 and counted > 0}
 
 
-def partner_counts(pairs: list[WhitneyPair], j: int, k_interior: int) -> dict[int, int]:
-    """Partner count per interval k with |k| <= k_interior at scale j."""
-    counts: dict[int, int] = {}
-    for p in pairs:
-        if p.j == j and abs(p.k) <= k_interior:
-            counts[p.k] = counts.get(p.k, 0) + 1
-    return counts
+def partner_counts(pairs: np.ndarray, j: int, k_interior: int) -> dict[int, int]:
+    """Partner count per interval k with |k| <= k_interior at scale j, from
+    whitney_pairs rows; ascending in k, with Python int keys and counts."""
+    rows = _pair_rows(pairs)
+    ks = rows[(rows[:, 0] == j) & (np.abs(rows[:, 1]) <= k_interior), 1]
+    uniq, counts = np.unique(ks, return_counts=True)
+    return dict(zip(uniq.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,27 @@ def test_physical_rows_non_uniform_times_match_per_row_translate():
             assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_physical_rows_phase_table_matches_per_entry_exp():
+    # criterion 10's grid and the last 2 ROW_BLOCK + 1 of its widest window's
+    # times, where |t xi^3| is largest: the doubled table against blocks of at
+    # most ROW_BLOCK rows, which take one exp per entry
+    g = Grid(4096, 2.0 * math.pi * 2 ** 8, -math.pi * 2 ** 8)
+    xi = g.frequencies()
+    times = np.linspace(-64.0, 64.0, 2049)[-(2 * ROW_BLOCK + 1):]
+    assert _uniform_step(times) is not None
+    x = g.nodes()
+    rows = np.exp(-x ** 2) * np.cos(3.0 * x) + 0j
+    spectrum = forward_transform(GridFunction(g, rows)).values
+    rows = np.tile(rows, (times.size, 1))
+    for values in (spectrum, rows):  # shared spectrum, physical rows
+        got = physical_rows(g, values, times=times, dispersion=xi ** 3)
+        want = np.concatenate([
+            physical_rows(g, values if values.ndim == 1 else values[lo:lo + ROW_BLOCK],
+                          times=times[lo:lo + ROW_BLOCK], dispersion=xi ** 3)
+            for lo in range(0, times.size, ROW_BLOCK)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_uniform_step_tolerance():
     t = np.linspace(-64.0, 64.0, 2049)
     assert _uniform_step(t) == t[1] - t[0]

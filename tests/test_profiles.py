@@ -9,7 +9,7 @@ from dlab.deformations import Deformation, airy_flow, apply
 from dlab.grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, fractional_derivative,
                        physical_rows)
 from dlab.norms import morrey_norm
-from dlab.profiles import (WhitneyPair, _whitney_related, airy_frames, decoupling_check,
+from dlab.profiles import (MAX_WHITNEY_INTERVALS, airy_frames, decoupling_check,
                            extract_profile, partition_check, partner_counts,
                            profile_decompose, stein_tomas_ratio, whitney_pairs,
                            whitney_scale)
@@ -28,10 +28,18 @@ def bump(grid: Grid, center: float, width: float, amp: float = 1.0) -> GridFunct
 # Whitney pairs
 # ---------------------------------------------------------------------------
 
+def whitney_related(k: int, kp: int) -> bool:
+    """The pair relation on integers: k, kp apart from each other and from
+    the reflection -kp-1 at their own scale, but their parents are not."""
+    def touch(a, b):
+        return abs(a - b) <= 1 or abs(a + b + 1) <= 1
+    return not touch(k, kp) and touch(k // 2, kp // 2)
+
+
 def test_pairs_are_symmetric_and_off_diagonal():
     pairs = whitney_pairs(-2, 1, 8.0)
-    assert pairs
-    keys = {(p.j, p.k, p.k_prime) for p in pairs}
+    assert pairs.shape[0] > 0
+    keys = set(map(tuple, pairs.tolist()))
     for j, k, kp in keys:
         assert (j, kp, k) in keys
         # separated from the diagonal and the anti-diagonal at own scale
@@ -45,6 +53,9 @@ def test_partner_counts_small():
         counts = partner_counts(pairs, j, k_hi - 5)
         assert counts
         assert set(counts.values()) <= {2, 4, 6}
+        # Python ints, so a record holding them goes through json.dumps
+        assert all(type(k) is int and type(c) is int for k, c in counts.items())
+        assert list(counts) == sorted(counts)
 
 
 def test_partition_of_unity_on_samples():
@@ -55,17 +66,16 @@ def test_partition_of_unity_on_samples():
     assert stats["passed"]
     assert stats["bad"] == 0
     assert stats["counted"] > 100
+    assert type(stats["counted"]) is int and type(stats["bad"]) is int
 
 
 def test_whitney_scale_consistency():
     pairs = whitney_pairs(-6, 6, 64.0)
-    by_scale = {}
-    for p in pairs:
-        by_scale.setdefault(p.j, set()).add((p.k, p.k_prime))
+    keys = set(map(tuple, pairs.tolist()))
     for xi, eta in ((3.3, -9.7), (0.4, 5.1), (-20.0, 11.5), (0.01, 0.06)):
         j = whitney_scale(xi, eta)
         w = 2.0 ** j
-        assert (math.floor(xi / w), math.floor(eta / w)) in by_scale[j]
+        assert (j, math.floor(xi / w), math.floor(eta / w)) in keys
 
 
 def whitney_scale_brute_force(xi: float, eta: float) -> int:
@@ -88,13 +98,22 @@ def test_whitney_scale_equals_unbounded_search():
         xi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
         near = rng.choice([-1.0, 1.0]) * xi * (1.0 + 10.0 ** rng.uniform(-15, 0))
         far = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
-        points += [(xi, near), (xi, far)]
-    for xi, eta in points:
-        assert whitney_scale(xi, eta) == whitney_scale_brute_force(xi, eta), (xi, eta)
+        points += [(float(xi), float(near)), (float(xi), float(far))]
+    want = [whitney_scale_brute_force(xi, eta) for xi, eta in points]
+    for (xi, eta), j in zip(points, want):
+        assert whitney_scale(xi, eta) == j, (xi, eta)
     assert whitney_scale(1e-20, 3e-20) == -66
+    assert type(whitney_scale(1e-20, 3e-20)) is int
+    # all 405 points as arrays: one int64 scale each, in the arrays' shape
+    xi, eta = np.array(points).T
+    got = whitney_scale(xi, eta)
+    assert got.dtype == np.int64 and got.shape == (405,)
+    assert got.tolist() == want
+    assert np.array_equal(whitney_scale(xi.reshape(27, 15), eta.reshape(27, 15)),
+                          np.reshape(want, (27, 15)))
 
 
-def whitney_pairs_brute_force(j_min: int, j_max: int, xi_max: float) -> list[WhitneyPair]:
+def whitney_pairs_brute_force(j_min: int, j_max: int, xi_max: float) -> np.ndarray:
     """The definition: test every (k, k') at every scale, O(K^2)."""
     pairs = []
     for j in range(j_min, j_max + 1):
@@ -102,21 +121,45 @@ def whitney_pairs_brute_force(j_min: int, j_max: int, xi_max: float) -> list[Whi
         ks = range(-k_hi, k_hi)
         for k in ks:
             for kp in ks:
-                if _whitney_related(k, kp):
-                    pairs.append(WhitneyPair(j, k, kp))
-    return pairs
+                if whitney_related(k, kp):
+                    pairs.append((j, k, kp))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("args", [(-2, 1, 8.0), (-3, 2, 16.0), (-1, 1, 5.5), (-4, 0, 12.0)])
 def test_whitney_pairs_equal_brute_force(args):
-    # same list in the same order
-    assert whitney_pairs(*args) == whitney_pairs_brute_force(*args)
+    # the same rows in the same order
+    got = whitney_pairs(*args)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, whitney_pairs_brute_force(*args))
 
 
 @pytest.mark.parametrize("xi_max", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_whitney_pairs_rejects_bad_xi_max(xi_max):
     with pytest.raises(ValueError, match="xi_max must be finite and positive"):
         whitney_pairs(-1, 0, xi_max)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 1100, 1.0), "scales [0, 1100] leave [-1022, 1023]"),      # 2^1100 overflows
+    ((-1100, -1099, 1.0), "scales [-1100, -1099] leave [-1022, 1023]"),  # 2^-1100 is 0
+    ((-40, -40, 1.0), "ask for more than 65536 intervals"),     # 2^41 intervals
+    ((-1022, -1000, 1e300), "ask for more than 65536 intervals"),
+    ((-15, -15, 1.0 + 2.0 ** -52), "ask for more than 65536 intervals"),  # 2^16 + 2
+    ((-15, -14, 1.0), "ask for more than 65536 intervals"),     # 2^16 + 2^15, summed
+])
+def test_whitney_pairs_rejects_windows_beyond_bounds(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        whitney_pairs(*args)
+    assert "\n" not in str(info.value)
+
+
+def test_whitney_pairs_interval_bound_is_inclusive():
+    # scale -15 alone has 2^16 intervals: the bound itself is allowed
+    assert MAX_WHITNEY_INTERVALS == 2 ** 16
+    assert len(whitney_pairs(-15, -15, 1.0)) == 6 * 2 ** 16 - 24
+    # coarse scales up to the largest normal width hold one interval a side
+    assert whitney_pairs(1000, 1023, 1.0).shape == (0, 3)
 
 
 @pytest.mark.parametrize("point", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.5),
@@ -135,6 +178,70 @@ def test_whitney_scale_rejects_diagonals():
         whitney_pairs(3, 1, 8.0)
     with pytest.raises(ValueError, match="no pairs"):
         partition_check([], np.zeros((1, 2)))
+
+
+def partition_check_by_loop(pairs: np.ndarray, samples: np.ndarray) -> tuple[int, int]:
+    """(counted, bad) by the definition, one sample and one scale at a time
+    (whitney_scale on scalars is checked against the brute force above)."""
+    j_lo, j_hi = int(pairs[:, 0].min()), int(pairs[:, 0].max())
+    keys = set(map(tuple, pairs.tolist()))
+    counted = bad = 0
+    for xi, eta in samples.tolist():
+        j = whitney_scale(xi, eta)
+        if not j_lo <= j <= j_hi:
+            continue
+        total = sum((jj, math.floor(xi / 2.0 ** jj), math.floor(eta / 2.0 ** jj)) in keys
+                    for jj in range(j_lo, j_hi + 1))
+        counted += 1
+        bad += total != 1
+    return counted, bad
+
+
+@pytest.mark.parametrize("seed, counted", [(0, 4074), (1, 4067)])
+def test_partition_check_equals_loop_on_scan_samples(seed, counted):
+    # perfbench's scan: four uniform draws, then the samples
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=4)
+    samples = rng.uniform(-16.0, 16.0, size=(4096, 2))
+    pairs = whitney_pairs(-5, 2, 32.0)
+    got = partition_check(pairs, samples)
+    assert (got["counted"], got["bad"]) == partition_check_by_loop(pairs, samples) == (counted, 0)
+
+
+def test_partition_check_equals_loop_off_the_scale_window_and_near_diagonals():
+    pairs = whitney_pairs(-3, 2, 16.0)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-8.0, 8.0, 300)
+    tiny = rng.uniform(-1e-12, 1e-12, 300)
+    samples = np.concatenate([
+        np.column_stack((x, x + tiny)),    # covering scales far below j_lo
+        np.column_stack((x, -x + tiny)),
+        rng.uniform(-1e3, 1e3, (300, 2)),  # most above j_hi, some counted beyond xi_max
+        rng.uniform(-8.0, 8.0, (300, 2)),
+    ])
+    samples = samples[(samples[:, 0] != samples[:, 1]) & (samples[:, 0] != -samples[:, 1])]
+    scales = whitney_scale(samples[:, 0], samples[:, 1])
+    assert np.any(scales < -3) and np.any(scales > 2)
+    got = partition_check(pairs, samples)
+    want = partition_check_by_loop(pairs, samples)
+    assert (got["counted"], got["bad"]) == want
+    # counted points beyond xi_max = 16 lie in no pair: bad in both
+    assert 0 < want[0] < len(samples) and want[1] > 0
+    # a pair dropped from the list shows up as bad samples, in both
+    cut = np.delete(pairs, 100, axis=0)
+    got = partition_check(cut, samples)
+    assert (got["counted"], got["bad"]) == partition_check_by_loop(cut, samples)
+
+
+@pytest.mark.parametrize("samples", [np.zeros(4), np.zeros((3, 3)), np.zeros((2, 2, 2))])
+def test_partition_check_rejects_misshapen_samples(samples):
+    with pytest.raises(ValueError, match=r"samples must be an \(N, 2\) array"):
+        partition_check(whitney_pairs(-1, 0, 4.0), samples)
+
+
+def test_partition_check_rejects_non_finite_samples():
+    with pytest.raises(ValueError, match="not finite"):
+        partition_check(whitney_pairs(-1, 0, 4.0), np.array([[0.3, 1.9], [np.nan, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
