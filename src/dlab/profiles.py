@@ -146,14 +146,6 @@ def whitney_scale(xi, eta):
     return int(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
 
-def _pair_rows(pairs) -> np.ndarray:
-    rows = np.asarray(pairs)
-    if rows.ndim != 2 or rows.shape[1] != 3 or rows.dtype.kind not in "iu":
-        raise ValueError(f"pairs must be whitney_pairs rows, a (P, 3) integer array; "
-                         f"got shape {rows.shape} of {rows.dtype}")
-    return rows
-
-
 def partition_check(pairs: np.ndarray, samples: np.ndarray) -> dict:
     """Indicator-sum statistics at off-diagonal sample points.
 
@@ -169,17 +161,16 @@ def partition_check(pairs: np.ndarray, samples: np.ndarray) -> dict:
     """
     if len(pairs) == 0:
         raise ValueError("no pairs supplied")
-    rows = _pair_rows(pairs)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise ValueError(f"samples must be an (N, 2) array of points, got shape {samples.shape}")
-    j_lo, j_hi = int(rows[:, 0].min()), int(rows[:, 0].max())
-    k_lo, k_hi = int(rows[:, 1:].min()), int(rows[:, 1:].max())
+    j_lo, j_hi = int(pairs[:, 0].min()), int(pairs[:, 0].max())
+    k_lo, k_hi = int(pairs[:, 1:].min()), int(pairs[:, 1:].max())
     # key = ((j - j_lo) span + k - k_lo) span + k' - k_lo, ordered as the rows
     span = k_hi - k_lo + 1
     if (j_hi - j_lo + 1) * span * span >= 2 ** 63:
         raise ValueError("pair indices too far apart for int64 keys")
-    keys = np.sort(((rows[:, 0] - j_lo) * span + rows[:, 1] - k_lo) * span + rows[:, 2] - k_lo)
+    keys = np.sort(((pairs[:, 0] - j_lo) * span + pairs[:, 1] - k_lo) * span + pairs[:, 2] - k_lo)
     scale = whitney_scale(samples[:, 0], samples[:, 1])
     points = samples[(scale >= j_lo) & (scale <= j_hi)]
     # sorted by xi, each scale's queries ascend in k, which keeps the searches
@@ -205,8 +196,7 @@ def partition_check(pairs: np.ndarray, samples: np.ndarray) -> dict:
 def partner_counts(pairs: np.ndarray, j: int, k_interior: int) -> dict[int, int]:
     """Partner count per interval k with |k| <= k_interior at scale j, from
     whitney_pairs rows; ascending in k, with Python int keys and counts."""
-    rows = _pair_rows(pairs)
-    ks = rows[(rows[:, 0] == j) & (np.abs(rows[:, 1]) <= k_interior), 1]
+    ks = pairs[(pairs[:, 0] == j) & (np.abs(pairs[:, 1]) <= k_interior), 1]
     uniq, counts = np.unique(ks, return_counts=True)
     return dict(zip(uniq.tolist(), counts.tolist()))
 
