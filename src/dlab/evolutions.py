@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
+from .grid import PHYSICAL, Grid, GridFunction, SpaceTimeField, map_row_blocks
 
 BLOWUP_SUP = 1e8
 ESTIMATE_ALPHA_RANGE = (8.0 / 5.0, 10.0 / 3.0)
@@ -290,20 +290,18 @@ def c_alpha(alpha: float) -> float:
     return c
 
 
-def _per_row(values: np.ndarray, reduce) -> np.ndarray | np.floating:
-    """reduce(rows) over ROW_BLOCK rows of a (..., n) array at a time: one
-    value per row, a scalar for shape (n,)."""
+def _per_row(grid: Grid, values: np.ndarray, reduce) -> np.ndarray | np.floating:
+    """reduce(block) over the map_row_blocks blocks of the rows of a (..., n)
+    array: one value per row, a scalar for shape (n,)."""
     rows = values.reshape(-1, values.shape[-1])
-    out = np.empty(len(rows))
-    for lo in range(0, len(rows), ROW_BLOCK):
-        out[lo:lo + ROW_BLOCK] = reduce(rows[lo:lo + ROW_BLOCK])
-    return out.reshape(values.shape[:-1])[()]
+    parts = map_row_blocks(lambda _, block: reduce(block), grid, rows)
+    return np.concatenate(parts or [np.empty(0)]).reshape(values.shape[:-1])[()]
 
 
 def mass(grid: Grid, values: np.ndarray) -> np.ndarray | np.floating:
     """M[u] = 1/2 ||u||_{L^2}^2 by grid quadrature, for each row of the
     physical samples `values` (shape (..., n))."""
-    return _per_row(values, lambda u: 0.5 * np.sum(np.abs(u) ** 2, axis=-1) * grid.dx)
+    return _per_row(grid, values, lambda u: 0.5 * np.sum(np.abs(u) ** 2, axis=-1) * grid.dx)
 
 
 def energy(grid: Grid, values: np.ndarray, alpha: float,
@@ -319,7 +317,7 @@ def energy(grid: Grid, values: np.ndarray, alpha: float,
         potential = np.sum(np.abs(u) ** (2 * alpha + 2), axis=-1) * grid.dx
         return kinetic + mu / (2.0 * alpha + 2.0) * potential
 
-    return _per_row(values, rows)
+    return _per_row(grid, values, rows)
 
 
 def drift(values: np.ndarray) -> float:

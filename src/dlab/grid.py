@@ -17,20 +17,28 @@ time-stepping loops, which multiply raw DFT coefficients by step factors
 built once per solve (gKdV's e^{i dt xi^3 / 2} on an rfft, NLS's
 e^{i dt xi^2 / 2} on an fft): fourier_multiply multiplies one
 GridFunction's Fourier side by a symbol and returns to the input's side;
-row_blocks yields the physical samples of the rows of an (m, n) physical
-array, ROW_BLOCK rows at a time, optionally with a per-row phase
+map_row_blocks makes the physical samples of the rows of an (m, n)
+physical array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), or spreads one Fourier density spectrum over all rows.  A yielded
-block is only valid until the next one, so a caller that reduces each
-block before asking for the next (the restriction ratio, the space-time
-norms) never holds more than one; physical_rows collects the blocks into
-one (m, n) array.  When the times are uniform
+in xi), or spreads one Fourier density spectrum over all rows, and hands
+each block to a caller's reduce(rows, block), which runs before the
+block's memory is reused; it returns the reductions in row order.  A
+caller that reduces each block to a few numbers (the restriction ratio,
+the space-time norms, mass and energy) never holds all rows at once;
+physical_rows writes the blocks into one (m, n) array.  The blocks are
+fixed slices of ROW_BLOCK rows, taken in turn from one counter by the
+calling thread and one helper thread per other usable core (numpy's FFT
+and ufunc loops release the GIL), so every thread holds one block's
+temporaries; since every combine runs in row order over the same blocks,
+the results do not depend on the number of threads.  The helpers' pool
+is started by the first call with more than one block, and a one-core
+host starts none.  When the times are uniform
 (every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
 ROW_BLOCK of them, the phases of a block starting at row lo are
 e^{i t_lo p}, one direct exp per block, times a table e^{i j dt p},
 j < ROW_BLOCK, built once per call by doubling: from the log2(ROW_BLOCK)
-= 6 rows e^{i 2^l dt p}, table[s:2s] = table[:s] * e^{i s dt p} for
-s = 1, 2, 4, ..., so each entry is a product of at most 6 correctly
+= 5 rows e^{i 2^l dt p}, table[s:2s] = table[:s] * e^{i s dt p} for
+s = 1, 2, 4, ..., so each entry is a product of at most 5 correctly
 rounded exps, and n * log2(ROW_BLOCK) exps replace ROW_BLOCK * n.  The
 table is the same for every block, so no rounding error accumulates
 across blocks.
@@ -38,7 +46,10 @@ across blocks.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +59,15 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 PHYSICAL = "physical"
 FOURIER = "fourier"
 
-# rows per batched FFT: bounds the temporaries of row-wise transforms
-ROW_BLOCK = 64
+# rows per batched FFT: bounds the temporaries of row-wise transforms, of
+# which every thread that takes row blocks holds its own
+ROW_BLOCK = 32
+# threads that take row blocks beside the calling one: one per other usable core
+HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1) - 1
+# the helpers' ThreadPoolExecutors by (process id, size), each built by the first
+# call that uses it: a forked child inherits this dict but none of the threads
+_POOLS: dict = {}
 # l2_norm sums squares directly when the sum lies in this range; outside it the
 # squares may have over- or underflowed, and it rescales by the largest sample
 NORM_SAFE = (1e-280, 1e280)
@@ -237,42 +255,125 @@ def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
     return fourier_multiply(f, derivative_symbol(f.grid.frequencies(), s))
 
 
-def row_blocks(grid: Grid, values: np.ndarray,
-               symbol: np.ndarray | None = None,
-               times: np.ndarray | None = None,
-               dispersion: np.ndarray | None = None,
-               out: np.ndarray | None = None):
-    """Yield (rows, block) for consecutive slices `rows` of ROW_BLOCK rows:
-    block holds the physical samples of those rows of `values` times
-    `symbol` on the Fourier side and, given `times`, row k also times
-    e^{i times[k] dispersion}; symbol and dispersion are sampled on
-    grid.frequencies().
+def _row_count(grid: Grid, values: np.ndarray, symbol: np.ndarray | None,
+               times: np.ndarray | None, dispersion: np.ndarray | None,
+               out: np.ndarray | None) -> int:
+    """Rows of a map_row_blocks call, after a check of its arguments that
+    raises a one-line ValueError."""
+    n = grid.n
+    if values.ndim not in (1, 2) or values.shape[-1] != n:
+        raise ValueError(f"values must have shape ({n},) or (m, {n}), got {values.shape}")
+    if (times is None) != (dispersion is None):
+        raise ValueError("times and dispersion go together: give both or neither")
+    if times is None:
+        if values.ndim == 1:
+            raise ValueError("a 1-D spectrum needs times: it is spread over one row per time")
+        m = len(values)
+    else:
+        if np.ndim(times) != 1:
+            raise ValueError(f"times must be 1-D, got shape {np.shape(times)}")
+        m = len(times)
+        if values.ndim == 2 and len(values) != m:
+            raise ValueError(f"got {m} times for {len(values)} rows of values")
+    for name, arr in (("symbol", symbol), ("dispersion", dispersion)):
+        if arr is not None and np.shape(arr) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {np.shape(arr)}")
+    if out is not None and (out.shape != (m, n) or out.dtype != np.complex128):
+        raise ValueError(f"out must be a complex128 array of shape ({m}, {n}), "
+                         f"got {out.dtype} {out.shape}")
+    return m
+
+
+def _map_blocks(make, count: int) -> list:
+    """[make(b) for b in range(count)]: the calling thread and up to HELPERS
+    pool threads take the indices in turn from one counter, each helper in
+    a copy of the caller's context (numpy's errstate lives there).  After
+    the first error no index is taken; it is raised once every helper has
+    stopped."""
+    helpers = min(HELPERS, count - 1)
+    if helpers <= 0:
+        return [make(b) for b in range(count)]
+    results = [None] * count
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == count:
+                    return
+                b = taken
+                taken += 1
+            try:
+                results[b] = make(b)
+            except BaseException as exc:  # re-raised in the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    key = (os.getpid(), helpers)
+    if key not in _POOLS:
+        # imported here, not with the module: concurrent.futures loads logging,
+        # about 8 ms that every `import dlab` would pay
+        from concurrent.futures import ThreadPoolExecutor
+        _POOLS.setdefault(key, ThreadPoolExecutor(helpers, thread_name_prefix="dlab-rows"))
+    futures = [_POOLS[key].submit(contextvars.copy_context().run, work)
+               for _ in range(helpers)]
+    work()
+    # a helper that has not started would find no block left (and a call made
+    # from a pool thread would wait for itself): cancel it instead of waiting
+    for future in futures:
+        if not future.cancel():
+            future.result()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
+                   symbol: np.ndarray | None = None,
+                   times: np.ndarray | None = None,
+                   dispersion: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> list:
+    """[reduce(rows, block) for consecutive slices `rows` of ROW_BLOCK rows],
+    in row order: block holds the physical samples of those rows of
+    `values` times `symbol` on the Fourier side and, given `times`, row k
+    also times e^{i times[k] dispersion}; symbol and dispersion are sampled
+    on grid.frequencies().
 
     A 2-D `values` holds physical rows; without a symbol or phase the
     blocks are views of its rows.  A 1-D `values` is one Fourier density
     spectrum shared by all len(times) rows: it is weighted and put into
     FFT order once.  Each block's batched ifft writes into out[rows] (out
-    may be `values` itself) or, without `out`, into one reused
-    (ROW_BLOCK, n) buffer, so a yielded block is only valid until the next
-    one.  More than ROW_BLOCK uniform times (see _uniform_step) take their
-    phases from a once-per-call table e^{i j dt p}, j < ROW_BLOCK, built by
-    doubling from log2(ROW_BLOCK) row exps, times one row factor
-    e^{i times[lo] p} per block, folded into the symbol and spectrum first;
-    other times get one exp per entry.
+    may be `values` itself) or, without `out`, into the block's own
+    spectrum array, which is valid only inside its reduce call.  More than
+    ROW_BLOCK uniform times (see _uniform_step) take their phases from a
+    once-per-call table e^{i j dt p}, j < ROW_BLOCK, built by doubling from
+    log2(ROW_BLOCK) row exps, times one row factor e^{i times[lo] p} per
+    block, folded into the symbol and spectrum first; other times get one
+    exp per entry.
+
+    The blocks are made and reduced by the calling thread and HELPERS
+    helper threads at once (see _map_blocks), so reduce may write only to
+    its own rows.  The partition is fixed, so a caller that combines the
+    results in row order gets the same bits for any number of helpers.
     """
+    m = _row_count(grid, values, symbol, times, dispersion, out)
+    count = -(-m // ROW_BLOCK)
     shared = values.ndim == 1
-    m = len(times) if shared else len(values)
+    if not shared and symbol is None and times is None:
+        def view(b):
+            rows = slice(b * ROW_BLOCK, (b + 1) * ROW_BLOCK)
+            return reduce(rows, values[rows])
+
+        return _map_blocks(view, count)
     if shared:
         mult = np.fft.ifftshift(_from_density(grid, symbol)) * np.fft.ifftshift(values)
-    elif symbol is None and times is None:
-        for lo in range(0, m, ROW_BLOCK):
-            yield slice(lo, lo + ROW_BLOCK), values[lo:lo + ROW_BLOCK]
-        return
     else:
         mult = 1.0 if symbol is None else np.fft.ifftshift(symbol)
     rate = None if times is None else np.fft.ifftshift(dispersion)
-    if out is None:
-        buf = np.empty((min(m, ROW_BLOCK), grid.n), dtype=np.complex128)
     step = _uniform_step(times) if rate is not None and m > ROW_BLOCK else None
     if step is not None:
         # table[k] = e^{i k step p}: row lo + k is e^{i times[lo] p} table[k]; built
@@ -284,7 +385,9 @@ def row_blocks(grid: Grid, values: np.ndarray,
         while s < ROW_BLOCK:
             np.multiply(table[:s], np.exp(1j * (s * step) * rate), out=table[s:2 * s])
             s *= 2
-    for lo in range(0, m, ROW_BLOCK):
+
+    def make(b):
+        lo = b * ROW_BLOCK
         rows = slice(lo, lo + ROW_BLOCK)
         if step is not None:
             # the row factor goes into the 1-D multiplier: one exp per block row
@@ -297,13 +400,19 @@ def row_blocks(grid: Grid, values: np.ndarray,
                 spec *= row
                 spec *= block
         else:
-            spec = mult if shared else np.fft.fft(values[rows], axis=1) * mult
+            if shared:
+                spec = mult
+            else:
+                spec = np.fft.fft(values[rows], axis=1)
+                spec *= mult
             if rate is not None:
                 phase = np.exp(1j * np.outer(times[rows], rate))
                 # into the phase block: a new product array per block ran ~20 % slower
                 spec = np.multiply(phase, spec, out=phase)
-        target = out[rows] if out is not None else buf[:len(spec)]
-        yield rows, np.fft.ifft(spec, axis=1, out=target)
+        # spec is this block's own array, so without `out` the ifft overwrites it
+        return reduce(rows, np.fft.ifft(spec, axis=1, out=spec if out is None else out[rows]))
+
+    return _map_blocks(make, count)
 
 
 def physical_rows(grid: Grid, values: np.ndarray,
@@ -311,16 +420,15 @@ def physical_rows(grid: Grid, values: np.ndarray,
                   times: np.ndarray | None = None,
                   dispersion: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """All blocks of row_blocks collected into `out` (new, or `values`
+    """All blocks of map_row_blocks collected into `out` (new, or `values`
     itself), which is returned; 2-D `values` without a symbol or phase
     come back as they are."""
+    m = _row_count(grid, values, symbol, times, dispersion, out)
     if values.ndim == 2 and symbol is None and times is None:
         return values
     if out is None:
-        m = len(times) if values.ndim == 1 else len(values)
         out = np.empty((m, grid.n), dtype=np.complex128)
-    for _ in row_blocks(grid, values, symbol, times, dispersion, out):
-        pass
+    map_row_blocks(lambda rows, block: None, grid, values, symbol, times, dispersion, out)
     return out
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .grid import ROW_BLOCK, GridFunction, SpaceTimeField, derivative_symbol, row_blocks
+from .grid import GridFunction, SpaceTimeField, derivative_symbol, map_row_blocks
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
 _BLOCK = 1 << 17   # entries per (residue, interval) block in _dyadic_aggregate
@@ -433,9 +433,10 @@ class NormSpec:
 def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
     """Mixed L^p_x L^q_t norm of |d/dx|^s F over the field's time window.
 
-    The weighted rows are never held at once: each row_blocks block is
-    added into the trapezoid sum of |.|^q (or a running max for q = inf)
-    before the next block is made.
+    The weighted rows are never held at once: each map_row_blocks block
+    is reduced, on whichever thread made it, to its rows' trapezoid sum
+    weight[rows] @ |.|^q (or its max over rows for q = inf), and the
+    caller adds these up (or takes their max) in row order.
     """
     if len(field) == 0:
         raise ValueError("empty field")
@@ -458,15 +459,20 @@ def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
         weight = np.zeros(len(field))
         weight[:-1] += half
         weight[1:] += half
-    inner = np.zeros(g.n)
-    mag = np.empty((min(len(field), ROW_BLOCK), g.n))
-    for rows, block in row_blocks(g, field.values, symbol):
-        part = np.abs(block, out=mag[:len(block)])
+
+    def reduce(rows, block):
+        part = np.abs(block)
         if math.isfinite(q):
             part **= q
-            inner += weight[rows] @ part
+            return weight[rows] @ part
+        return np.max(part, axis=0)
+
+    inner = np.zeros(g.n)
+    for part in map_row_blocks(reduce, g, field.values, symbol):
+        if math.isfinite(q):
+            inner += part
         else:
-            np.maximum(inner, np.max(part, axis=0), out=inner)
+            np.maximum(inner, part, out=inner)
     if math.isfinite(q):
         inner **= 1.0 / q
     if math.isfinite(p):

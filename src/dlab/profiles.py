@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, derivative_symbol, physical_rows,
-                   row_blocks)
+from .grid import (FOURIER, Grid, GridFunction, derivative_symbol, map_row_blocks,
+                   physical_rows)
 from .deformations import (Deformation, apply, apply_inverse, nonresonance_gap,
                            orthogonality_gap)
 from .norms import conjugate_exponent, ell, morrey_norm
@@ -206,7 +206,8 @@ def partner_counts(pairs: np.ndarray, j: int, k_interior: int) -> dict[int, int]
 # ---------------------------------------------------------------------------
 
 def _airy_args(f: GridFunction, t_grid: np.ndarray, deriv: float) -> tuple:
-    """Arguments of physical_rows / row_blocks for |d/dx|^deriv e^{-t d^3/dx^3} f."""
+    """Arguments (grid, spectrum, symbol, times, dispersion) of physical_rows
+    and map_row_blocks for |d/dx|^deriv e^{-t d^3/dx^3} f at every t of t_grid."""
     fh = f.to_fourier()
     xi = fh.grid.frequencies()
     return fh.grid, fh.values, derivative_symbol(xi, deriv), t_grid, xi ** 3
@@ -241,8 +242,8 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     it by more than 1 % relatively.  nt must be odd and at least 3, and
     time_window positive, finite and small enough that every Airy phase
     stays within MAX_AIRY_PHASE.  The frames are never held at once: each
-    row_blocks block is reduced to its rows' sums of |.|^{3a} before the
-    next block is made.
+    map_row_blocks block is reduced to its rows' sums of |.|^{3a}, on
+    whichever thread made it, and the sums are joined in row order.
     """
     if not (4.0 / 3.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (4/3, 2)")
@@ -256,12 +257,13 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
         return 0.0
     exponent = 3.0 * alpha
     t2 = np.linspace(-2.0 * time_window, 2.0 * time_window, 2 * nt - 1)
-    space = np.empty(t2.size)
-    mag = np.empty((min(t2.size, ROW_BLOCK), f.grid.n))
-    for rows, block in row_blocks(*_airy_args(f, t2, 1.0 / exponent)):
-        part = np.abs(block, out=mag[:len(block)])
+
+    def row_sums(rows, block):
+        part = np.abs(block)
         part **= exponent
-        space[rows] = np.sum(part, axis=1)
+        return np.sum(part, axis=1)
+
+    space = np.concatenate(map_row_blocks(row_sums, *_airy_args(f, t2, 1.0 / exponent)))
     space *= f.grid.dx
     mid = slice((nt - 1) // 2, (nt - 1) // 2 + nt)
     num1 = float(np.trapezoid(space[mid], t2[mid]) ** (1.0 / exponent))
@@ -364,11 +366,12 @@ def _spacetime_argmax(f: GridFunction, alpha: float,
                       t_scan: float) -> tuple[float, float]:
     """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f | over SCAN_FRAMES times."""
     t_grid = np.linspace(-t_scan, t_scan, SCAN_FRAMES)
-    # materialised, not streamed through row_blocks: freeing the 8 MB scan
+    # materialised, not reduced through map_row_blocks: freeing the 8 MB scan
     # array raises glibc's dynamic mmap threshold, so the block temporaries
-    # come from the heap and are reused; streamed, they were mapped and
-    # unmapped on every call (~14k page faults and 41 ms more system time
-    # per profile_decompose)
+    # come from the heap and are reused; reduced per block, they were mapped
+    # and unmapped on every call (with one helper thread, ~4.9k page faults
+    # and 5-9 ms more system time per profile_decompose of perfbench's scan
+    # input, against ~1 fault materialised)
     mag = np.abs(airy_frames(f, t_grid, 1.0 / (3.0 * alpha)))
     it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
     return float(t_grid[it]), float(f.grid.x0 + ix * f.grid.dx)

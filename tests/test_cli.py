@@ -14,7 +14,7 @@ import pytest
 from dlab.cli import build_parser, main
 from dlab.evolutions import BlowupError, suggest_dt
 from dlab.fileio import read_grid_function, write_grid_function
-from dlab.grid import FOURIER, Grid, GridFunction
+from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, map_row_blocks
 
 
 def run(capsys, *argv):
@@ -406,6 +406,26 @@ def test_recording_keeps_the_error_filter(tmp_path, capsys, monkeypatch):
     with pytest.raises(RuntimeWarning, match="overflow encountered"):
         main(["norm", "kind=lhat,r=2.0", str(path), "--no-timestamps"])
     assert capsys.readouterr().out == ""
+
+
+def test_warning_from_a_helper_block_lands_in_the_report(tmp_path, capsys, monkeypatch,
+                                                        on_helper):
+    path = tmp_path / "g.gf"
+    write_sample(path)
+
+    def warn(rows, block):
+        warnings.warn(f"raised on a helper at row {rows.start}", UserWarning)
+
+    def norm_with_row_blocks(f, r):
+        rows = np.tile(f.values, (3 * ROW_BLOCK, 1))
+        map_row_blocks(on_helper(warn), f.grid, rows, symbol=np.ones(f.grid.n))
+        return 1.0
+
+    monkeypatch.setattr("dlab.cli.lhat_norm", norm_with_row_blocks)
+    code, out, err = run(capsys, "norm", "kind=lhat,r=2.0", str(path), "--no-timestamps")
+    assert code == 0 and err == ""
+    lines = json.loads(out)["warnings"]
+    assert lines and all("UserWarning: raised on a helper at row" in w for w in lines)
 
 
 def test_embed_zero_dt_exits_1(capsys):

@@ -1,4 +1,8 @@
 import math
+import re
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -6,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlab import grid as grid_module
 from dlab.deformations import translate
+from dlab.evolutions import energy, mass
 from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
                        SpaceTimeField, derivative_symbol, forward_transform,
-                       fractional_derivative, inverse_transform, match_sides,
-                       physical_rows, _uniform_step)
+                       fractional_derivative, inverse_transform, map_row_blocks,
+                       match_sides, physical_rows, _uniform_step)
+from dlab.norms import NormSpec, spacetime_norm
+from dlab.profiles import stein_tomas_ratio
 
 
 def gaussian(grid: Grid, width: float = 1.0) -> GridFunction:
@@ -298,3 +306,142 @@ def test_uniform_step_tolerance():
         broken = t.copy()
         broken[-1] = bad
         assert _uniform_step(broken) is None
+
+
+# ---------------------------------------------------------------------------
+# the row-block executor
+# ---------------------------------------------------------------------------
+
+def _row_args(m):
+    g = Grid(128, 16.0, -8.0)
+    rng = np.random.default_rng(m)
+    rows = np.exp(-g.nodes() ** 2) * (rng.normal(size=(m, g.n)) + 1j * rng.normal(size=(m, g.n)))
+    return g, rows, np.linspace(-0.4, 0.7, m), 3.0 * g.frequencies()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("spectrum_without_times", "a 1-D spectrum needs times"),
+    ("times_without_dispersion", "times and dispersion go together"),
+    ("times_for_other_rows", f"got {3 * ROW_BLOCK - 1} times for {3 * ROW_BLOCK} rows"),
+    ("short_symbol", "symbol must have shape (128,)"),
+    ("real_out", "out must be a complex128 array of shape"),
+])
+def test_bad_row_block_calls_fail_before_any_helper_starts(monkeypatch, case, message):
+    g, rows, times, disp = _row_args(3 * ROW_BLOCK)
+    kwargs = {
+        "spectrum_without_times": dict(values=rows[0]),
+        "times_without_dispersion": dict(times=times),
+        "times_for_other_rows": dict(times=times[1:], dispersion=disp),
+        "short_symbol": dict(symbol=np.ones(64)),
+        "real_out": dict(symbol=np.ones(128), out=np.empty(rows.shape)),
+    }[case]
+    kwargs = {"values": rows, **kwargs}
+    monkeypatch.setattr(grid_module, "HELPERS", 1)
+    monkeypatch.setattr(grid_module, "_POOLS", {})
+    blocks = []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        map_row_blocks(lambda rows, block: blocks.append(rows), g, **kwargs)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        physical_rows(g, **kwargs)
+    assert blocks == [] and grid_module._POOLS == {}
+
+
+class Boom(Exception):
+    pass
+
+
+def test_helper_block_error_reaches_the_caller_once_after_the_helpers_stop(on_helper):
+    g, rows, times, disp = _row_args(8 * ROW_BLOCK)
+    busy, made = [0], []
+
+    def fail_first(rows, block):
+        busy[0] += 1
+        try:
+            made.append(rows.start)
+            time.sleep(0.002)
+            if len(made) == 1:
+                raise Boom(f"block at row {rows.start}")
+        finally:
+            busy[0] -= 1
+
+    out = np.zeros_like(rows)
+    with pytest.raises(Boom):
+        map_row_blocks(on_helper(fail_first), g, rows, times=times, dispersion=disp, out=out)
+    # no helper is still inside a block, and none takes another
+    assert busy[0] == 0
+    done, snapshot = len(made), out.copy()
+    time.sleep(0.05)
+    assert len(made) == done and np.array_equal(out, snapshot)
+    # the pool is not left broken: the next call takes every block
+    starts = map_row_blocks(lambda rows, block: rows.start, g, rows)
+    assert starts == list(range(0, 8 * ROW_BLOCK, ROW_BLOCK))
+
+
+def test_caller_block_error_waits_for_the_helpers(monkeypatch):
+    g, rows, times, disp = _row_args(4 * ROW_BLOCK)
+    monkeypatch.setattr(grid_module, "HELPERS", 1)
+    started, finished = threading.Event(), []
+
+    def reduce(rows, block):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(10.0), "no helper thread took a block"
+            raise Boom("caller")
+        started.set()
+        time.sleep(0.05)
+        finished.append(rows.start)
+
+    with pytest.raises(Boom, match="caller"):
+        map_row_blocks(reduce, g, rows, times=times, dispersion=disp)
+    # the helper's block ended before the call returned, and it took no other
+    assert finished == [ROW_BLOCK]
+    time.sleep(0.1)
+    assert finished == [ROW_BLOCK]
+
+
+def test_helper_blocks_run_under_the_callers_errstate(on_helper):
+    g, rows, times, disp = _row_args(4 * ROW_BLOCK)
+
+    def overflow(rows, block):
+        assert np.geterr()["over"] == "raise"
+        return np.float64(1e300) * np.float64(1e300)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            map_row_blocks(on_helper(overflow), g, rows, times=times, dispersion=disp)
+
+
+@pytest.mark.parametrize("m", [ROW_BLOCK + 7, 3 * ROW_BLOCK])
+def test_row_block_outputs_do_not_depend_on_the_helper_count(monkeypatch, m):
+    g, rows, times, disp = _row_args(m)
+    field = SpaceTimeField(g, times, rows)
+
+    def outputs():
+        in_place = rows.copy()
+        physical_rows(g, in_place, symbol=derivative_symbol(g.frequencies(), 0.3),
+                      times=times, dispersion=disp, out=in_place)
+        return [spacetime_norm(field, NormSpec(kind="spacetime_X", r=1.9, s=0.3)),
+                spacetime_norm(field, NormSpec(kind="spacetime_X", r=2.0, s=-0.25)),  # q = inf
+                in_place, mass(g, rows), energy(g, rows, 1.9, -1)]
+
+    monkeypatch.setattr(grid_module, "HELPERS", 0)
+    want = outputs()
+    switch = sys.getswitchinterval()
+    for helpers in (1, 3):  # 3 is more threads than this host may have cores
+        monkeypatch.setattr(grid_module, "HELPERS", helpers)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = outputs()
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_stein_tomas_ratio_does_not_depend_on_the_helper_count(monkeypatch):
+    # criterion 10's grid, input and nt
+    g = Grid(4096, 2.0 * math.pi * 2 ** 8, -math.pi * 2 ** 8)
+    f0 = GridFunction(g, np.exp(-g.nodes() ** 2) + 0j)
+    ratios = []
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(grid_module, "HELPERS", helpers)
+        ratios.append(stein_tomas_ratio(f0, 1.8, 3.0, 16.0, nt=513))
+    assert ratios[0] > 0 and ratios[1] == ratios[0] and ratios[2] == ratios[0]
