@@ -379,7 +379,9 @@ def materialised_spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
     return float(np.max(inner))
 
 
-@pytest.mark.parametrize("m", [ROW_BLOCK - 3, ROW_BLOCK + 7, 2 * ROW_BLOCK])
+# ROW_BLOCK - 3 rows fit in one partial block; 61 and 71 end in a partial
+# block and 128 in whole ones for ROW_BLOCK = 32 or 64.
+@pytest.mark.parametrize("m", [ROW_BLOCK - 3, 61, 71, 128])
 @pytest.mark.parametrize("kind, r, s", [
     ("spacetime_X", 1.9, 0.3), ("spacetime_Y", 1.9, 0.3), ("spacetime_X", 2.0, 0.0),
     ("spacetime_X", 2.0, -0.25),   # q = inf, p = 4
