@@ -5,10 +5,11 @@ piecewise constant on the frequency cells [xi_k, xi_k + dxi).  Every norm
 below is then an exact integral of that density, so dyadic-interval sums
 can be carried to all scales: scales finer than a cell and coarser than
 the data support are geometric series with closed forms, and only a
-finite band of scales needs explicit enumeration.  One batched pass
-aggregates any number of lattice offsets (modulations): at scale w an
-offset only matters modulo w, so each scale is evaluated once per
-distinct residue, and the modulation scan in ell is a single call.
+finite band of scales needs explicit enumeration.  One pass over one
+array of intervals aggregates every such scale for any number of lattice
+offsets (modulations): at scale w an offset only matters modulo w, so
+each scale is evaluated once per distinct residue, and the modulation
+scan in ell is a single call on a density prepared once.
 
 Implemented norms:
   * lhat_norm          -- L^{r'} of the Fourier density
@@ -32,19 +33,79 @@ from numpy.typing import ArrayLike
 from .grid import GridFunction, SpaceTimeField, derivative_symbol, map_row_blocks
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
-_BLOCK = 1 << 17   # entries per (residue, interval) block in _dyadic_aggregate
+_BLOCK = 1 << 17   # entries per chunk of _dyadic_aggregate's interval array
+_WINDOW_SCALES = (-1022, 1023)  # window scales j with 2^j a normal float
+# intervals one offset may see over a window's scales: 32x the most
+# (2^15) that a window=None aggregate of the test suite or perfbench sees
+_MAX_WINDOW_INTERVALS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # dyadic aggregation core
 # ---------------------------------------------------------------------------
 
-def _dyadic_aggregate(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
-                      a: float, b: float, offsets: ArrayLike = (0.0,),
+@dataclass(frozen=True)
+class _Density:
+    """A cell density prepared for _dyadic_aggregate at exponents (r, b):
+    what every aggregate of it needs, built once (see _prepare_density)."""
+    edges: np.ndarray
+    cum: np.ndarray   # int dens^b from edges[0] to each edge
+    r: float
+    b: float
+    lo: float         # the nonzero cells span [lo, hi)
+    hi: float
+    w_cell: float     # the finest nonzero cell
+    fine: float       # sum(width * dens^r), or max dens for r = inf
+
+
+def _prepare_density(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
+                     b: float) -> _Density:
+    """cell_vals: density values, constant on cells edges[i:i+2]."""
+    cell_vals = np.asarray(cell_vals, dtype=np.float64)
+    if not np.all((cell_vals >= 0.0) & (cell_vals < math.inf)):
+        raise ValueError("density values must be finite and nonnegative")
+    widths = np.diff(edges)
+    cum = np.concatenate(([0.0], np.cumsum(cell_vals ** b * widths)))
+    nz = np.nonzero(cell_vals)[0]
+    if nz.size == 0:
+        return _Density(edges, cum, r, b, 0.0, 0.0, 0.0, 0.0)
+    fine = float(np.sum(widths * cell_vals ** r)) if math.isfinite(r) else float(np.max(cell_vals))
+    return _Density(edges, cum, r, b, float(edges[nz[0]]), float(edges[nz[-1] + 1]),
+                    float(np.min(widths[nz])), fine)
+
+
+def _check_window(dens: _Density, window: tuple[int, int]) -> None:
+    """Refuse a window that is empty, leaves the normal floats, or gives one
+    offset more than _MAX_WINDOW_INTERVALS intervals to evaluate."""
+    j_min, j_max = window
+    if j_min > j_max:
+        raise ValueError(f"empty scale window {window}")
+    if j_min < _WINDOW_SCALES[0] or j_max > _WINDOW_SCALES[1]:
+        raise ValueError(f"norm window scales must lie in {list(_WINDOW_SCALES)}, got {window}")
+    # at scale j an offset sees at most ceil(span 2^j) + 1 intervals of the
+    # support, span = hi - lo = num / den exactly; counted in integers from
+    # the finest scale down, where once a scale sees 2, every coarser one does
+    (n_hi, d_hi), (n_lo, d_lo) = dens.hi.as_integer_ratio(), dens.lo.as_integer_ratio()
+    num, den = n_hi * d_lo - n_lo * d_hi, d_hi * d_lo
+    count = 0
+    for j in range(j_max, j_min - 1, -1):
+        top, bottom = (num << j, den) if j >= 0 else (num, den << -j)
+        n = -(-top // bottom) + 1
+        if n <= 2:
+            count += n * (j - j_min + 1)
+            break
+        count += n
+        if count > _MAX_WINDOW_INTERVALS:
+            break
+    if count > _MAX_WINDOW_INTERVALS:
+        raise ValueError(f"norm window {window} holds more than {_MAX_WINDOW_INTERVALS} "
+                         "dyadic intervals of the support per offset")
+
+
+def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
                       window: tuple[int, int] | None = None) -> np.ndarray:
     """l^r aggregate over dyadic intervals of w^a * (int_I dens^b)^{1/b}.
 
-    cell_vals: nonnegative density values, constant on cells edges[i:i+2].
     Returns one value per entry of 'offsets'.  For an offset the intervals
     are [k*w + offset, (k+1)*w + offset) with w = 2^{-j}; the anchor shift
     realizes frequency modulations exactly.
@@ -54,68 +115,85 @@ def _dyadic_aggregate(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
     geometric tails.  With window=(j_min, j_max) only those scales are
     summed (a truncated norm) and no tails are added.
 
-    Offsets with the same residue offset mod w see the same intervals at
-    scale j, only relabelled, so each scale is evaluated once per distinct
-    residue: the residues form one (residue, interval) array, cut into
-    blocks of at most _BLOCK entries, and every offset adds its residue's
-    term, in ascending j.
+    One pass serves every scale and offset.  Offsets with the same residue
+    offset mod w see the same intervals at scale j, only relabelled, so
+    each (scale, residue) pair is one row, evaluated at the class's first
+    offset over just the intervals that meet the support.  The bounds
+    (k0 + i) * w + rep of all rows go into one array, cut into chunks of
+    at most _BLOCK entries only when larger, and one interp of the
+    cumulative integral and one diff give every interval's integral.  The
+    power steps^{r/b} is masked to the positive steps: it skips the exact
+    zeros (most fine-scale steps of an FFT-made density, on which pow is
+    slow), the roundoff negatives, and the step from one row's last bound
+    (past the support) to the next row's first (before it), which is
+    -int dens^b.  reduceat sums each row, scaled by w^{a r} (for r = inf:
+    the row's largest step^{1/b}, scaled by w^a), and each offset adds its
+    rows in ascending j.
     """
-    cell_vals = np.asarray(cell_vals, dtype=np.float64)
-    if np.any(cell_vals < 0):
-        raise ValueError("density values must be nonnegative")
     offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
-    widths = np.diff(edges)
-    powb = cell_vals ** b
-    cum = np.concatenate(([0.0], np.cumsum(powb * widths)))
-    total_pow = cum[-1]
+    if window is not None:
+        _check_window(dens, window)
+    total_pow = dens.cum[-1]
     if total_pow == 0.0:
         return np.zeros(offsets.size)
+    r, b = dens.r, dens.b
+    finite_r = math.isfinite(r)
 
-    nz = np.nonzero(cell_vals)[0]
-    lo = edges[nz[0]]
-    hi = edges[nz[-1] + 1]
-    w_cell = float(np.min(widths[nz]))
-
-    use_tails = window is None
     if window is None:
-        j_hi = math.ceil(-math.log2(w_cell)) + 2
+        j_hi = math.ceil(-math.log2(dens.w_cell)) + 2
         # per offset: the coarsest scale whose two anchor intervals do not
         # yet hold the whole support; ceil(log2 R) is exact through frexp
-        mant, expo = np.frexp(np.maximum(np.maximum(hi - offsets, offsets - lo), w_cell))
+        mant, expo = np.frexp(np.maximum(np.maximum(dens.hi - offsets, offsets - dens.lo),
+                                         dens.w_cell))
         j_lo = np.minimum(-(expo - (mant == 0.5) + 1), j_hi)
     else:
-        if window[0] > window[1]:
-            raise ValueError(f"empty scale window {window}")
         j_hi = window[1]
         j_lo = np.full(offsets.size, window[0])
+    scales = np.arange(j_lo.min(), j_hi + 1)
+    w = np.ldexp(1.0, -scales)
 
-    finite_r = math.isfinite(r)
-    acc = np.zeros(offsets.size)
-    for j in range(int(j_lo.min()), j_hi + 1):
-        w = 2.0 ** (-j)
-        first, inv = _residue_classes(offsets, w)
-        reps = offsets[first]
-        k0 = np.floor((lo - reps) / w)
-        n_bounds = int((np.ceil((hi - reps) / w) - k0).max()) + 1
-        per_res = np.empty(reps.size)
-        rows = max(1, _BLOCK // n_bounds)
-        for s in range(0, reps.size, rows):
-            blk = slice(s, s + rows)
-            # reps + w * (k0 + step), built in place to keep the peak low
-            bounds = k0[blk, None] + np.arange(n_bounds)
-            bounds *= w
-            bounds += reps[blk, None]
-            # exact: cum is piecewise linear with nodes at the cell edges
-            terms = np.diff(np.interp(bounds, edges, cum), axis=1)
-            np.maximum(terms, 0.0, out=terms)
-            terms **= 1.0 / b
-            terms *= w ** a
-            per_res[blk] = (terms ** r).sum(axis=1) if finite_r else terms.max(axis=1)
-        # scale j is inside the coarse tail of offsets with j < j_lo
-        term = np.where(j_lo <= j, per_res[inv], 0.0)
-        acc = acc + term if finite_r else np.maximum(acc, term)
+    # one row per (scale, residue class), scale-major; floating mod is
+    # exact, so the classes are exact, and a stable sort represents each
+    # class by its first offset
+    res = np.mod(offsets, w[:, None])
+    order = np.argsort(res, axis=1, kind="stable")
+    res = np.take_along_axis(res, order, axis=1)
+    first = np.ones(res.shape, dtype=bool)
+    first[:, 1:] = res[:, 1:] != res[:, :-1]
+    row_of = np.empty(res.shape, dtype=np.intp)
+    np.put_along_axis(row_of, order, np.cumsum(first).reshape(res.shape) - 1, axis=1)
+    row_w = w[np.nonzero(first)[0]]
+    reps = offsets[order[first]]
+    k0 = np.floor((dens.lo - reps) / row_w)
+    counts = (np.ceil((dens.hi - reps) / row_w) - k0).astype(np.intp) + 1
+    ends = np.cumsum(counts)
 
-    if use_tails:
+    row_vals = np.empty(reps.size)
+    s = 0
+    while s < reps.size:
+        e = max(int(np.searchsorted(ends, ends[s] - counts[s] + _BLOCK, side="right")), s + 1)
+        c = counts[s:e]
+        starts = np.cumsum(c) - c
+        # (k0 + i) * w + rep, built in place to keep the peak low
+        bounds = np.repeat(k0[s:e] - starts, c)
+        bounds += np.arange(bounds.size)
+        bounds *= np.repeat(row_w[s:e], c)
+        bounds += np.repeat(reps[s:e], c)
+        # exact: cum is piecewise linear with nodes at the cell edges
+        steps = np.diff(np.interp(bounds, dens.edges, dens.cum))
+        if finite_r:
+            terms = np.zeros_like(steps)
+            np.power(steps, r / b, out=terms, where=steps > 0.0)
+            row_vals[s:e] = np.add.reduceat(terms, starts) * row_w[s:e] ** (a * r)
+        else:
+            row_vals[s:e] = np.maximum.reduceat(steps, starts) ** (1.0 / b) * row_w[s:e] ** a
+        s = e
+
+    # scale j is inside the coarse tail of offsets with j < j_lo
+    per_scale = np.where(scales[:, None] >= j_lo, row_vals[row_of], 0.0)
+    acc = np.cumsum(per_scale, axis=0)[-1] if finite_r else per_scale.max(axis=0)
+
+    if window is None:
         # scales finer than a cell: every interval sees constant density
         sub_exp = a + 1.0 / b
         w_next = 2.0 ** (-(j_hi + 1))
@@ -123,17 +201,15 @@ def _dyadic_aggregate(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
             e_sub = r * sub_exp - 1.0
             if e_sub <= 0.0:
                 return np.full(offsets.size, math.inf)
-            mass_r = float(np.sum(widths * cell_vals ** r))
-            acc += mass_r * (w_next ** e_sub) / (1.0 - 2.0 ** (-e_sub))
+            acc += dens.fine * (w_next ** e_sub) / (1.0 - 2.0 ** (-e_sub))
         else:
             if sub_exp < 0.0:
                 return np.full(offsets.size, math.inf)
-            vmax = float(np.max(cell_vals))
-            acc = np.maximum(acc, vmax if sub_exp == 0.0 else vmax * w_next ** sub_exp)
+            acc = np.maximum(acc, dens.fine if sub_exp == 0.0 else dens.fine * w_next ** sub_exp)
 
         # scales coarser than the support: exactly one interval on each
         # side of the anchor carries everything
-        below = np.interp(offsets, edges, cum)
+        below = np.interp(offsets, dens.edges, dens.cum)
         n_plus = np.maximum(total_pow - below, 0.0)
         n_minus = np.maximum(below, 0.0)
         w_prev = 2.0 ** (1.0 - j_lo)
@@ -149,15 +225,6 @@ def _dyadic_aggregate(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
             acc = np.maximum(acc, cand if a == 0.0 else cand * w_prev ** a)
 
     return acc ** (1.0 / r) if finite_r else acc
-
-
-def _residue_classes(offsets: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index of one offset per distinct residue offset mod w, and each
-    offset's class (floating mod is exact, so classes are exact)."""
-    if offsets.size == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    _, first, inv = np.unique(np.mod(offsets, w), return_index=True, return_inverse=True)
-    return first, inv
 
 
 def _fourier_cells(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +282,9 @@ def morrey_norm(f: GridFunction, p: float, q: float, r: float,
     qp = conjugate_exponent(q)
     if math.isinf(qp):
         raise ValueError("q = 1 (local sup norms) is not supported")
-    vals, edges = _fourier_cells(f)
+    dens = _prepare_density(*_fourier_cells(f), r=r, b=qp)
     a = (0.0 if math.isinf(q) else 1.0 / q) - 1.0 / p
-    return float(_dyadic_aggregate(vals, edges, r=r, a=a, b=qp,
-                                   offsets=[offset], window=window)[0])
+    return float(_dyadic_aggregate(dens, a=a, offsets=[offset], window=window)[0])
 
 
 def morrey_physical(f: GridFunction, p: float, q: float, r: float) -> float:
@@ -227,9 +293,8 @@ def morrey_physical(f: GridFunction, p: float, q: float, r: float) -> float:
         raise ValueError(f"need 0 < q <= p, got q={q}, p={p}")
     if p == q and math.isfinite(r):
         raise ValueError("q == p requires r = inf")
-    vals, edges = _physical_cells(f)
-    a = 1.0 / p - 1.0 / q
-    return float(_dyadic_aggregate(vals, edges, r=r, a=a, b=q)[0])
+    dens = _prepare_density(*_physical_cells(f), r=r, b=q)
+    return float(_dyadic_aggregate(dens, a=1.0 / p - 1.0 / q)[0])
 
 
 def sigma_range(alpha: float) -> tuple[float, float]:
@@ -252,27 +317,24 @@ def ell(f: GridFunction, alpha: float, sigma: float,
     Coarse scan at twice the cell spacing across the spectral support,
     all candidates in one batched _dyadic_aggregate pass, then
     golden-section refinement to 1e-6 relative bracket width, one offset
-    per step.  Returns (value, minimizer).
+    per step.  The density is prepared once for all of them.  Returns
+    (value, minimizer).
     """
     _check_ell_exponents(alpha, sigma)
     vals, edges = _fourier_cells(f)
+    dens = _prepare_density(vals, edges, r=sigma, b=2.0)
     if not np.any(vals > 0):
         return 0.0, 0.0
     a = 0.5 - 1.0 / alpha
-    qp = 2.0
 
     def aggregate(offsets: ArrayLike) -> np.ndarray:
-        return _dyadic_aggregate(vals, edges, r=sigma, a=a, b=qp,
-                                 offsets=offsets, window=window)
+        return _dyadic_aggregate(dens, a=a, offsets=offsets, window=window)
 
     def objective(xi0: float) -> float:
         return float(aggregate([xi0])[0])
 
-    nz = np.nonzero(vals)[0]
-    lo, hi = edges[nz[0]], edges[nz[-1] + 1]
-    dxi = float(np.min(np.diff(edges)))
-    step = 2.0 * dxi
-    candidates = np.arange(lo - step, hi + 2 * step, step)
+    step = 2.0 * float(np.min(np.diff(edges)))
+    candidates = np.arange(dens.lo - step, dens.hi + 2 * step, step)
     cand_vals = aggregate(candidates)
     i = int(np.argmin(cand_vals))
     xa = candidates[max(i - 1, 0)]

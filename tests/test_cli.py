@@ -119,6 +119,22 @@ def test_norm_ell_reports_minimizer(tmp_path, capsys):
     assert "minimizer_xi" in payload
 
 
+@pytest.mark.parametrize("spec, msg", [
+    ("kind=morrey_hat,p=1.8,q=2.0,r=3.0,j_min=0,j_max=40", "holds more than"),
+    ("kind=ell,p=1.8,sigma=3.0,j_min=0,j_max=40", "holds more than"),
+    ("kind=morrey_hat,p=1.8,q=2.0,r=3.0,j_min=-1030,j_max=0", "must lie in"),
+    ("kind=ell,p=1.8,sigma=3.0,j_min=0,j_max=1030", "must lie in"),
+])
+def test_norm_oversized_window_exits_1(tmp_path, capsys, spec, msg):
+    # refused before the per-offset interval array is allocated
+    path = tmp_path / "small.gf"
+    write_sample(path)
+    code, out, err = run(capsys, "norm", spec, str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and msg in err
+
+
 def test_norm_bad_file_exits_1(tmp_path, capsys):
     path = tmp_path / "junk.gf"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from dlab.grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, SpaceTimeField, derivative_symbol,
                        physical_rows)
+from dlab import norms
 from dlab.norms import (NormSpec, _dyadic_aggregate, _fourier_cells, _physical_cells,
-                        conjugate_exponent, ell, exponents_X,
+                        _prepare_density, conjugate_exponent, ell, exponents_X,
                         exponents_Y, is_acceptable, is_conjugate_acceptable,
                         lhat_norm, morrey_interpolation_check, morrey_norm,
                         morrey_physical, preset_s, sigma_range, spacetime_norm)
-from dlab.deformations import dilate
+from dlab.deformations import Deformation, apply, dilate
 
 
 def gaussian(grid: Grid) -> GridFunction:
@@ -26,6 +27,37 @@ def random_band(grid: Grid, seed: int, band: float = 4.0) -> GridFunction:
     vals = (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
     vals *= np.exp(-xi ** 2 / 32.0) * (np.abs(xi) <= band)
     return GridFunction(grid, vals, FOURIER)
+
+
+ALPHA, SIGMA = 1.8, 3.0
+ELL_KW = dict(r=SIGMA, a=0.5 - 1.0 / ALPHA, b=2.0)
+
+
+def planted_grid() -> Grid:
+    return Grid(2048, 2.0 * math.pi * 2 ** 4, -math.pi * 2 ** 4)
+
+
+def bump(grid: Grid, amp: float) -> GridFunction:
+    # the criterion-12 profile: exact zeros off [0, 1)
+    xi = grid.frequencies()
+    v = np.where((xi >= -1e-12) & (xi < 1.0 - 1e-12), amp * np.exp(-(xi - 0.5) ** 2 * 8.0), 0.0)
+    return GridFunction(grid, v.astype(complex), FOURIER)
+
+
+def pair_state(n: int) -> GridFunction:
+    # criterion 12's two nonresonant profiles at modulations +-n
+    g = planted_grid()
+    return (apply(Deformation(0, xi=float(n)), bump(g, 2.0), d_exponent=ALPHA)
+            + apply(Deformation(0, xi=-float(n), s=0.02, y=3.0), bump(g, 1.0), d_exponent=ALPHA))
+
+
+def planted_state(seed: int, n: int) -> GridFunction:
+    # the scan workload's planted profile, at its seeded Airy time and translation
+    rng = np.random.default_rng(seed)
+    params = {m: (rng.uniform(-0.2, 0.2), rng.uniform(-2.0, 2.0)) for m in (3, 8)}
+    s, y = params[n]
+    return apply(Deformation(2, xi=float(n), s=float(s), y=float(y)), bump(planted_grid(), 1.0),
+                 d_exponent=ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +195,11 @@ def test_ell_zero_and_validation():
 
 def test_ell_minimizer_attains_value_on_planted_profiles():
     # the criterion-12 planted states: one bump under D(2) P(n) S(0.1) T(1)
-    from dlab.deformations import Deformation, apply
-    alpha, sigma = 1.8, 3.0
-    g = Grid(2048, 2.0 * math.pi * 2 ** 4, -math.pi * 2 ** 4)
-    xi = g.frequencies()
-    v = np.where((xi >= -1e-12) & (xi < 1.0 - 1e-12), np.exp(-(xi - 0.5) ** 2 * 8.0), 0.0)
-    psi = GridFunction(g, v.astype(complex), FOURIER)
+    psi = bump(planted_grid(), 1.0)
     for n in (2, 3, 5, 8):
-        u = apply(Deformation(2, xi=float(n), s=0.1, y=1.0), psi, d_exponent=alpha)
-        value, xi0 = ell(u, alpha, sigma)
-        assert morrey_norm(u, alpha, 2.0, sigma, offset=xi0) == pytest.approx(
+        u = apply(Deformation(2, xi=float(n), s=0.1, y=1.0), psi, d_exponent=ALPHA)
+        value, xi0 = ell(u, ALPHA, SIGMA)
+        assert morrey_norm(u, ALPHA, 2.0, SIGMA, offset=xi0) == pytest.approx(
             value, rel=1e-12)
 
 
@@ -185,6 +212,77 @@ def test_sigma_range_values():
 # ---------------------------------------------------------------------------
 # batched dyadic aggregation
 # ---------------------------------------------------------------------------
+
+def aggregate(vals, edges, *, r, a, b, offsets=(0.0,), window=None):
+    return _dyadic_aggregate(_prepare_density(vals, edges, r=r, b=b), a=a,
+                             offsets=offsets, window=window)
+
+
+def dyadic_aggregate_by_scale(cell_vals, edges, *, r, a, b, offsets=(0.0,), window=None):
+    """The aggregate one scale at a time: the oracle of the one-pass
+    _dyadic_aggregate.  Each scale evaluates every distinct residue of the
+    offsets over the scale's largest interval count, clips negative
+    roundoff steps and powers every term, zeros included."""
+    cell_vals = np.asarray(cell_vals, dtype=np.float64)
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
+    widths = np.diff(edges)
+    cum = np.concatenate(([0.0], np.cumsum(cell_vals ** b * widths)))
+    total_pow = cum[-1]
+    if total_pow == 0.0:
+        return np.zeros(offsets.size)
+    nz = np.nonzero(cell_vals)[0]
+    lo, hi = edges[nz[0]], edges[nz[-1] + 1]
+    w_cell = float(np.min(widths[nz]))
+    if window is None:
+        j_hi = math.ceil(-math.log2(w_cell)) + 2
+        mant, expo = np.frexp(np.maximum(np.maximum(hi - offsets, offsets - lo), w_cell))
+        j_lo = np.minimum(-(expo - (mant == 0.5) + 1), j_hi)
+    else:
+        j_hi = window[1]
+        j_lo = np.full(offsets.size, window[0])
+    finite_r = math.isfinite(r)
+    acc = np.zeros(offsets.size)
+    for j in range(int(j_lo.min()), j_hi + 1):
+        w = 2.0 ** (-j)
+        _, first, inv = np.unique(np.mod(offsets, w), return_index=True, return_inverse=True)
+        reps = offsets[first]
+        k0 = np.floor((lo - reps) / w)
+        n_bounds = int((np.ceil((hi - reps) / w) - k0).max()) + 1
+        bounds = (k0[:, None] + np.arange(n_bounds)) * w + reps[:, None]
+        terms = np.maximum(np.diff(np.interp(bounds, edges, cum), axis=1), 0.0)
+        terms = terms ** (1.0 / b) * w ** a
+        per_res = (terms ** r).sum(axis=1) if finite_r else terms.max(axis=1)
+        term = np.where(j_lo <= j, per_res[inv], 0.0)
+        acc = acc + term if finite_r else np.maximum(acc, term)
+    if window is None:
+        sub_exp = a + 1.0 / b
+        w_next = 2.0 ** (-(j_hi + 1))
+        if finite_r:
+            e_sub = r * sub_exp - 1.0
+            if e_sub <= 0.0:
+                return np.full(offsets.size, math.inf)
+            acc += np.sum(widths * cell_vals ** r) * (w_next ** e_sub) / (1.0 - 2.0 ** (-e_sub))
+        else:
+            if sub_exp < 0.0:
+                return np.full(offsets.size, math.inf)
+            vmax = np.max(cell_vals)
+            acc = np.maximum(acc, vmax if sub_exp == 0.0 else vmax * w_next ** sub_exp)
+        below = np.interp(offsets, edges, cum)
+        n_plus = np.maximum(total_pow - below, 0.0)
+        n_minus = np.maximum(below, 0.0)
+        w_prev = 2.0 ** (1.0 - j_lo)
+        if finite_r:
+            if a >= 0.0:
+                return np.full(offsets.size, math.inf)
+            halves = n_plus ** (r / b) + n_minus ** (r / b)
+            acc += halves * (w_prev ** (a * r)) / (1.0 - 2.0 ** (a * r))
+        else:
+            if a > 0.0:
+                return np.full(offsets.size, math.inf)
+            cand = np.maximum(n_plus, n_minus) ** (1.0 / b)
+            acc = np.maximum(acc, cand if a == 0.0 else cand * w_prev ** a)
+    return acc ** (1.0 / r) if finite_r else acc
+
 
 def coarse_anchor_scale(x, lo, hi, w_cell):
     # the coarsest explicitly summed scale of offset x (its tail starts below)
@@ -219,11 +317,101 @@ def test_batched_aggregate_matches_one_offset_calls(case):
                               rng.uniform(lo - 3 * (hi - lo), hi + 3 * (hi - lo), 80)])
     assert offsets.size >= 200
     assert len({coarse_anchor_scale(x, lo, hi, w_cell) for x in offsets}) > 1
-    batched = _dyadic_aggregate(vals, edges, offsets=offsets, **kw)
-    single = np.array([_dyadic_aggregate(vals, edges, offsets=[x], **kw)[0] for x in offsets])
+    batched = aggregate(vals, edges, offsets=offsets, **kw)
+    single = np.array([aggregate(vals, edges, offsets=[x], **kw)[0] for x in offsets])
     assert batched.shape == offsets.shape
     assert np.all(np.isfinite(single)) and np.all(single > 0)
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0.0)
+
+
+ORACLE_CASES = {
+    **AGGREGATE_CASES,
+    "r_inf_physical_window": (lambda: _physical_cells(gaussian(Grid(256, 16.0, -8.0))),
+                              dict(r=math.inf, a=1.0 / 3.0 - 1.0 / 1.5, b=1.5, window=(-2, 6))),
+    # an FFT-made density: no cell is zero, but most steps of its
+    # cumulative integral, and so most fine-scale terms, are exact zeros
+    "mostly_zeros": (lambda: _fourier_cells(planted_state(0, 3)), ELL_KW),
+    **{f"pair_n{n}": (lambda n=n: _fourier_cells(pair_state(n)), ELL_KW) for n in (8, 16, 32, 48)},
+}
+
+
+@pytest.mark.parametrize("mode", ["one", "lattice"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_aggregate_matches_by_scale_oracle(case, mode):
+    cells, kw = ORACLE_CASES[case]
+    vals, edges = cells()
+    nz = np.nonzero(vals)[0]
+    lo, hi = edges[nz[0]], edges[nz[-1] + 1]
+    step = 2.0 * float(np.min(np.diff(edges)))
+    if mode == "one":
+        offsets = np.array([lo + 0.3 * (hi - lo) + 0.1 * step])
+    else:
+        # ell's candidate lattice, and offsets whose coarse tails start elsewhere
+        rng = np.random.default_rng(11)
+        offsets = np.concatenate([np.arange(lo - step, hi + 2 * step, step),
+                                  rng.uniform(lo - 3 * (hi - lo), hi + 3 * (hi - lo), 40)])
+    if case == "mostly_zeros":
+        # roundoff-sized cells past the bump leave the cumulative integral unchanged
+        assert np.mean(np.diff(np.cumsum(vals ** 2)) == 0.0) > 0.5
+    want = dyadic_aggregate_by_scale(vals, edges, offsets=offsets, **kw)
+    got = aggregate(vals, edges, offsets=offsets, **kw)
+    assert np.all(np.isfinite(want)) and np.all(want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 3), (0, 8), (1, 3), (1, 8)])
+def test_ell_matches_by_scale_oracle_on_planted_states(monkeypatch, seed, n):
+    u = planted_state(seed, n)
+    value, xi0 = ell(u, ALPHA, SIGMA)
+    vals, edges = _fourier_cells(u)
+
+    def by_scale(dens, *, a, offsets, window):
+        return dyadic_aggregate_by_scale(vals, edges, r=dens.r, a=a, b=dens.b,
+                                         offsets=offsets, window=window)
+
+    monkeypatch.setattr(norms, "_dyadic_aggregate", by_scale)
+    want_value, want_xi0 = ell(u, ALPHA, SIGMA)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert xi0 == pytest.approx(want_xi0, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_density_is_rejected(bad):
+    f = random_band(Grid(256, 2 * np.pi * 8), seed=5)
+    f.values[3] = bad
+    msg = "^density values must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=msg):
+        morrey_norm(f, ALPHA, 2.0, SIGMA)
+    with pytest.raises(ValueError, match=msg):
+        ell(f, ALPHA, SIGMA)
+
+
+@pytest.mark.parametrize("window, msg", [
+    ((0, 40), "holds more than"),
+    ((-1023, 2), "must lie in"),
+    ((0, 1024), "must lie in"),
+])
+def test_window_is_bounded_before_any_allocation(window, msg):
+    f = random_band(Grid(256, 2 * np.pi * 8), seed=5)
+    with pytest.raises(ValueError, match=msg):
+        morrey_norm(f, ALPHA, 2.0, SIGMA, window=window)
+    with pytest.raises(ValueError, match=msg):
+        ell(f, ALPHA, SIGMA, window=window)
+
+
+def test_window_interval_count_is_exact_at_the_bound():
+    # a unit-width support seen at scales 0..J: 2^j + 1 intervals at scale j
+    g = Grid(1024, 2 * np.pi * 32)
+    xi = g.frequencies()
+    f = GridFunction(g, ((xi >= -1e-12) & (xi < 1.0 - 1e-12)).astype(complex), FOURIER)
+    dens = _prepare_density(*_fourier_cells(f), r=SIGMA, b=2.0)
+    assert dens.hi - dens.lo == 1.0
+    j_max = norms._MAX_WINDOW_INTERVALS.bit_length() - 3
+    count = sum(2 ** j + 1 for j in range(j_max + 1))
+    assert count <= norms._MAX_WINDOW_INTERVALS < count + 2 ** (j_max + 1) + 1
+    norms._check_window(dens, (0, j_max))
+    with pytest.raises(ValueError, match="holds more than"):
+        norms._check_window(dens, (0, j_max + 1))
 
 
 # ---------------------------------------------------------------------------
