@@ -3,8 +3,9 @@
 Subcommands: solve gkdv|nls, norm, embed, profiles extract|decompose,
 verify <battery>, gf info|convert.  Each subcommand and action declares
 only the options its cmd_* reads; a norm's dyadic window is the spec's
-j_min and j_max.  Each cmd_* returns its exit code and what it computed
-(solve: the resolved dt beside steps and t_reached); main runs it under
+j_min and j_max, which only morrey_hat and ell accept.  Each cmd_*
+returns its exit code and what it computed (solve: the resolved dt
+beside steps and t_reached); main runs it under
 one warnings recorder and writes the report to stdout as JSON, adding
 the command, every parsed argument with its default filled in under
 "config", and the warnings the run raised as
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="evaluate a norm on stored data")
     p.add_argument("spec", help="key=value norm specification; "
-                   "j_min and j_max set the dyadic window")
+                   "j_min and j_max set the dyadic window of morrey_hat and ell")
     p.add_argument("input", help="GF01 or STF1 file")
     _add_common(p, cmd_norm)
 

@@ -21,12 +21,15 @@ solving gKdV through the envelope identity
     theta = -x xi_n - t xi_n^3,
 
 so the fast carrier e^{-i t xi_n^3} is never differenced in time and a
-fixed RESIDUAL_FRAMES times resolve the residual at every carrier.  The
+fixed RESIDUAL_FRAMES times resolve the residual at every carrier; its
+nonlinear term is formed one grid.map_row_blocks block at a time.  The
 experiment sweeps the carrier frequency and records how the gap to the
 true gKdV solution closes; per carrier it makes one NLS and one gKdV solve,
-each a SolveConfig with both_ways that marches t > 0 and t < 0 together.  A
-row whose third harmonic 3(xi_n + xi_n^{1/4}) lies above the grid's top
-frequency says so and warns.
+each a SolveConfig with both_ways that marches t > 0 and t < 0 together.
+The 2K solves are independent and run as tasks of grid.map_blocks, the
+executor of the row blocks; the rows are then built one carrier at a
+time.  A row whose third harmonic 3(xi_n + xi_n^{1/4}) lies above the
+grid's top frequency says so and warns.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grid import (PHYSICAL, ROW_BLOCK, GridFunction, SpaceTimeField, fourier_multiply,
-                   physical_rows)
+                   map_blocks, map_row_blocks, physical_rows)
 from .deformations import airy_flow, modulate
 from .evolutions import (SolveConfig, _nonlinear_power, check_alpha, gkdv_solve, nls_solve,
                          suggest_dt)
@@ -151,7 +155,11 @@ def residual_field(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: 
     w = v_zzz - 3 i xi_n mu c0 |v|^{2a} v on v's stored rows, by the envelope
     identity of the module docstring, which is exact when v solves the NLS;
     no time derivative is formed.  The power |u~|^{2a} u~ is formed on the
-    DEALIAS_PAD grid and truncated back, as in gkdv_solve.
+    DEALIAS_PAD grid and truncated back, as in gkdv_solve, one map_row_blocks
+    block of u_tilde's rows at a time: each block subtracts its term from its
+    own rows of the result, so a thread holds one block's padded temporaries,
+    and since FFT rows are independent the bits do not depend on the blocks
+    or the number of threads.
     """
     grid = v.grid
     xi = grid.frequencies()
@@ -161,10 +169,14 @@ def residual_field(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: 
     # rfft modes below Nyquist, as in gkdv_solve
     n = grid.n
     modes = (n + 1) // 2
-    uh = np.fft.rfft(u_tilde.values.real)[:, :modes]
-    nl = _nonlinear_power(uh, n, alpha)
-    nl *= MU * 1j * np.fft.ifftshift(xi)[:modes]
-    res -= np.fft.irfft(nl, n)
+    deriv = MU * 1j * np.fft.ifftshift(xi)[:modes]
+
+    def subtract_power(rows, block):
+        nl = _nonlinear_power(np.fft.rfft(block.real)[:, :modes], n, alpha)
+        nl *= deriv
+        res[rows] -= np.fft.irfft(nl, n)
+
+    map_row_blocks(subtract_power, grid, u_tilde.values)
     return SpaceTimeField(grid, u_tilde.times, res)
 
 
@@ -197,8 +209,30 @@ class EmbeddingConfig:
             self.phi.grid.lattice_index(x)
 
 
+def _solve_nls(phi: GridFunction, xi_n: float, cfg: SolveConfig) -> SpaceTimeField:
+    """The envelope of carrier xi_n: NLS on the slow scale, from frequency-cut data."""
+    return nls_solve(sharp_cutoff(phi, xi_n ** 0.25), cfg)
+
+
+def _solve_gkdv(phi: GridFunction, xi_n: float, cfg: SolveConfig) -> SpaceTimeField:
+    """gKdV from the full (uncut) profile on the carrier xi_n."""
+    u0 = modulate(phi, xi_n).to_physical().values.real
+    return gkdv_solve(GridFunction(phi.grid, u0, PHYSICAL), cfg)
+
+
 def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
-    """Sweep the carrier frequencies; one result row per xi_n."""
+    """Sweep the carrier frequencies; one result row per xi_n.
+
+    First the calling thread builds every carrier's two SolveConfigs in
+    ascending xi_n, and a carrier whose third harmonic the grid cannot hold
+    warns, so the warnings come in one order from one thread for any number
+    of helpers.  Then the 2K solves, all independent, run as map_blocks
+    tasks, heaviest carrier first (gKdV steps grow like (xi_n + 8)^3 / xi_n),
+    its gKdV before its NLS.  Last the calling thread builds the rows in
+    ascending xi_n (seam errors, residual, the S, L and N norms), whose
+    row-block calls use the helpers, so one carrier's residual arrays are
+    held at a time.
+    """
     c0, _ = embedding_constants(cfg.alpha)
     grid = cfg.phi.grid
     spec_s = NormSpec.from_preset("S", cfg.alpha)
@@ -206,25 +240,40 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
     spec_n = NormSpec.from_preset("N", cfg.alpha)
     top = float(np.max(grid.frequencies()))
 
-    rows = []
-    for xi_n in cfg.xi_list:
+    seams, resolved, gkdv_steps = [], [], []
+    solves = {}  # (carrier, "nls" or "gkdv") -> the solve, a call without arguments
+    for k, xi_n in enumerate(cfg.xi_list):
         seam = cfg.T / (3.0 * xi_n)
-
-        # NLS on the slow scale, frequency-cut data, coupling C0
-        v0 = sharp_cutoff(cfg.phi, xi_n ** 0.25)
+        # NLS with coupling C0
         store = max(1, int(math.floor((cfg.T / 64.0) / cfg.nls_dt)))
-        v_field = nls_solve(v0, SolveConfig(alpha=cfg.alpha, mu=MU, coupling=c0, t_end=cfg.T,
-                                            dt=cfg.nls_dt, store_every=store, both_ways=True))
-
-        # gKdV with the full (uncut) profile on the carrier; the step follows
-        # the per-carrier accuracy rule
-        u0_c = modulate(cfg.phi, xi_n)
-        u0 = GridFunction(grid, u0_c.to_physical().values.real, PHYSICAL)
+        solves[k, "nls"] = partial(_solve_nls, cfg.phi, xi_n, SolveConfig(
+            alpha=cfg.alpha, mu=MU, coupling=c0, t_end=cfg.T, dt=cfg.nls_dt,
+            store_every=store, both_ways=True))
+        # gKdV; the step follows the per-carrier accuracy rule
         xi_active = xi_n + 8.0
         dt = min(suggest_dt(grid, xi_active), seam / 64.0)
         g_store = max(1, round(seam / dt / (GKDV_FRAMES - 1)))
-        u_field = gkdv_solve(u0, SolveConfig(alpha=cfg.alpha, mu=MU, coupling=1.0, t_end=seam,
-                                             dt=dt, store_every=g_store, both_ways=True))
+        gkdv_cfg = SolveConfig(alpha=cfg.alpha, mu=MU, coupling=1.0, t_end=seam, dt=dt,
+                               store_every=g_store, both_ways=True)
+        solves[k, "gkdv"] = partial(_solve_gkdv, cfg.phi, xi_n, gkdv_cfg)
+        # beyond the grid's top frequency the third harmonic of the carrier
+        # is cut from the residual
+        harmonic = 3.0 * (xi_n + xi_n ** 0.25)
+        if harmonic > top:
+            warnings.warn(f"xi={xi_n:g}: the third harmonic band edge 3(xi + xi^(1/4)) = "
+                          f"{harmonic:.4g} exceeds the grid's top frequency {top:g}; "
+                          "residual_Y omits it", stacklevel=2)
+        seams.append(seam)
+        resolved.append(harmonic <= top)
+        gkdv_steps.append(gkdv_cfg.n_steps)
+
+    heaviest = sorted(range(len(seams)), key=gkdv_steps.__getitem__, reverse=True)
+    keys = [(k, eq) for k in heaviest for eq in ("gkdv", "nls")]
+    fields = dict(zip(keys, map_blocks(lambda b: solves[keys[b]](), len(keys))))
+
+    rows = []
+    for k, (xi_n, seam) in enumerate(zip(cfg.xi_list, seams)):
+        v_field, u_field = fields.pop((k, "nls")), fields.pop((k, "gkdv"))
 
         # seam-time gap in the critical data norm
         errs = []
@@ -234,13 +283,7 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
             ut_t = build_approx_solution(v_field, xi_n, cfg.T, float(u_field.times[i]))
             errs.append(lhat_norm(u_t - ut_t, cfg.alpha))
 
-        # residual of the approximation measured in the Y-type norm; beyond
-        # the grid's top frequency the third harmonic of the carrier is cut
-        harmonic = 3.0 * (xi_n + xi_n ** 0.25)
-        if harmonic > top:
-            warnings.warn(f"xi={xi_n:g}: the third harmonic band edge 3(xi + xi^(1/4)) = "
-                          f"{harmonic:.4g} exceeds the grid's top frequency {top:g}; "
-                          "residual_Y omits it", stacklevel=2)
+        # residual of the approximation measured in the Y-type norm
         t_res = np.linspace(-0.9 * seam, 0.9 * seam, RESIDUAL_FRAMES)
         resid = residual_field(approx_field(v_field, xi_n, t_res), v_field, xi_n, c0,
                                cfg.alpha)
@@ -251,6 +294,6 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
             "norm_S": float(spacetime_norm(u_field, spec_s)),
             "norm_L": float(spacetime_norm(u_field, spec_l)),
             "residual_Y": float(spacetime_norm(resid, spec_n)),
-            "harmonics_resolved": bool(harmonic <= top),
+            "harmonics_resolved": bool(resolved[k]),
         })
     return rows

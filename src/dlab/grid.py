@@ -25,14 +25,18 @@ each block to a caller's reduce(rows, block), which runs before the
 block's memory is reused; it returns the reductions in row order.  A
 caller that reduces each block to a few numbers (the restriction ratio,
 the space-time norms, mass and energy) never holds all rows at once;
-physical_rows writes the blocks into one (m, n) array.  The blocks are
-fixed slices of ROW_BLOCK rows, taken in turn from one counter by the
-calling thread and one helper thread per other usable core (numpy's FFT
-and ufunc loops release the GIL), so every thread holds one block's
-temporaries; since every combine runs in row order over the same blocks,
-the results do not depend on the number of threads.  The helpers' pool
-is started by the first call with more than one block, and a one-core
-host starts none.  When the times are uniform
+physical_rows writes the blocks into one (m, n) array, and the embedding
+residual subtracts each block's nonlinear term from its own rows.  The
+blocks are fixed slices of ROW_BLOCK rows, taken in turn from one
+counter by the calling thread and one helper thread per other usable
+core (numpy's FFT and ufunc loops release the GIL), so every thread
+holds one block's temporaries; since every combine runs in row order
+over the same blocks, the results do not depend on the number of
+threads.  The helpers' pool is started by the first call with more than
+one block, and a one-core host starts none.  map_blocks, the executor
+under map_row_blocks, also runs other independent tasks:
+embedding_experiment's NLS and gKdV solves, one task each.  When the
+times are uniform
 (every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
 ROW_BLOCK of them, the phases of a block starting at row lo are
 e^{i t_lo p}, one direct exp per block, times a table e^{i j dt p},
@@ -284,12 +288,13 @@ def _row_count(grid: Grid, values: np.ndarray, symbol: np.ndarray | None,
     return m
 
 
-def _map_blocks(make, count: int) -> list:
+def map_blocks(make, count: int) -> list:
     """[make(b) for b in range(count)]: the calling thread and up to HELPERS
     pool threads take the indices in turn from one counter, each helper in
     a copy of the caller's context (numpy's errstate lives there).  After
     the first error no index is taken; it is raised once every helper has
-    stopped."""
+    stopped.  map_row_blocks runs its blocks through it, and
+    embedding_experiment its independent solves."""
     helpers = min(HELPERS, count - 1)
     if helpers <= 0:
         return [make(b) for b in range(count)]
@@ -356,7 +361,7 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
     exp per entry.
 
     The blocks are made and reduced by the calling thread and HELPERS
-    helper threads at once (see _map_blocks), so reduce may write only to
+    helper threads at once (see map_blocks), so reduce may write only to
     its own rows.  The partition is fixed, so a caller that combines the
     results in row order gets the same bits for any number of helpers.
     """
@@ -368,7 +373,7 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
             rows = slice(b * ROW_BLOCK, (b + 1) * ROW_BLOCK)
             return reduce(rows, values[rows])
 
-        return _map_blocks(view, count)
+        return map_blocks(view, count)
     if shared:
         mult = np.fft.ifftshift(_from_density(grid, symbol)) * np.fft.ifftshift(values)
     else:
@@ -412,7 +417,7 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
         # spec is this block's own array, so without `out` the ifft overwrites it
         return reduce(rows, np.fft.ifft(spec, axis=1, out=spec if out is None else out[rows]))
 
-    return _map_blocks(make, count)
+    return map_blocks(make, count)
 
 
 def physical_rows(grid: Grid, values: np.ndarray,

@@ -425,6 +425,8 @@ def preset_s(name: str, alpha: float, eps: float = EPS_PRESET) -> float:
 # ---------------------------------------------------------------------------
 
 KINDS = ("lhat", "morrey_hat", "ell", "spacetime_X", "spacetime_Y")
+# the kinds that read a j_min/j_max scale window
+WINDOWED_KINDS = ("morrey_hat", "ell")
 
 
 @dataclass
@@ -443,6 +445,9 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if (self.j_min is None) != (self.j_max is None):
             raise ValueError("a norm window needs both j_min and j_max")
+        if self.j_min is not None and self.kind not in WINDOWED_KINDS:
+            raise ValueError(f"kind={self.kind} reads no j_min/j_max window; "
+                             f"only {' and '.join(WINDOWED_KINDS)} do")
 
     @classmethod
     def from_preset(cls, name: str, alpha: float) -> "NormSpec":

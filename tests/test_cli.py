@@ -13,8 +13,8 @@ import pytest
 
 from dlab.cli import build_parser, main
 from dlab.evolutions import BlowupError, suggest_dt
-from dlab.fileio import read_grid_function, write_grid_function
-from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, map_row_blocks
+from dlab.fileio import read_grid_function, write_grid_function, write_space_time_field
+from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, SpaceTimeField, map_row_blocks
 
 
 def run(capsys, *argv):
@@ -106,6 +106,22 @@ def test_norm_morrey_window_from_spec(tmp_path, capsys):
     code, out, err = run(capsys, "norm", spec + ",j_min=-2", str(path), "--no-timestamps")
     assert code == 1 and out == ""
     assert err == "a norm window needs both j_min and j_max\n"
+
+
+@pytest.mark.parametrize("kind", ["lhat", "spacetime_X", "spacetime_Y"])
+def test_norm_window_on_a_kind_that_ignores_it_exits_1(tmp_path, capsys, kind):
+    # the window used to be echoed in "spec" beside the value without one
+    path = tmp_path / "g.gf"
+    f = write_sample(path)
+    if kind != "lhat":
+        path = tmp_path / "f.stf"
+        write_space_time_field(SpaceTimeField(f.grid, np.array([0.0, 1.0]),
+                                              np.stack([f.values, f.values])), path)
+    assert run(capsys, "norm", f"kind={kind},r=2.0", str(path), "--no-timestamps")[0] == 0
+    code, out, err = run(capsys, "norm", f"kind={kind},r=2.0,j_min=0,j_max=3", str(path),
+                         "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == f"kind={kind} reads no j_min/j_max window; only morrey_hat and ell do\n"
 
 
 def test_norm_ell_reports_minimizer(tmp_path, capsys):
@@ -506,11 +522,15 @@ def test_profiles_bad_t_scan_exits_1_and_writes_nothing(tmp_path, capsys, action
 def test_import_loads_no_scipy():
     # scipy.integrate / special / linalg drag scipy.optimize, numpy.f2py and
     # numpy.testing into every dlab process; dlab needs only numpy, so a fresh
-    # import of the CLI must not load any scipy module
+    # import of the CLI must not load any scipy module.  Nor may it load
+    # concurrent.futures (which loads logging, about 8 ms): the helper pool
+    # imports it on first use, so a command that runs no row blocks or
+    # solve tasks does not pay for it
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, dlab, dlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, dlab, dlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

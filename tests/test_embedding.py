@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlab import embedding
+from dlab import grid as grid_module
+from dlab.cli import main
 from dlab.deformations import airy_flow, modulate, translate
-from dlab.embedding import (EmbeddingConfig, approx_field, build_approx_solution,
-                            embedding_constants, embedding_experiment, fourier_sin_coeff,
-                            residual_field, sharp_cutoff)
-from dlab.evolutions import SolveConfig, _nonlinear_power, nls_solve
-from dlab.grid import FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField
+from dlab.embedding import (MU, RESIDUAL_FRAMES, EmbeddingConfig, approx_field,
+                            build_approx_solution, embedding_constants, embedding_experiment,
+                            fourier_sin_coeff, residual_field, sharp_cutoff)
+from dlab.evolutions import BlowupError, SolveConfig, _nonlinear_power, nls_solve
+from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField,
+                       map_row_blocks, physical_rows)
 
 
 def gaussian(grid: Grid) -> GridFunction:
@@ -223,6 +228,61 @@ def test_residual_envelope_form_matches_time_differencing(dt, tol):
     assert gap < tol
 
 
+def residual_one_shot(u_tilde: SpaceTimeField, v: SpaceTimeField, xi_n: float, c0: float,
+                      alpha: float) -> np.ndarray:
+    """residual_field with its nonlinear term formed for all rows at once."""
+    grid = v.grid
+    xi = grid.frequencies()
+    w = physical_rows(grid, v.values, symbol=(1j * xi) ** 3)
+    w -= (3j * xi_n * MU * c0) * np.abs(v.values) ** (2.0 * alpha) * v.values
+    res = approx_field(SpaceTimeField(grid, v.times, w), xi_n, u_tilde.times).values
+    n = grid.n
+    modes = (n + 1) // 2
+    nl = _nonlinear_power(np.fft.rfft(u_tilde.values.real)[:, :modes], n, alpha)
+    nl *= MU * 1j * np.fft.ifftshift(xi)[:modes]
+    res -= np.fft.irfft(nl, n)
+    return res
+
+
+def residual_case(m: int):
+    """Arguments of residual_field at m times inside the seams of T = 0.05."""
+    g = Grid(256, 8 * np.pi, -4 * np.pi)
+    alpha, xi_n, T = 1.9, 4.0, 0.05
+    c0, _ = embedding_constants(alpha)
+    v = nls_solve(gaussian(g), SolveConfig(alpha=alpha, mu=MU, coupling=c0, t_end=T,
+                                           dt=1e-3, store_every=5, both_ways=True))
+    seam = T / (3.0 * xi_n)
+    u_tilde = approx_field(v, xi_n, np.linspace(-0.9 * seam, 0.9 * seam, m))
+    return u_tilde, v, xi_n, c0, alpha
+
+
+@pytest.mark.parametrize("m", [RESIDUAL_FRAMES, ROW_BLOCK + 7, 1])
+def test_streamed_residual_equals_the_one_shot_form(m):
+    args = residual_case(m)
+    got = residual_field(*args)
+    assert np.array_equal(got.values, residual_one_shot(*args))
+
+
+def test_streamed_residual_rows_from_a_helper_equal_the_one_shot_form(monkeypatch, on_helper):
+    # on_helper runs only the helper's blocks, so only their rows are compared
+    helper_rows = []
+
+    def on_helper_blocks(reduce, *args, **kwargs):
+        def record(rows, block):
+            helper_rows.append(rows)
+            return reduce(rows, block)
+
+        return map_row_blocks(on_helper(record), *args, **kwargs)
+
+    monkeypatch.setattr(embedding, "map_row_blocks", on_helper_blocks)
+    args = residual_case(RESIDUAL_FRAMES)
+    got = residual_field(*args).values
+    want = residual_one_shot(*args)
+    assert helper_rows
+    for rows in helper_rows:
+        assert np.array_equal(got[rows], want[rows])
+
+
 def test_residual_Y_is_stable_under_frame_refinement(monkeypatch):
     # criterion 11's input: doubling the residual times moves residual_Y by < 1 %
     g = Grid(1024, 8.0 * math.pi, -4.0 * math.pi)
@@ -295,3 +355,105 @@ def test_embedding_experiment_reports_solver_range_warning():
     harmonic = [w for w in record if "third harmonic" in str(w.message)]
     assert len(harmonic) == 1 and harmonic[0].filename == __file__
     assert len(solver) + len(harmonic) == len(record)
+
+
+# ---------------------------------------------------------------------------
+# the solves on the block executor
+# ---------------------------------------------------------------------------
+
+def sweep_config(alpha: float) -> EmbeddingConfig:
+    # top frequency 31.5: the third harmonic 3 (10 + 10^{1/4}) = 35.3 of the
+    # last carrier lies above it; gKdV takes 73, 87 and 99 steps at xi = 4, 8
+    # and 10, so the heaviest carrier is the last
+    g = Grid(128, 4 * np.pi, -2 * np.pi)
+    return EmbeddingConfig(alpha=alpha, phi=gaussian(g), xi_list=(4.0, 8.0, 10.0), T=1.0,
+                           nls_dt=1e-2)
+
+
+def test_sweep_rows_and_warnings_do_not_depend_on_the_helper_count(monkeypatch):
+    # alpha = 1.5 is outside the estimates' range, so every SolveConfig warns
+    cfg = sweep_config(1.5)
+    real = {name: getattr(embedding, name) for name in ("gkdv_solve", "nls_solve")}
+    on_main, helper_ran = [], threading.Event()
+
+    def spy(name):
+        # with helpers, the caller's solves wait until a helper has started one
+        def solve(u0, solve_cfg):
+            main_thread = threading.current_thread() is threading.main_thread()
+            on_main.append(main_thread)
+            if not main_thread:
+                helper_ran.set()
+            elif grid_module.HELPERS:
+                assert helper_ran.wait(10.0), "no helper thread took a solve"
+            return real[name](u0, solve_cfg)
+
+        return solve
+
+    for name in real:
+        monkeypatch.setattr(embedding, name, spy(name))
+    runs = []
+    switch = sys.getswitchinterval()
+    for helpers in (0, 1, 3):  # 3 is more threads than this host may have cores
+        monkeypatch.setattr(grid_module, "HELPERS", helpers)
+        on_main.clear()
+        helper_ran.clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = embedding_experiment(cfg)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(on_main) == 6 and all(on_main) == (helpers == 0)
+        runs.append((rows, [(w.category, str(w.message), w.filename, w.lineno)
+                            for w in caught]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    rows, caught = runs[0]
+    assert [r["harmonics_resolved"] for r in rows] == [True, True, False]
+    harmonic = [w for w in caught if "third harmonic" in w[1]]
+    assert len(harmonic) == 1 and harmonic[0][2] == __file__
+    solver = [w for w in caught if "outside the range" in w[1]]
+    assert len(solver) == 6 and all(os.path.basename(w[2]) == "embedding.py" for w in solver)
+    assert len(solver) + len(harmonic) == len(caught)
+
+
+def test_solve_error_on_a_helper_reaches_the_caller_once(monkeypatch, capsys):
+    monkeypatch.setattr(grid_module, "HELPERS", 1)
+    cfg = sweep_config(1.9)
+    real = embedding.gkdv_solve
+    failing, raised = [True], []
+    helper_raised = threading.Event()
+
+    def gkdv_solve(u0, solve_cfg):
+        # the caller's solves wait until the helper's gKdV solve has failed
+        if failing[0] and threading.current_thread() is not threading.main_thread():
+            raised.append(solve_cfg.t_end)
+            helper_raised.set()
+            raise BlowupError(0.25, None)
+        if failing[0]:
+            assert helper_raised.wait(10.0), "no helper thread took a gKdV solve"
+        return real(u0, solve_cfg)
+
+    monkeypatch.setattr(embedding, "gkdv_solve", gkdv_solve)
+    # the harmonic warning comes before any solve
+    with pytest.warns(UserWarning, match="third harmonic"), \
+            pytest.raises(BlowupError, match="after t=0.25"):
+        embedding_experiment(cfg)
+    assert len(raised) == 1
+
+    raised.clear()
+    helper_raised.clear()
+    code = main(["embed", "--n", "128", "--length", repr(4 * np.pi), "--xi", "4,8,10",
+                 "--t-end", "1.0", "--dt", "1e-2", "--no-timestamps"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "embed: blow-up or instability detected after t=0.25\n"
+    assert len(raised) == 1
+
+    # the pool is not left broken: the next sweep runs every solve and gets
+    # the rows of a sweep without helpers
+    failing[0] = False
+    with pytest.warns(UserWarning, match="third harmonic"):
+        rows = embedding_experiment(cfg)
+        monkeypatch.setattr(grid_module, "HELPERS", 0)
+        assert rows == embedding_experiment(cfg)

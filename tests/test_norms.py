@@ -523,13 +523,25 @@ def test_norm_spec_rejects_half_a_window(half):
         NormSpec.parse(f"kind=morrey_hat,p=1.8,q=2.0,r=3.0,{half}")
 
 
+@pytest.mark.parametrize("kind", ["lhat", "spacetime_X", "spacetime_Y"])
+def test_norm_spec_refuses_a_window_its_kind_does_not_read(kind):
+    # these kinds never read j_min/j_max, so a window would be echoed and ignored
+    message = f"^kind={kind} reads no j_min/j_max window; only morrey_hat and ell do$"
+    with pytest.raises(ValueError, match=message):
+        NormSpec(kind=kind, r=2.0, j_min=0, j_max=3)
+    with pytest.raises(ValueError, match=message):
+        NormSpec.parse(f"kind={kind},r=2.0,j_min=0,j_max=3")
+    assert NormSpec(kind=kind, r=2.0).window is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["lhat", "morrey_hat", "ell"]),
        st.floats(min_value=1.0, max_value=9.0, allow_nan=False),
        st.integers(min_value=-9, max_value=9))
 def test_norm_spec_round_trip_property(kind, r, j):
-    spec = NormSpec(kind=kind, p=1.8, q=2.0, r=r, sigma=3.0,
-                    j_min=j, j_max=j + 3)
+    # lhat reads no window, so it round-trips without one
+    window = {} if kind == "lhat" else {"j_min": j, "j_max": j + 3}
+    spec = NormSpec(kind=kind, p=1.8, q=2.0, r=r, sigma=3.0, **window)
     assert NormSpec.parse(spec.serialize()) == spec
 
 
