@@ -1,11 +1,17 @@
 """The four-parameter deformation family D(h) A(s) T(y) P(xi).
 
 Elementary actions (all exact on the grid model):
-  * modulation   (P(xi) f)(x) = e^{-i x xi} f(x)      -- physical multiply
+  * modulation   (P(xi) f)(x) = e^{-i x xi} f(x)      -- shift by xi/dxi cells
   * translation  (T(y) f)(x) = f(x - y)               -- phase e^{-i y xi}
   * Airy flow    A(s) = e^{-s d^3/dx^3}               -- phase e^{i s xi^3}
   * Schrodinger  S(t) = e^{i t d^2/dx^2}              -- phase e^{-i t xi^2}
   * dilation     (D_p(h) f)(x) = h^{1/p} f(h x)       -- grid rescale
+
+The cell shift serves Fourier data and a lattice frequency xi; physical
+data and an off-lattice xi take the physical multiply.  So on Fourier data
+every action but an off-lattice modulation keeps the zero cells exactly
+zero: a band-limited profile stays band-limited through apply and
+apply_inverse, and the norms and space-time scans see only its band.
 
 Dilation is restricted to dyadic h and implemented by reinterpreting the
 samples on a grid of length L/h: the Fourier density moves to h*xi_k with
@@ -25,7 +31,27 @@ from .norms import morrey_norm
 
 
 def modulate(f: GridFunction, xi: float) -> GridFunction:
-    """P(xi): multiply by e^{-i x xi} in physical space."""
+    """P(xi): multiply by e^{-i x xi} in physical space.
+
+    On Fourier data and a lattice frequency xi = m dxi this is the shift
+    fhat(xi_k) -> fhat(xi_k + xi) of the coefficients by m cells, where a
+    coefficient that wraps q times around the n cells picks up the phase
+    e^{-i q x0 n dxi}: the same discrete operator as the multiply, with no
+    FFT round trip, so the cells that were zero stay exactly zero.  Other
+    xi, and physical data, take the multiply.
+    """
+    g = f.grid
+    m = float(xi) / g.dxi
+    if f.side == FOURIER and m.is_integer():
+        # out[k] = values[(k + m) mod n]: wrapped q times for k < n - s, else q + 1
+        q, s = divmod(int(m), g.n)
+        out = np.roll(f.values, -s)
+        turn = g.x0 * g.n * g.dxi
+        if q != 0:
+            out[:g.n - s] *= np.exp(-1j * q * turn)
+        if s != 0:
+            out[g.n - s:] *= np.exp(-1j * (q + 1) * turn)
+        return GridFunction(g, out, FOURIER)
     fp = f.to_physical()
     x = fp.grid.nodes()
     out = GridFunction(fp.grid, fp.values * np.exp(-1j * x * xi), fp.side)

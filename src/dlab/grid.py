@@ -20,7 +20,8 @@ GridFunction's Fourier side by a symbol and returns to the input's side;
 map_row_blocks makes the physical samples of the rows of an (m, n)
 physical array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), or spreads one Fourier density spectrum over all rows, and hands
+in xi), or spreads one Fourier density spectrum over all rows (forming
+phases only on the cells that hold its nonzero entries), and hands
 each block to a caller's reduce(rows, block), which runs before the
 block's memory is reused; it returns the reductions in row order.  A
 caller that reduces each block to a few numbers (the restriction ratio,
@@ -351,7 +352,12 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
     A 2-D `values` holds physical rows; without a symbol or phase the
     blocks are views of its rows.  A 1-D `values` is one Fourier density
     spectrum shared by all len(times) rows: it is weighted and put into
-    FFT order once.  Each block's batched ifft writes into out[rows] (out
+    FFT order once, and the phase table, row factors and products below
+    are formed only on the shortest circular run of cells that holds its
+    nonzero entries (see _support), the rest of each block being exact
+    zeros.  That gives the bits of the full-width products, at the cost of
+    the run: a band of 16 cells of 2048 costs 16, a spectrum without zeros
+    the whole row.  Each block's batched ifft writes into out[rows] (out
     may be `values` itself) or, without `out`, into the block's own
     spectrum array, which is valid only inside its reduce call.  More than
     ROW_BLOCK uniform times (see _uniform_step) take their phases from a
@@ -374,17 +380,22 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
             return reduce(rows, values[rows])
 
         return map_blocks(view, count)
+    rate = None if times is None else np.fft.ifftshift(dispersion)
     if shared:
-        mult = np.fft.ifftshift(_from_density(grid, symbol)) * np.fft.ifftshift(values)
+        spectrum = np.fft.ifftshift(values)
+        # phases and products only on the run of cells that holds the nonzero
+        # spectrum (the whole row for a dense one); the rest of a block is zeros
+        cols = _support(spectrum)
+        mult = (np.fft.ifftshift(_from_density(grid, symbol)) * spectrum)[cols]
+        rate = rate[cols]
     else:
         mult = 1.0 if symbol is None else np.fft.ifftshift(symbol)
-    rate = None if times is None else np.fft.ifftshift(dispersion)
     step = _uniform_step(times) if rate is not None and m > ROW_BLOCK else None
     if step is not None:
         # table[k] = e^{i k step p}: row lo + k is e^{i times[lo] p} table[k]; built
         # by doubling (ROW_BLOCK is a power of two), rows [s, 2s) = rows [0, s)
         # times e^{i s step p} for s = 1, 2, 4, ...
-        table = np.empty((ROW_BLOCK, grid.n), dtype=np.complex128)
+        table = np.empty((ROW_BLOCK, rate.size), dtype=np.complex128)
         table[0] = 1.0
         s = 1
         while s < ROW_BLOCK:
@@ -414,10 +425,29 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
                 phase = np.exp(1j * np.outer(times[rows], rate))
                 # into the phase block: a new product array per block ran ~20 % slower
                 spec = np.multiply(phase, spec, out=phase)
+        if spec.shape[1] < grid.n:
+            full = np.zeros((len(spec), grid.n), dtype=np.complex128)
+            full[:, cols] = spec
+            spec = full
         # spec is this block's own array, so without `out` the ifft overwrites it
         return reduce(rows, np.fft.ifft(spec, axis=1, out=spec if out is None else out[rows]))
 
     return map_blocks(make, count)
+
+
+def _support(spectrum: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the shortest circular run of cells of `spectrum`
+    that holds every nonzero entry: 0, 1, ..., n - 1 for a spectrum without
+    zeros, none for one without a nonzero entry."""
+    n = spectrum.size
+    nz = np.flatnonzero(spectrum)
+    if nz.size == 0:
+        return nz
+    # gaps[i] runs from nonzero i to the next one, the last around the end; the
+    # run leaves out the widest gap, on a tie the one around the end
+    gaps = np.diff(nz, append=nz[0] + n)
+    i = nz.size - 1 - int(np.argmax(gaps[::-1]))
+    return (nz[(i + 1) % nz.size] + np.arange(n + 1 - gaps[i])) % n
 
 
 def physical_rows(grid: Grid, values: np.ndarray,

@@ -44,6 +44,48 @@ def test_modulate_shifts_spectrum():
     assert np.max(np.abs(shifted - direct)) < 1e-12
 
 
+def _multiply_modulate(f: GridFunction, xi: float) -> GridFunction:
+    # P(xi) as the physical multiply, whatever side f is on
+    fp = f.to_physical()
+    return GridFunction(fp.grid, fp.values * np.exp(-1j * fp.grid.nodes() * xi)).to_fourier()
+
+
+# dxi a power of two, so every m * dxi / dxi is the integer m
+@pytest.mark.parametrize("grid", [Grid(16, 2 * np.pi * 8, -123.4), Grid(64, 2 * np.pi * 4, 1.3),
+                                  Grid(128, np.pi, -np.pi / 2)])
+def test_lattice_modulation_shift_matches_physical_multiply(grid):
+    n = grid.n
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vals[::3] = 0.0
+    f = GridFunction(grid, vals, FOURIER)
+    for m in (0, 1, -1, 3, -5, n // 2, -n // 2, n // 2 - 1, n - 1, 1 - n, n + 3, -2 * n - 7):
+        got = modulate(f, m * grid.dxi)
+        assert got.side == FOURIER
+        assert rel_gap(got, _multiply_modulate(f, m * grid.dxi)) < 1e-12
+        # a shift by m cells: the zeros move with it and stay exact
+        assert np.array_equal(got.values == 0, np.roll(vals, -m) == 0)
+    # off the lattice the multiply itself is taken
+    off = modulate(f, 0.5 * grid.dxi)
+    assert np.array_equal(off.values, _multiply_modulate(f, 0.5 * grid.dxi).values)
+
+
+def test_lattice_deformations_keep_exact_zeros_off_the_band():
+    g = Grid(2048, 2.0 * np.pi * 16, -np.pi * 16)  # dxi = 1/16
+    xi = g.frequencies()
+    band = (xi >= 0.0) & (xi < 1.0)
+    f = GridFunction(g, np.where(band, np.exp(-(xi - 0.5) ** 2 * 8.0), 0.0), FOURIER)
+    gamma = Deformation(2, xi=3.0, s=0.1, y=-1.5)
+    out = apply(gamma, f)
+    # P(3) moves the band to [-3, -2) and D(4) to [-12, -8)
+    xi_out = out.grid.frequencies()
+    moved = (xi_out >= -12.0) & (xi_out < -8.0)
+    assert np.all(out.values[moved] != 0) and np.all(out.values[~moved] == 0)
+    back = apply_inverse(gamma, out)
+    assert np.all(back.values[~band] == 0)
+    assert rel_gap(back, f) < 1e-12
+
+
 def test_translate_matches_shifted_samples():
     # translation by a whole number of cells permutes the samples exactly
     f = gaussian(BASE_GRID)

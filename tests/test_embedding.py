@@ -75,15 +75,21 @@ def test_constants_validation():
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.05, max_value=5.0), st.integers(min_value=1, max_value=8))
-def test_sin_coeff_matches_adaptive_quadrature(alpha, k):
-    from scipy.integrate import quad
+def test_sin_coeff_matches_closed_form(alpha, k):
+    from scipy.special import rgamma
 
-    # the direct computation: adaptive Gauss-Kronrod split at the kinks;
-    # at tolerance 1e-12 it is itself off by 1e-13 at alpha = 2.0636, k = 3
-    val, _ = quad(lambda t: np.abs(np.cos(t)) ** (2.0 * alpha) * np.sin(t) * np.sin(k * t),
-                  -np.pi, np.pi, points=[-np.pi / 2, np.pi / 2], limit=200,
-                  epsabs=1e-13, epsrel=1e-13)
-    assert abs(fourier_sin_coeff(alpha, k) - val / np.pi) < 1e-13
+    # |cos t|^nu sin t sin kt = |cos t|^nu (cos (k-1)t - cos (k+1)t) / 2 with
+    # nu = 2 alpha, and I(m) = int_{-pi}^{pi} |cos t|^nu cos mt dt
+    #   = 2 (1 + (-1)^m) pi Gamma(nu + 1) / (2^{nu+1} Gamma(1 + (nu+m)/2) Gamma(1 + (nu-m)/2))
+    # (Gradshteyn-Ryzhik 3.631.9); rgamma is 0 at the poles of Gamma
+    nu = 2.0 * alpha
+
+    def integral(m):
+        return (2.0 * (1 + (-1) ** m) * math.pi * math.gamma(nu + 1.0) / 2.0 ** (nu + 1.0)
+                * rgamma(1.0 + (nu + m) / 2.0) * rgamma(1.0 + (nu - m) / 2.0))
+
+    want = 0.5 * (integral(k - 1) - integral(k + 1)) / math.pi
+    assert abs(fourier_sin_coeff(alpha, k) - want) < 1e-13
 
 
 # ---------------------------------------------------------------------------

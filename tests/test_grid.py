@@ -202,9 +202,7 @@ def test_space_time_field_validation():
     assert len(huge) == 2
     field = SpaceTimeField(g, np.array([0.0, 0.5]), np.array([f.values, 2 * f.values]))
     assert len(field) == 2
-    arr = field.physical_array()
-    assert arr is field.values
-    assert arr.shape == (2, 64)
+    assert field.values.shape == (2, 64)
 
 
 def test_space_time_field_rejects_misshapen_values():
@@ -445,3 +443,34 @@ def test_stein_tomas_ratio_does_not_depend_on_the_helper_count(monkeypatch):
         monkeypatch.setattr(grid_module, "HELPERS", helpers)
         ratios.append(stein_tomas_ratio(f0, 1.8, 3.0, 16.0, nt=513))
     assert ratios[0] > 0 and ratios[1] == ratios[0] and ratios[2] == ratios[0]
+
+
+@pytest.mark.parametrize("support", ["band", "wraps", "dense", "empty"])
+def test_shared_spectrum_on_its_support_equals_the_full_width_product(monkeypatch, support):
+    # the scan's grid and frames: a 16-cell band, two bands on either side of
+    # xi = 0 (one run around the end in FFT order), every cell, and no cell
+    g = Grid(2048, 2.0 * math.pi * 2 ** 4, -math.pi * 2 ** 4)
+    xi = g.frequencies()
+    cells = {"band": (xi >= -12.0) & (xi < -11.0),
+             "wraps": ((xi >= -8.0) & (xi < -7.0)) | ((xi >= 8.0) & (xi < 9.0)),
+             "dense": np.ones(g.n, dtype=bool),
+             "empty": np.zeros(g.n, dtype=bool)}[support]
+    rng = np.random.default_rng(12)
+    spectrum = np.where(cells, rng.normal(size=g.n) + 1j * rng.normal(size=g.n), 0.0)
+    cols = grid_module._support(np.fft.ifftshift(spectrum))
+    assert cols.size == {"band": 16, "wraps": 272, "dense": g.n, "empty": 0}[support]
+    uniform = np.linspace(-0.05, 0.05, 257)
+    jittered = np.linspace(-0.05, 0.05, 2 * ROW_BLOCK + 3)
+    jittered[ROW_BLOCK + 10] += 1e-3  # one exp per entry, not the table
+
+    def frames():
+        return [physical_rows(g, spectrum, times=times, dispersion=xi ** 3)
+                for times in (uniform, jittered)]
+
+    monkeypatch.setattr(grid_module, "HELPERS", 0)
+    with monkeypatch.context() as full:
+        full.setattr(grid_module, "_support", lambda spec: np.arange(spec.size))
+        want = frames()
+    for helpers in (0, 1, 3):  # 3 is more threads than this host may have cores
+        monkeypatch.setattr(grid_module, "HELPERS", helpers)
+        assert all(np.array_equal(a, b) for a, b in zip(frames(), want))

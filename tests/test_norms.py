@@ -328,9 +328,11 @@ ORACLE_CASES = {
     **AGGREGATE_CASES,
     "r_inf_physical_window": (lambda: _physical_cells(gaussian(Grid(256, 16.0, -8.0))),
                               dict(r=math.inf, a=1.0 / 3.0 - 1.0 / 1.5, b=1.5, window=(-2, 6))),
-    # an FFT-made density: no cell is zero, but most steps of its
-    # cumulative integral, and so most fine-scale terms, are exact zeros
-    "mostly_zeros": (lambda: _fourier_cells(planted_state(0, 3)), ELL_KW),
+    # an FFT-made density (the planted state through a physical round trip):
+    # no cell is zero, but most steps of its cumulative integral, and so most
+    # fine-scale terms, are exact zeros
+    "mostly_zeros": (lambda: _fourier_cells(planted_state(0, 3).to_physical().to_fourier()),
+                     ELL_KW),
     **{f"pair_n{n}": (lambda n=n: _fourier_cells(pair_state(n)), ELL_KW) for n in (8, 16, 32, 48)},
 }
 
@@ -352,11 +354,19 @@ def test_aggregate_matches_by_scale_oracle(case, mode):
                                   rng.uniform(lo - 3 * (hi - lo), hi + 3 * (hi - lo), 40)])
     if case == "mostly_zeros":
         # roundoff-sized cells past the bump leave the cumulative integral unchanged
+        assert np.any((vals > 0.0) & (vals < 1e-12 * np.max(vals)))
         assert np.mean(np.diff(np.cumsum(vals ** 2)) == 0.0) > 0.5
     want = dyadic_aggregate_by_scale(vals, edges, offsets=offsets, **kw)
     got = aggregate(vals, edges, offsets=offsets, **kw)
     assert np.all(np.isfinite(want)) and np.all(want > 0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 3), (1, 8)])
+def test_planted_state_density_support_is_its_band(seed, n):
+    # D(4) P(n) moves the bump's cells [0, 1) to [-4n, -4n + 4), exact zeros elsewhere
+    dens = _prepare_density(*_fourier_cells(planted_state(seed, n)), r=SIGMA, b=2.0)
+    assert (dens.lo, dens.hi) == (-4.0 * n, -4.0 * n + 4.0)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 3), (0, 8), (1, 3), (1, 8)])
