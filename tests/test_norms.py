@@ -329,8 +329,8 @@ ORACLE_CASES = {
     "r_inf_physical_window": (lambda: _physical_cells(gaussian(Grid(256, 16.0, -8.0))),
                               dict(r=math.inf, a=1.0 / 3.0 - 1.0 / 1.5, b=1.5, window=(-2, 6))),
     # an FFT-made density (the planted state through a physical round trip):
-    # no cell is zero, but most steps of its cumulative integral, and so most
-    # fine-scale terms, are exact zeros
+    # the cells off its band hold roundoff, not zeros, but most steps of its
+    # cumulative integral, and so most fine-scale terms, are exact zeros
     "mostly_zeros": (lambda: _fourier_cells(planted_state(0, 3).to_physical().to_fourier()),
                      ELL_KW),
     **{f"pair_n{n}": (lambda n=n: _fourier_cells(pair_state(n)), ELL_KW) for n in (8, 16, 32, 48)},
