@@ -78,12 +78,12 @@ def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:
 
 def dyadic_log2(h: float) -> int:
     """m with h == 2^m (to 1e-12 in m), or raise if h is not a power of two."""
-    if not (h > 0):
-        raise ValueError(f"dilation must be positive, got {h}")
+    if not (0 < h < math.inf):
+        raise ValueError(f"{h} is not a positive power of two")
     m = math.log2(h)
     m_round = round(m)
     if abs(m - m_round) > 1e-12:
-        raise ValueError(f"dilation {h} is not a power of two")
+        raise ValueError(f"{h} is not a power of two")
     return int(m_round)
 
 

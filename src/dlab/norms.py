@@ -9,7 +9,8 @@ finite band of scales needs explicit enumeration.  One pass over one
 array of intervals aggregates every such scale for any number of lattice
 offsets (modulations): at scale w an offset only matters modulo w, so
 each scale is evaluated once per distinct residue, and the modulation
-scan in ell is a single call on a density prepared once.
+scan in ell is a single call on a density prepared once.  At r = inf the
+pass also finds each scale's maximising interval: the profile selector.
 
 Implemented norms:
   * lhat_norm          -- L^{r'} of the Fourier density
@@ -33,7 +34,7 @@ from numpy.typing import ArrayLike
 from .grid import GridFunction, SpaceTimeField, derivative_symbol, map_row_blocks
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
-_BLOCK = 1 << 17   # entries per chunk of _dyadic_aggregate's interval array
+_BLOCK = 1 << 17   # entries per chunk of _scale_terms' interval array
 _WINDOW_SCALES = (-1022, 1023)  # window scales j with 2^j a normal float
 # intervals one offset may see over a window's scales: 32x the most
 # (2^15) that a window=None aggregate of the test suite or perfbench sees
@@ -102,53 +103,28 @@ def _check_window(dens: _Density, window: tuple[int, int]) -> None:
                          "dyadic intervals of the support per offset")
 
 
-def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
-                      window: tuple[int, int] | None = None) -> np.ndarray:
-    """l^r aggregate over dyadic intervals of w^a * (int_I dens^b)^{1/b}.
+def _scale_terms(dens: _Density, *, a: float, offsets: np.ndarray, j_lo: np.ndarray,
+                 j_hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Terms of a nonzero density per scale min(j_lo)..j_hi (rows, coarsest
+    first; 0 below an offset's j_lo) and offset: the sum of t_I^r, t_I = w^a
+    (int_I dens^b)^{1/b}, or for r = inf the largest t_I and in peak_k (else
+    None) the first k with I = [k w + offset, (k+1) w + offset) attaining it.
 
-    Returns one value per entry of 'offsets'.  For an offset the intervals
-    are [k*w + offset, (k+1)*w + offset) with w = 2^{-j}; the anchor shift
-    realizes frequency modulations exactly.
-
-    With window=None the whole bi-infinite scale sum is returned: scales
-    finer than a cell and coarser than the support are closed-form
-    geometric tails.  With window=(j_min, j_max) only those scales are
-    summed (a truncated norm) and no tails are added.
-
-    One pass serves every scale and offset.  Offsets with the same residue
-    offset mod w see the same intervals at scale j, only relabelled, so
-    each (scale, residue) pair is one row, evaluated at the class's first
-    offset over just the intervals that meet the support.  The bounds
-    (k0 + i) * w + rep of all rows go into one array, cut into chunks of
-    at most _BLOCK entries only when larger, and one interp of the
-    cumulative integral and one diff give every interval's integral.  The
-    power steps^{r/b} is masked to the positive steps: it skips the exact
-    zeros (most fine-scale steps of an FFT-made density, on which pow is
-    slow), the roundoff negatives, and the step from one row's last bound
-    (past the support) to the next row's first (before it), which is
-    -int dens^b.  reduceat sums each row, scaled by w^{a r} (for r = inf:
-    the row's largest step^{1/b}, scaled by w^a), and each offset adds its
-    rows in ascending j.
+    Offsets with the same residue offset mod w see the same intervals at
+    scale j, only relabelled, so each (scale, residue) pair is one row,
+    evaluated at the class's first offset over just the intervals that
+    meet the support.  The bounds (k0 + i) * w + rep of all rows go into
+    one array, cut into chunks of at most _BLOCK entries only when larger,
+    and one interp of the cumulative integral and one diff give every
+    interval's integral.  The power steps^{r/b} is masked to the positive
+    steps: it skips the exact zeros (most fine-scale steps of an FFT-made
+    density, on which pow is slow), the roundoff negatives, and the step
+    from one row's last bound (past the support) to the next row's first
+    (before it), which is -int dens^b.  reduceat sums each row, scaled by
+    w^{a r} (for r = inf: the row's largest step^{1/b}, scaled by w^a).
     """
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
-    if window is not None:
-        _check_window(dens, window)
-    total_pow = dens.cum[-1]
-    if total_pow == 0.0:
-        return np.zeros(offsets.size)
     r, b = dens.r, dens.b
     finite_r = math.isfinite(r)
-
-    if window is None:
-        j_hi = math.ceil(-math.log2(dens.w_cell)) + 2
-        # per offset: the coarsest scale whose two anchor intervals do not
-        # yet hold the whole support; ceil(log2 R) is exact through frexp
-        mant, expo = np.frexp(np.maximum(np.maximum(dens.hi - offsets, offsets - dens.lo),
-                                         dens.w_cell))
-        j_lo = np.minimum(-(expo - (mant == 0.5) + 1), j_hi)
-    else:
-        j_hi = window[1]
-        j_lo = np.full(offsets.size, window[0])
     scales = np.arange(j_lo.min(), j_hi + 1)
     w = np.ldexp(1.0, -scales)
 
@@ -169,6 +145,7 @@ def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
     ends = np.cumsum(counts)
 
     row_vals = np.empty(reps.size)
+    row_k = None if finite_r else np.empty(reps.size)
     s = 0
     while s < reps.size:
         e = max(int(np.searchsorted(ends, ends[s] - counts[s] + _BLOCK, side="right")), s + 1)
@@ -186,11 +163,52 @@ def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
             np.power(steps, r / b, out=terms, where=steps > 0.0)
             row_vals[s:e] = np.add.reduceat(terms, starts) * row_w[s:e] ** (a * r)
         else:
-            row_vals[s:e] = np.maximum.reduceat(steps, starts) ** (1.0 / b) * row_w[s:e] ** a
+            peak = np.maximum.reduceat(steps, starts)
+            row_vals[s:e] = peak ** (1.0 / b) * row_w[s:e] ** a
+            # a row's steps sum to int dens^b > 0 and the step into the next
+            # row is negative, so a row's first hit of its peak is its own
+            hits = np.flatnonzero(steps == np.repeat(peak, c)[:-1])
+            row_k[s:e] = k0[s:e] + hits[np.searchsorted(hits, starts)] - starts
         s = e
 
     # scale j is inside the coarse tail of offsets with j < j_lo
-    per_scale = np.where(scales[:, None] >= j_lo, row_vals[row_of], 0.0)
+    return (np.where(scales[:, None] >= j_lo, row_vals[row_of], 0.0),
+            None if finite_r else row_k[row_of])
+
+
+def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
+                      window: tuple[int, int] | None = None) -> np.ndarray:
+    """l^r aggregate over dyadic intervals of w^a * (int_I dens^b)^{1/b}.
+
+    Returns one value per entry of 'offsets'.  For an offset the intervals
+    are [k*w + offset, (k+1)*w + offset) with w = 2^{-j}; the anchor shift
+    realizes frequency modulations exactly.
+
+    With window=None the whole bi-infinite scale sum is returned: scales
+    finer than a cell and coarser than the support are closed-form
+    geometric tails.  With window=(j_min, j_max) only those scales are
+    summed (a truncated norm) and no tails are added.
+    """
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
+    if window is not None:
+        _check_window(dens, window)
+    total_pow = dens.cum[-1]
+    if total_pow == 0.0:
+        return np.zeros(offsets.size)
+    r, b = dens.r, dens.b
+    finite_r = math.isfinite(r)
+
+    if window is None:
+        j_hi = math.ceil(-math.log2(dens.w_cell)) + 2
+        # per offset: the coarsest scale whose two anchor intervals do not
+        # yet hold the whole support; ceil(log2 R) is exact through frexp
+        mant, expo = np.frexp(np.maximum(np.maximum(dens.hi - offsets, offsets - dens.lo),
+                                         dens.w_cell))
+        j_lo = np.minimum(-(expo - (mant == 0.5) + 1), j_hi)
+    else:
+        j_hi = window[1]
+        j_lo = np.full(offsets.size, window[0])
+    per_scale, _ = _scale_terms(dens, a=a, offsets=offsets, j_lo=j_lo, j_hi=j_hi)
     acc = np.cumsum(per_scale, axis=0)[-1] if finite_r else per_scale.max(axis=0)
 
     if window is None:

@@ -5,7 +5,8 @@ a dyadic-interval selector locates the scale and modulation of the most
 concentrated frequency block, a space-time scan of the free evolution of
 that block locates the remaining translation parameters, and greedy
 subtraction yields a decomposition u = sum_j apply(G_j, psi_j) + r that
-reconstructs the input exactly by construction.
+reconstructs the input exactly by construction.  The selector is one
+r = inf pass of norms' dyadic aggregate per input, on one shared grid.
 
 Whitney pairs off the diagonals xi = +-eta are the rows (j, k, k') of one
 (P, 3) int64 array, enumerated one array pass per scale; whitney_scale,
@@ -21,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FOURIER, Grid, GridFunction, derivative_symbol, map_row_blocks,
-                   physical_rows)
-from .deformations import (Deformation, apply, apply_inverse, nonresonance_gap,
+from .grid import (FOURIER, Grid, GridFunction, derivative_symbol, fourier_multiply,
+                   map_row_blocks, physical_rows)
+from .deformations import (Deformation, apply, apply_inverse, dyadic_log2, nonresonance_gap,
                            orthogonality_gap)
-from .norms import conjugate_exponent, ell, morrey_norm
+from .norms import (_check_window, _fourier_cells, _prepare_density, _scale_terms,
+                    conjugate_exponent, ell, morrey_norm)
 
 SCAN_FRAMES = 257   # time samples of the space-time argmax scan
 CLIP_SCALE = 1e6    # band clip level c in c * |I|^{-1/alpha'}
@@ -315,51 +317,24 @@ def decoupling_check(u_list: list[GridFunction], psi: GridFunction,
 # greedy profile extraction
 # ---------------------------------------------------------------------------
 
-def _selector(f: GridFunction, alpha: float,
-              fixed_j: int | None = None) -> tuple[float, int, int]:
-    """Best dyadic interval of the scale-weighted local Fourier norm.
-
-    Maximizes |I|^{-1/(3a)} * ||fhat||_{L^b(I)} with b = (3a/2)' over
-    dyadic I = [k 2^j, (k+1) 2^j); returns (value, j, k).  With fixed_j
-    only intervals of that scale compete.
-    """
-    fh = f.to_fourier()
-    g = fh.grid
-    dens = np.abs(fh.values)
-    b = conjugate_exponent(1.5 * alpha)
-    cell = dens ** b * g.dxi
-    xi_left = g.frequencies()
-    j0 = int(round(math.log2(g.dxi)))
-    if abs(math.log2(g.dxi) - j0) > 1e-9:
-        raise ValueError("frequency spacing must be a power of two")
-    j_top = j0 + int(round(math.log2(g.n)))  # widest interval covers the span
-    scales = range(j0, j_top + 1) if fixed_j is None else [fixed_j]
-    best = (0.0, fixed_j if fixed_j is not None else j0, 0)
-    for j in scales:
-        w = 2.0 ** j
-        idx = np.floor(xi_left / w + 1e-12).astype(int)
-        # group-sum the cell masses by interval index
-        uniq, inv = np.unique(idx, return_inverse=True)
-        mass = np.bincount(inv, weights=cell)
-        vals = w ** (-1.0 / (3.0 * alpha)) * mass ** (1.0 / b)
-        i = int(np.argmax(vals))
-        if vals[i] > best[0]:
-            best = (float(vals[i]), j, int(uniq[i]))
-    return best
+def _selector(f: GridFunction, alpha: float, scales: range) -> tuple[np.ndarray, np.ndarray]:
+    """Per scale j of `scales` (consecutive, ascending): the largest |I|^{-1/(3a)}
+    ||fhat||_{L^b(I)}, b = (3a/2)', over I = [k 2^j, (k+1) 2^j) and the first k
+    attaining it (0, 0 for f = 0): the dyadic aggregate's r = inf terms at offset 0."""
+    dens = _prepare_density(*_fourier_cells(f), r=math.inf, b=conjugate_exponent(1.5 * alpha))
+    window = (-scales[-1], -scales[0])
+    _check_window(dens, window)
+    if dens.cum[-1] == 0.0:
+        return np.zeros(len(scales)), np.zeros(len(scales), dtype=np.int64)
+    values, k = _scale_terms(dens, a=-1.0 / (3.0 * alpha), offsets=np.zeros(1),
+                             j_lo=np.full(1, window[0]), j_hi=window[1])
+    return values[::-1, 0], k[::-1, 0].astype(np.int64)
 
 
-def _band_restrict(f: GridFunction, j: int, k: int,
-                   clip: float | None = None) -> GridFunction:
-    fh = f.to_fourier()
-    xi = fh.grid.frequencies()
-    w = 2.0 ** j
-    mask = (xi >= k * w - 1e-12) & (xi < (k + 1) * w - 1e-12)
-    vals = np.where(mask, fh.values, 0.0)
-    if clip is not None:
-        mag = np.abs(vals)
-        over = mag > clip
-        vals = np.where(over, vals * (clip / np.where(over, mag, 1.0)), vals)
-    return GridFunction(fh.grid, vals, FOURIER)
+def _band_restrict(f: GridFunction, j: int, k: int) -> GridFunction:
+    """The Fourier side of f restricted to [k 2^j, (k+1) 2^j)."""
+    xi, w = f.grid.frequencies(), 2.0 ** j
+    return fourier_multiply(f.to_fourier(), (xi >= k * w - 1e-12) & (xi < (k + 1) * w - 1e-12))
 
 
 def _spacetime_argmax(f: GridFunction, alpha: float,
@@ -400,51 +375,55 @@ def extract_profile(u_list: list[GridFunction], alpha: float,
                     ) -> tuple[GridFunction, list[Deformation], list[GridFunction], dict]:
     """One greedy extraction step over the whole sequence.
 
-    Per index: the dyadic selector fixes (h, xi), the space-time argmax of
-    the free evolution of the clipped band fixes (s, y); psi averages the
-    pulled-back bands of the best few indices and r = u - apply(G, psi).
-    t_scan=None picks a per-band window that the SCAN_FRAMES samples can
-    resolve; a given t_scan must be positive, finite and keep every Airy
-    phase of the scan within MAX_AIRY_PHASE.
+    The inputs share one grid of dyadic frequency spacing.  Per index, the
+    selector's interval at the strongest detection's scale fixes (h, xi) and
+    the space-time argmax of the free evolution of its clipped band (s, y);
+    psi averages the pulled-back bands of the best few indices, r = u - apply(G, psi).
+    t_scan=None picks a per-band window that the SCAN_FRAMES samples can resolve;
+    a given t_scan must be positive, finite and keep every Airy phase within MAX_AIRY_PHASE.
     """
     if len(u_list) == 0:
         raise ValueError("empty input sequence")
+    grid = u_list[0].grid
+    for i, u in enumerate(u_list):
+        if not u.grid.close_to(grid):
+            raise ValueError(f"input {i} is on {u.grid}, input 0 on {grid}")
+    try:
+        j0 = dyadic_log2(grid.dxi)
+    except ValueError as err:
+        raise ValueError(f"frequency spacing {err}") from None
     if t_scan is not None:
-        for u in u_list:
-            _check_airy_time("t_scan", t_scan, u.grid)
-    free = [_selector(u, alpha) for u in u_list]
-    if max(s for s, _, _ in free) == 0.0:
-        zero = GridFunction(u_list[0].grid,
-                            np.zeros(u_list[0].grid.n, complex), FOURIER)
+        _check_airy_time("t_scan", t_scan, grid)
+    scales = range(j0, j0 + int(grid.n).bit_length())  # widths from a cell to the span
+    fourier = [u.to_fourier() for u in u_list]
+    peaks = [_selector(f, alpha, scales) for f in fourier]
+    best = [float(np.max(values)) for values, _ in peaks]
+    if max(best) == 0.0:
+        zero = GridFunction(grid, np.zeros(grid.n, complex), FOURIER)
         return zero, [Deformation(0)] * len(u_list), list(u_list), {
             "selector": [0.0] * len(u_list), "degenerate": True}
-    # lock every index to the scale of the strongest detection so that the
-    # pulled-back pieces (and the reconstruction grids) agree
-    lead_j = free[int(np.argmax([s for s, _, _ in free]))][1]
+    # lock every index to the scale of the strongest detection (the finest
+    # on a tie) so that the pulled-back pieces agree
+    lead = int(np.argmax(peaks[int(np.argmax(best))][0]))
+    j = scales[lead]
+    w = 2.0 ** j
+    clip = CLIP_SCALE * w ** (-1.0 / conjugate_exponent(alpha))
+    scores = [float(values[lead]) for values, _ in peaks]
     gammas = []
-    scores = []
     bands = []
-    for u in u_list:
-        score, j, k = _selector(u, alpha, fixed_j=lead_j)
-        w = 2.0 ** j
-        clip = CLIP_SCALE * w ** (-1.0 / conjugate_exponent(alpha))
-        clipped = _band_restrict(u, j, k, clip=clip)
+    for f, (_, ks) in zip(fourier, peaks):
+        k = int(ks[lead])
+        band = _band_restrict(f, j, k)
+        clipped = band.values * (clip / np.maximum(np.abs(band.values), clip))
         half = t_scan if t_scan is not None else _default_t_scan(j, k)
-        t_star, x_star = _spacetime_argmax(clipped, alpha, half)
-        gam = Deformation(j, xi=float(-k), s=-(w ** 3) * t_star, y=w * x_star)
-        gammas.append(gam)
-        scores.append(score)
-        bands.append(_band_restrict(u, j, k))
+        t_star, x_star = _spacetime_argmax(GridFunction(grid, clipped, FOURIER), alpha, half)
+        gammas.append(Deformation(j, xi=float(-k), s=-(w ** 3) * t_star, y=w * x_star))
+        bands.append(band)
 
     # average the pulled-back bands over the strongest indices
-    order = np.argsort(scores)[::-1]
-    take = [i for i in order][:3]
+    take = np.argsort(scores)[::-1][:3]
     pulled = [apply_inverse(gammas[i], bands[i], d_exponent=alpha) for i in take]
-    acc = pulled[0].values.copy()
-    for p in pulled[1:]:
-        if not p.grid.close_to(pulled[0].grid):
-            raise ValueError("pulled-back grids disagree")
-        acc = acc + p.values
+    acc = sum((p.values for p in pulled[1:]), pulled[0].values)
     psi = GridFunction(pulled[0].grid, acc / len(pulled), pulled[0].side)
     residuals = [u - apply(g, psi, d_exponent=alpha)
                  for u, g in zip(u_list, gammas)]

@@ -502,6 +502,22 @@ def test_profiles_extract_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("action", ["extract", "decompose"])
+def test_profiles_on_a_non_dyadic_grid_exit_1_and_write_nothing(tmp_path, capsys, action):
+    g = Grid(256, 40 * np.pi, -20 * np.pi)  # dxi = 0.05, the solver's default grid
+    write_grid_function(GridFunction(g, np.exp(-g.nodes() ** 2).astype(complex)),
+                        tmp_path / "u0.gf")
+    manifest = tmp_path / "inputs.json"
+    manifest.write_text(json.dumps({"inputs": ["u0.gf"]}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "profiles", action, str(manifest), "--out", str(out_dir),
+                         "--no-timestamps")
+    assert code == 1
+    assert out == ""
+    assert err == "frequency spacing 0.05 is not a power of two\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("action", ["extract", "decompose"])
 @pytest.mark.parametrize("t_scan", ["inf", "nan", "0", "-1", "1e200", "1e308"])
 def test_profiles_bad_t_scan_exits_1_and_writes_nothing(tmp_path, capsys, action, t_scan):
     write_sample(tmp_path / "u0.gf")

@@ -121,6 +121,9 @@ def test_dyadic_log2():
         dyadic_log2(3.0)
     with pytest.raises(ValueError, match="positive"):
         dyadic_log2(-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^[a-z]+ is not a positive power of two$"):
+            dyadic_log2(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dlab import norms, profiles
 from dlab.deformations import Deformation, airy_flow, apply
-from dlab.grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, fractional_derivative,
-                       physical_rows)
-from dlab.norms import morrey_norm
+from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
+                       fractional_derivative, physical_rows)
+from dlab.norms import conjugate_exponent, morrey_norm
 from dlab.profiles import (MAX_WHITNEY_INTERVALS, airy_frames, decoupling_check,
                            extract_profile, partition_check, partner_counts,
                            profile_decompose, stein_tomas_ratio, whitney_pairs,
@@ -487,6 +488,206 @@ def test_extract_profile_rejects_bad_t_scan(t_scan):
                else f"t_scan {t_scan} puts Airy phases up to")
     with pytest.raises(ValueError, match=re.escape(message)):
         extract_profile([bump(g, 2.0, 1.0)], ALPHA, t_scan=t_scan)
+
+
+def selector_by_scale(f: GridFunction, alpha: float,
+                      fixed_j: int | None = None) -> tuple[float, int, int]:
+    """The selector as a loop over scales, kept as the oracle of the engine's
+    one pass: the best (value, j, k) of |I|^{-1/(3a)} ||fhat||_{L^b(I)},
+    b = (3a/2)', over I = [k 2^j, (k+1) 2^j); with fixed_j only that scale.
+    Below a cell it credits a whole cell's mass to the interval holding the
+    cell's left edge, so only scales from the cell width up are exact."""
+    fh = f.to_fourier()
+    g = fh.grid
+    dens = np.abs(fh.values)
+    b = conjugate_exponent(1.5 * alpha)
+    cell = dens ** b * g.dxi
+    xi_left = g.frequencies()
+    j0 = int(round(math.log2(g.dxi)))
+    j_top = j0 + int(round(math.log2(g.n)))  # widest interval covers the span
+    scales = range(j0, j_top + 1) if fixed_j is None else [fixed_j]
+    best = (0.0, fixed_j if fixed_j is not None else j0, 0)
+    for j in scales:
+        w = 2.0 ** j
+        idx = np.floor(xi_left / w + 1e-12).astype(int)
+        # group-sum the cell masses by interval index
+        uniq, inv = np.unique(idx, return_inverse=True)
+        mass = np.bincount(inv, weights=cell)
+        vals = w ** (-1.0 / (3.0 * alpha)) * mass ** (1.0 / b)
+        i = int(np.argmax(vals))
+        if vals[i] > best[0]:
+            best = (float(vals[i]), j, int(uniq[i]))
+    return best
+
+
+def all_scales(grid: Grid) -> range:
+    j0 = int(round(math.log2(grid.dxi)))
+    return range(j0, j0 + int(round(math.log2(grid.n))) + 1)
+
+
+def cut_bump(center: float, width: float, amp: float) -> GridFunction:
+    """The profile of checks.check_profiles and perfbench's scan, on PLANT_GRID."""
+    xi = PLANT_GRID.frequencies()
+    v = np.where((xi >= center - width / 2 - 1e-12) & (xi < center + width / 2 - 1e-12),
+                 amp * np.exp(-(xi - center) ** 2 * 8.0 / width ** 2), 0.0)
+    return GridFunction(PLANT_GRID, v.astype(complex), FOURIER)
+
+
+def criterion_12_inputs() -> dict[str, list[GridFunction]]:
+    """The inputs of the profile-extraction battery (checks.check_profiles)."""
+    psi1, psi2 = cut_bump(0.5, 1.0, 2.0), cut_bump(0.5, 1.0, 1.0)
+    x = PLANT_GRID.nodes()
+    return {
+        "single": [apply(Deformation(2, xi=float(n), s=0.1, y=1.0), psi2, d_exponent=ALPHA)
+                   for n in (2, 3, 5, 8)],
+        "pair": [apply(Deformation(0, xi=float(n)), psi1, d_exponent=ALPHA)
+                 + apply(Deformation(0, xi=-float(n), s=0.02, y=3.0), psi2, d_exponent=ALPHA)
+                 for n in (8, 16, 32, 48)],
+        "conjugate": [GridFunction(PLANT_GRID, (np.exp(-1j * x * n) * np.exp(-x ** 2)).real
+                                   .astype(complex), PHYSICAL) for n in (16.0, 32.0, 48.0)],
+    }
+
+
+def scan_inputs(seed: int) -> list[GridFunction]:
+    """perfbench's scan inputs at `seed`: the two planted states, the
+    two-profile input and the residuals its first extraction leaves."""
+    rng = np.random.default_rng(seed)
+    planted = [apply(Deformation(2, xi=float(n), s=float(rng.uniform(-0.2, 0.2)),
+                                 y=float(rng.uniform(-2.0, 2.0))), cut_bump(0.5, 1.0, 1.0),
+                     d_exponent=ALPHA) for n in (3, 8)]
+    pair = criterion_12_inputs()["pair"]
+    return planted + pair + extract_profile(pair, ALPHA, t_scan=0.05)[2]
+
+
+def random_bands(count: int, seed: int) -> list[GridFunction]:
+    """Bands of 1 to 300 random cells on PLANT_GRID, some wrapping around
+    the end of the cell array, each also as its FFT-made copy."""
+    rng = np.random.default_rng(seed)
+    n = PLANT_GRID.n
+    out = []
+    for _ in range(count):
+        cells = (rng.integers(n) + np.arange(rng.integers(1, 301))) % n
+        vals = np.zeros(n, complex)
+        vals[cells] = rng.normal(size=cells.size) + 1j * rng.normal(size=cells.size)
+        band = GridFunction(PLANT_GRID, vals, FOURIER)
+        out += [band, band.to_physical().to_fourier()]
+    return out
+
+
+def interval_value(f: GridFunction, j: int, k: int) -> float:
+    """|I|^{-1/(3a)} ||fhat||_{L^b(I)} on I = [k 2^j, (k+1) 2^j), summed as the oracle does."""
+    fh = f.to_fourier()
+    w, b = 2.0 ** j, conjugate_exponent(1.5 * ALPHA)
+    inside = np.floor(fh.grid.frequencies() / w + 1e-12) == k
+    return w ** (-1.0 / (3.0 * ALPHA)) * np.sum(np.abs(fh.values[inside]) ** b
+                                                 * fh.grid.dxi) ** (1.0 / b)
+
+
+def assert_selector_matches_oracle(f: GridFunction) -> None:
+    """Per scale the same value and k; the free choice, which extract_profile
+    uses, has the same (j, k).  At a scale that is not the free choice a real
+    input's mirrored intervals can tie to roundoff (the same mass but for one
+    cell ~1e-17 at each end), and then either k may win."""
+    scales = all_scales(f.grid)
+    values, ks = profiles._selector(f, ALPHA, scales)
+    for i, j in enumerate(scales):
+        want, _, want_k = selector_by_scale(f, ALPHA, fixed_j=j)
+        assert values[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+        if ks[i] != want_k:
+            assert interval_value(f, j, ks[i]) == pytest.approx(want, rel=1e-14, abs=0.0)
+    want, want_j, want_k = selector_by_scale(f, ALPHA)
+    i = int(np.argmax(values))
+    assert (scales[i], ks[i]) == (want_j, want_k)
+    assert values[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["single", "pair", "conjugate", "scan0", "scan1"])
+def test_selector_matches_by_scale_oracle_on_battery_inputs(name):
+    inputs = scan_inputs(int(name[-1])) if name.startswith("scan") else criterion_12_inputs()[name]
+    for f in inputs:
+        assert_selector_matches_oracle(f)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_selector_matches_by_scale_oracle_on_random_bands(seed):
+    for f in random_bands(150, seed):
+        assert_selector_matches_oracle(f)
+
+
+def test_selector_of_zero_input_is_zero_at_k_zero():
+    zero = GridFunction(PLANT_GRID, np.zeros(PLANT_GRID.n, complex), FOURIER)
+    values, ks = profiles._selector(zero, ALPHA, all_scales(PLANT_GRID))
+    assert not np.any(values) and not np.any(ks)
+
+
+@pytest.mark.parametrize("name", ["single", "pair", "conjugate"])
+def test_extract_profile_agrees_with_the_by_scale_oracle(monkeypatch, name):
+    inputs = criterion_12_inputs()[name]
+    psi, gammas, residuals, diag = extract_profile(inputs, ALPHA, t_scan=0.05)
+
+    def oracle(f, alpha, scales):
+        rows = [selector_by_scale(f, alpha, fixed_j=j) for j in scales]
+        return np.array([v for v, _, _ in rows]), np.array([k for _, _, k in rows])
+
+    monkeypatch.setattr(profiles, "_selector", oracle)
+    want_psi, want_gammas, want_residuals, want_diag = extract_profile(inputs, ALPHA, t_scan=0.05)
+    assert gammas == want_gammas
+    # the same indices, in the same order, are averaged into psi
+    assert list(np.argsort(diag["selector"])[::-1][:3]) == list(
+        np.argsort(want_diag["selector"])[::-1][:3])
+    assert np.array_equal(psi.values, want_psi.values)
+    for r, want in zip(residuals, want_residuals):
+        assert np.array_equal(r.values, want.values)
+    np.testing.assert_allclose(diag["selector"], want_diag["selector"], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("other", [Grid(2048, 2 * np.pi * 8, -np.pi * 16),
+                                   Grid(1024, 2 * np.pi * 16, -np.pi * 16),
+                                   Grid(2048, 2 * np.pi * 16, 0.0)],
+                         ids=["length", "n", "x0"])
+def test_extract_profile_refuses_mixed_grids_up_front(monkeypatch, other):
+    u = bump(PLANT_GRID, 0.5, 1.0)
+    odd = bump(other, 0.5, 1.0)
+
+    def never(*args):
+        raise AssertionError("selector ran on mixed grids")
+
+    monkeypatch.setattr(profiles, "_selector", never)
+    with pytest.raises(ValueError, match=r"^input 2 is on Grid\(.*, input 0 on Grid\(") as info:
+        extract_profile([u, u, odd, odd, u], ALPHA)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("side", [FOURIER, PHYSICAL])
+def test_extract_profile_refuses_a_nan_sample(side):
+    u = bump(PLANT_GRID, 0.5, 1.0)
+    if side == PHYSICAL:
+        u = u.to_physical()
+    u.values[7] = math.nan
+    with pytest.raises(ValueError, match="^density values must be finite and nonnegative$"):
+        extract_profile([bump(PLANT_GRID, 0.5, 1.0), u], ALPHA)
+
+
+def test_extract_profile_refuses_a_non_dyadic_grid():
+    g = Grid(256, 40.0 * np.pi, -20.0 * np.pi)  # dxi = 0.05
+    with pytest.raises(ValueError, match=r"^frequency spacing 0\.05 is not a power of two$"):
+        extract_profile([bump(g, 2.0, 1.0)], ALPHA)
+
+
+def test_selector_window_bound_refuses_full_support_beyond_2_18_cells():
+    # a full support on n cells puts n / 2^i + 1 intervals at width 2^i cells,
+    # 2n + log2 n over the selector's scales
+    for n, fits in ((2 ** 18, True), (2 ** 19, False)):
+        assert (2 * n + n.bit_length() - 1 <= norms._MAX_WINDOW_INTERVALS) == fits
+    small = GridFunction(Grid(2 ** 18, 2 * np.pi), np.ones(2 ** 18, complex), FOURIER)
+    values, ks = profiles._selector(small, ALPHA, all_scales(small.grid))
+    assert np.all(values > 0)
+    big = GridFunction(Grid(2 ** 19, 2 * np.pi), np.ones(2 ** 19, complex), FOURIER)
+    message = rf"^norm window \(-19, 0\) holds more than {norms._MAX_WINDOW_INTERVALS} "
+    with pytest.raises(ValueError, match=message):
+        profiles._selector(big, ALPHA, all_scales(big.grid))
+    with pytest.raises(ValueError, match=message):
+        extract_profile([big], ALPHA)
 
 
 def test_decompose_two_profiles_ordered():
