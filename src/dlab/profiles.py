@@ -7,6 +7,11 @@ that block locates the remaining translation parameters, and greedy
 subtraction yields a decomposition u = sum_j apply(G_j, psi_j) + r that
 reconstructs the input exactly by construction.  The selector is one
 r = inf pass of norms' dyadic aggregate per input, on one shared grid.
+The scan's argmax over the grid's nodes comes from a short coarse scan of
+the band, an m-point ifft with m >= 8 B for a band of B cells, and a
+refinement by direct B-term sums of only the cells that Bernstein's
+inequality cannot rule out; it picks the node np.argmax of the full-width
+scan would, up to ties at roundoff.
 
 Whitney pairs off the diagonals xi = +-eta are the rows (j, k, k') of one
 (P, 3) int64 array, enumerated one array pass per scale; whitney_scale,
@@ -22,14 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FOURIER, Grid, GridFunction, derivative_symbol, fourier_multiply,
-                   map_row_blocks, physical_rows)
+from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, _support, derivative_symbol,
+                   fourier_multiply, map_row_blocks, physical_rows)
 from .deformations import (Deformation, apply, apply_inverse, dyadic_log2, nonresonance_gap,
                            orthogonality_gap)
 from .norms import (_check_window, _fourier_cells, _prepare_density, _scale_terms,
                     conjugate_exponent, ell, morrey_norm)
 
 SCAN_FRAMES = 257   # time samples of the space-time argmax scan
+# coarse nodes per band cell in _spacetime_argmax, m >= 8 B: the Bernstein step
+# delta = pi (B - 1) / (2m) stays below pi/16.  On perfbench scan's 16-cell bands
+# 6 % of the coarse cells are then refined (33k nodes per scan); m >= 4 B refines
+# 11 % of half as many cells, twice the nodes, in the same time, and 16 B or 32 B
+# spend more on the larger coarse ifft than they save in the refinement
+SCAN_OVERSAMPLE = 8
 CLIP_SCALE = 1e6    # band clip level c in c * |I|^{-1/alpha'}
 MERGE_GAP = 10.0    # gap threshold of the conjugate pairing
 MAX_AIRY_PHASE = 2.0 ** 52  # |t xi^3| beyond which exp(i t xi^3) keeps no correct digit
@@ -339,17 +350,91 @@ def _band_restrict(f: GridFunction, j: int, k: int) -> GridFunction:
 
 def _spacetime_argmax(f: GridFunction, alpha: float,
                       t_scan: float) -> tuple[float, float]:
-    """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f | over SCAN_FRAMES times."""
+    """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f | over SCAN_FRAMES
+    times and the grid's nodes; on a tie the first maximum in row-major order,
+    as np.argmax of the (SCAN_FRAMES, n) scan would pick.
+
+    The spectrum's support (grid._support) is a circular run of B cells, so
+    row t, demodulated, is a trigonometric polynomial p_t of degree B - 1.  A
+    coarse scan samples every row at every h-th node, h = n/m, with m the
+    smallest power of two >= SCAN_OVERSAMPLE B: one batched m-point ifft of
+    the rows folded onto m cells gives these samples exactly.  Bernstein's
+    inequality bounds how far |p_t| can rise between them: a node within h/2
+    of coarse node s is at most |p_t(s)| + delta S_t, delta = pi (B - 1) / (2m)
+    <= pi/16, where S_t = M_t / (1 - delta) bounds the sup of row t and M_t is
+    its largest coarse sample.  Only the (row, coarse node) cells whose bound
+    reaches the best coarse sample, less a rounding margin, are refined, by
+    direct B-term sums at their h nodes; no other node can hold the maximum.
+    When m reaches n, and for a band without a nonzero cell, the coarse scan
+    is the full-width scan, and its argmax, taken block by block over
+    map_row_blocks, is the answer.
+    """
     t_grid = np.linspace(-t_scan, t_scan, SCAN_FRAMES)
-    # materialised, not reduced through map_row_blocks: freeing the 8 MB scan
-    # array raises glibc's dynamic mmap threshold, so the block temporaries
-    # come from the heap and are reused; reduced per block, they were mapped
-    # and unmapped on every call (with one helper thread, ~4.9k page faults
-    # and 5-9 ms more system time per profile_decompose of perfbench's scan
-    # input, against ~1 fault materialised)
-    mag = np.abs(airy_frames(f, t_grid, 1.0 / (3.0 * alpha)))
-    it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    return float(t_grid[it]), float(f.grid.x0 + ix * f.grid.dx)
+    deriv = 1.0 / (3.0 * alpha)
+    fh = f.to_fourier()
+    grid, n = fh.grid, fh.grid.n
+    spectrum = np.fft.ifftshift(fh.values)
+    cols = _support(spectrum)
+    size = cols.size
+    m = min(n, 1 << (SCAN_OVERSAMPLE * size - 1).bit_length()) if size else n
+    if m == n:
+        def first_max(rows, block):
+            mag = np.abs(block)
+            i = int(np.argmax(mag))
+            return mag.flat[i], rows.start * n + i
+
+        # reduced block by block: the (SCAN_FRAMES, n) scan is never held
+        picks = map_row_blocks(first_max, *_airy_args(fh, t_grid, deriv))
+    else:
+        # the run's coefficients c[t, l] = mult_l e^{i t xi_l^3}, mult_l the density times
+        # |xi_l|^{1/(3a)} e^{i x0 xi_l}: row t at node x is sum_l c[t, l] e^{2 pi i cols_l x / n},
+        # up to a constant factor
+        xi = np.fft.ifftshift(grid.frequencies())[cols]
+        mult = spectrum[cols] * derivative_symbol(xi, deriv) * np.exp(1j * grid.x0 * xi)
+        coef = mult * np.exp(1j * np.outer(t_grid, xi ** 3))
+        folded = np.zeros((SCAN_FRAMES, m), dtype=np.complex128)
+        folded[:, cols % m] = coef
+        bound = np.abs(np.fft.ifft(folded, axis=1, norm="forward", out=folded))
+        del folded
+        # the coarse samples |p_t(s)| become the bounds |p_t(s)| + delta S_t in place
+        best = np.max(bound)
+        delta = math.pi * (size - 1) / (2 * m)
+        bound += (delta / (1.0 - delta)) * np.max(bound, axis=1, keepdims=True)
+        # rounding margin: sum |mult| bounds every |p|; each butterfly stage of the
+        # ifft and each product of a direct sum adds a few eps of it, and each of the
+        # sum's B - 1 additions one eps, so every sample, coarse or refined, is within
+        # eta = (6 log2 m + B + 8) eps sum |mult| of |p|.  A node outside the kept
+        # cells then reads below the refined maximum if the margin exceeds
+        # (1 / (1 - delta) + 3) eta < 4.3 eta; the margin is 8 eta
+        eta = (6 * math.log2(m) + size + 8) * np.finfo(float).eps * np.sum(np.abs(mult))
+        keep_t, keep_s = np.nonzero(bound >= best - 8.0 * eta)
+        # node h s + r of row t, -h/2 <= r < h/2, is sum_j c[t, j] D[s, j] E[j, r] over
+        # the run's offsets j = 0 .. B-1 (cols_j = cols_0 + j mod n, and the factor
+        # e^{2 pi i cols_0 x / n} has modulus 1): D = e^{2 pi i j s / m}, E = e^{2 pi i j r / n}
+        h = n // m
+        j = np.arange(size)
+        near = np.arange(-(h // 2), h // 2)
+        coarse_phase = np.exp((2j * math.pi / m) * (np.outer(np.arange(m), j) % m))
+        fine_phase = np.exp((2j * math.pi / n) * np.outer(j, near))
+        # the kept cells in chunks whose terms and sums hold as many entries as one
+        # map_row_blocks block: a band whose |p| is nearly flat keeps every cell
+        chunk = ROW_BLOCK * n // (size + h)
+
+        def refine(lo):
+            t, s = keep_t[lo:lo + chunk], keep_s[lo:lo + chunk]
+            terms = coarse_phase[s]
+            terms *= coef[t]
+            # a (1, B) @ (B, h) product per cell, each run on the calling thread: one
+            # (cells, B) @ (B, h) product went to OpenBLAS's thread pool, whose wake-ups
+            # stalled it for 3-8 ms in a third of the calls on a shared 2-core host
+            mag = np.abs(terms[:, None, :] @ fine_phase)[:, 0]
+            k, r = np.nonzero(mag == np.max(mag))
+            return mag[k[0], r[0]], int(np.min(t[k] * n + (h * s[k] + near[r]) % n))
+
+        picks = [refine(lo) for lo in range(0, keep_t.size, chunk)]
+    top = max(value for value, _ in picks)
+    it, ix = divmod(min(key for value, key in picks if value == top), n)
+    return float(t_grid[it]), float(grid.x0 + ix * grid.dx)
 
 
 @dataclass
@@ -363,8 +448,7 @@ def _default_t_scan(j: int, k: int) -> float:
     """Scan half-width keeping the Airy phase spread across the band
     resolved by the SCAN_FRAMES time samples."""
     w = 2.0 ** j
-    lo, hi = abs(k) * w, (abs(k) + 1) * w
-    spread = abs(hi ** 3 - lo ** 3)
+    spread = abs(((k + 1) * w) ** 3 - (k * w) ** 3)
     if spread == 0.0:
         return 10.0
     return min(10.0, 0.25 * SCAN_FRAMES / spread)

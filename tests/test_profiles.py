@@ -690,6 +690,127 @@ def test_selector_window_bound_refuses_full_support_beyond_2_18_cells():
         extract_profile([big], ALPHA)
 
 
+def full_width_argmax(f: GridFunction, t_scan: float) -> tuple[tuple[int, int], np.ndarray]:
+    """The space-time argmax as the full-width scan, kept as the oracle of the
+    coarse scan and its certified refinement: np.argmax of |.| over all
+    SCAN_FRAMES x n samples.  Returns its (it, ix) and the magnitudes."""
+    t_grid = np.linspace(-t_scan, t_scan, profiles.SCAN_FRAMES)
+    mag = np.abs(airy_frames(f, t_grid, 1.0 / (3.0 * ALPHA)))
+    it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    return (int(it), int(ix)), mag
+
+
+def argmax_indices(f: GridFunction, t_scan: float) -> tuple[int, int]:
+    """(it, ix) of _spacetime_argmax's (t*, x*), which must be a time of the
+    scan and a node of the grid exactly."""
+    t_star, x_star = profiles._spacetime_argmax(f, ALPHA, t_scan)
+    t_grid = np.linspace(-t_scan, t_scan, profiles.SCAN_FRAMES)
+    g = f.grid
+    (it,) = np.flatnonzero(t_grid == t_star)
+    ix = round((x_star - g.x0) / g.dx)
+    assert x_star == g.x0 + ix * g.dx
+    return int(it), ix
+
+
+def scan_bands(count: int, seed: int) -> list[GridFunction]:
+    """Random bands of 1 to 300 cells on PLANT_GRID, in turn: ending at the
+    grid's top edge, starting at its bottom edge, straddling the edge, around
+    frequency 0 (wrapped around in FFT order), and anywhere."""
+    rng = np.random.default_rng(seed)
+    n = PLANT_GRID.n
+    out = []
+    for i in range(count):
+        size = int(rng.integers(1, 301))
+        start = (n - size, 0, n - size // 2, n // 2 - size // 2, int(rng.integers(n)))[i % 5]
+        vals = np.zeros(n, complex)
+        vals[(start + np.arange(size)) % n] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        out.append(GridFunction(PLANT_GRID, vals, FOURIER))
+    return out
+
+
+@pytest.mark.parametrize("t_scan", [1e-3, 0.05, 0.5])
+def test_spacetime_argmax_matches_full_width_scan_on_random_bands(t_scan):
+    # a different pick is a tie to roundoff: the coarse scan's phases and sums
+    # round differently from the full-width ifft's, so on a band whose |.| is
+    # flat (a single cell) either node may win
+    for f in scan_bands(60, seed=round(1e3 * t_scan)):
+        want, mag = full_width_argmax(f, t_scan)
+        got = argmax_indices(f, t_scan)
+        if got != want:
+            assert mag[got] == pytest.approx(mag[want], rel=1e-12, abs=0.0)
+
+
+def test_spacetime_argmax_of_a_full_band_is_the_full_width_scan():
+    rng = np.random.default_rng(3)
+    n = PLANT_GRID.n
+    for size in (n, n // 16 + 1):
+        vals = np.zeros(n, complex)
+        vals[:size] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        f = GridFunction(PLANT_GRID, np.roll(vals, int(rng.integers(n))), FOURIER)
+        assert argmax_indices(f, 0.05) == full_width_argmax(f, 0.05)[0]
+
+
+def test_spacetime_argmax_refines_a_nearly_flat_band_in_chunks():
+    # one dominant cell: |.| varies by ~1 %, below the Bernstein step, so every
+    # coarse cell is kept and refined, over several chunks
+    vals = np.zeros(PLANT_GRID.n, complex)
+    vals[700:708] = 1e-3 * np.exp(1j * np.arange(8))
+    vals[703] = 1.0
+    f = GridFunction(PLANT_GRID, vals, FOURIER)
+    assert argmax_indices(f, 0.05) == full_width_argmax(f, 0.05)[0]
+
+
+def test_spacetime_argmax_breaks_exact_ties_as_np_argmax():
+    # a band on the zero frequency alone, which |d/dx|^{1/(3a)} sends to 0:
+    # every sample ties, and the first one is picked on the coarse path as well
+    vals = np.zeros(PLANT_GRID.n, complex)
+    vals[PLANT_GRID.n // 2] = 1.0
+    f = GridFunction(PLANT_GRID, vals, FOURIER)
+    assert full_width_argmax(f, 0.05)[0] == (0, 0)
+    assert profiles._spacetime_argmax(f, ALPHA, 0.05) == (-0.05, PLANT_GRID.x0)
+
+
+def test_spacetime_argmax_of_a_zero_band_is_the_first_sample():
+    zero = GridFunction(PLANT_GRID, np.zeros(PLANT_GRID.n, complex), FOURIER)
+    assert profiles._spacetime_argmax(zero, ALPHA, 0.05) == (-0.05, PLANT_GRID.x0)
+    assert full_width_argmax(zero, 0.05)[0] == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["single", "pair", "conjugate"])
+def test_spacetime_argmax_matches_full_width_scan_on_battery_bands(monkeypatch, name):
+    # criterion 12's extractions; "pair" is also perfbench scan's profile_decompose
+    scans = []
+    coarse = profiles._spacetime_argmax
+
+    def record(f, alpha, t_scan):
+        scans.append((f, t_scan))
+        return coarse(f, alpha, t_scan)
+
+    monkeypatch.setattr(profiles, "_spacetime_argmax", record)
+    inputs = criterion_12_inputs()[name]
+    if name == "single":
+        extract_profile(inputs, ALPHA, t_scan=0.05)
+    else:
+        profile_decompose(inputs, ALPHA, SIGMA, j_max=2, eps_stop=1e-4, t_scan=0.05)
+    monkeypatch.undo()
+    assert scans
+    for f, t_scan in scans:
+        assert argmax_indices(f, t_scan) == full_width_argmax(f, t_scan)[0]
+
+
+def test_default_t_scan_is_symmetric_and_resolves_the_band_phase_spread():
+    for j in range(-6, 4):
+        w = 2.0 ** j
+        for k in range(-40, 40):
+            # the Airy phase spread over [k w, (k+1) w) is w^3 ((k+1)^3 - k^3)
+            want = min(10.0, 0.25 * profiles.SCAN_FRAMES / (w ** 3 * (3 * k * k + 3 * k + 1)))
+            assert profiles._default_t_scan(j, k) == pytest.approx(want, rel=1e-15, abs=0.0)
+            # [k w, (k+1) w) mirrors to [(-k-1) w, -k w)
+            assert profiles._default_t_scan(j, -k - 1) == profiles._default_t_scan(j, k)
+    assert profiles._default_t_scan(0, -1) == 10.0
+    assert profiles._default_t_scan(3, -3) == profiles._default_t_scan(3, 2)
+
+
 def test_decompose_two_profiles_ordered():
     psi1 = bump(PLANT_GRID, 0.5, 1.0, amp=2.0)
     psi2 = bump(PLANT_GRID, 0.5, 1.0, amp=1.0)
