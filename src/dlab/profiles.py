@@ -365,9 +365,10 @@ def _spacetime_argmax(f: GridFunction, alpha: float,
     its largest coarse sample.  Only the (row, coarse node) cells whose bound
     reaches the best coarse sample, less a rounding margin, are refined, by
     direct B-term sums at their h nodes; no other node can hold the maximum.
-    When m reaches n, and for a band without a nonzero cell, the coarse scan
-    is the full-width scan, and its argmax, taken block by block over
-    map_row_blocks, is the answer.
+    The answer is the full-width scan's argmax, taken block by block over
+    map_row_blocks, when m reaches n, for a band without a nonzero cell, and
+    when the kept cells' direct sums would cost more than the full-width scan
+    (a band whose |p| is flat to within the Bernstein step keeps every cell).
     """
     t_grid = np.linspace(-t_scan, t_scan, SCAN_FRAMES)
     deriv = 1.0 / (3.0 * alpha)
@@ -377,15 +378,7 @@ def _spacetime_argmax(f: GridFunction, alpha: float,
     cols = _support(spectrum)
     size = cols.size
     m = min(n, 1 << (SCAN_OVERSAMPLE * size - 1).bit_length()) if size else n
-    if m == n:
-        def first_max(rows, block):
-            mag = np.abs(block)
-            i = int(np.argmax(mag))
-            return mag.flat[i], rows.start * n + i
-
-        # reduced block by block: the (SCAN_FRAMES, n) scan is never held
-        picks = map_row_blocks(first_max, *_airy_args(fh, t_grid, deriv))
-    else:
+    if m < n:
         # the run's coefficients c[t, l] = mult_l e^{i t xi_l^3}, mult_l the density times
         # |xi_l|^{1/(3a)} e^{i x0 xi_l}: row t at node x is sum_l c[t, l] e^{2 pi i cols_l x / n},
         # up to a constant factor
@@ -407,22 +400,38 @@ def _spacetime_argmax(f: GridFunction, alpha: float,
         # cells then reads below the refined maximum if the margin exceeds
         # (1 / (1 - delta) + 3) eta < 4.3 eta; the margin is 8 eta
         eta = (6 * math.log2(m) + size + 8) * np.finfo(float).eps * np.sum(np.abs(mult))
-        keep_t, keep_s = np.nonzero(bound >= best - 8.0 * eta)
+        keep = bound >= best - 8.0 * eta
+        del bound
+        h = n // m
+    # the kept cells' direct sums cost B h complex multiply-adds, 8 flops each, per
+    # cell; past the full-width scan's n-point iffts, 5 n log2 n flops per row (a band
+    # whose |p| is flat to within the Bernstein step keeps every cell), the
+    # full-width scan is taken instead
+    if m == n or 8 * np.count_nonzero(keep) * size * h > 5 * SCAN_FRAMES * n * math.log2(n):
+        def first_max(rows, block):
+            mag = np.abs(block)
+            i = int(np.argmax(mag))
+            return mag.flat[i], rows.start * n + i
+
+        # reduced block by block: the (SCAN_FRAMES, n) scan is never held
+        picks = map_row_blocks(first_max, *_airy_args(fh, t_grid, deriv))
+    else:
         # node h s + r of row t, -h/2 <= r < h/2, is sum_j c[t, j] D[s, j] E[j, r] over
         # the run's offsets j = 0 .. B-1 (cols_j = cols_0 + j mod n, and the factor
-        # e^{2 pi i cols_0 x / n} has modulus 1): D = e^{2 pi i j s / m}, E = e^{2 pi i j r / n}
-        h = n // m
+        # e^{2 pi i cols_0 x / n} has modulus 1): D = e^{2 pi i j s / m}, gathered per
+        # chunk from the m-th roots of unity, and E = e^{2 pi i j r / n}
+        keep_t, keep_s = np.nonzero(keep)
         j = np.arange(size)
         near = np.arange(-(h // 2), h // 2)
-        coarse_phase = np.exp((2j * math.pi / m) * (np.outer(np.arange(m), j) % m))
+        roots = np.exp((2j * math.pi / m) * np.arange(m))
         fine_phase = np.exp((2j * math.pi / n) * np.outer(j, near))
-        # the kept cells in chunks whose terms and sums hold as many entries as one
-        # map_row_blocks block: a band whose |p| is nearly flat keeps every cell
+        # the kept cells in chunks whose terms and sums hold about as many entries as
+        # one map_row_blocks block
         chunk = ROW_BLOCK * n // (size + h)
 
         def refine(lo):
             t, s = keep_t[lo:lo + chunk], keep_s[lo:lo + chunk]
-            terms = coarse_phase[s]
+            terms = roots[np.outer(s, j) % m]
             terms *= coef[t]
             # a (1, B) @ (B, h) product per cell, each run on the calling thread: one
             # (cells, B) @ (B, h) product went to OpenBLAS's thread pool, whose wake-ups

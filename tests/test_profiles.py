@@ -750,14 +750,65 @@ def test_spacetime_argmax_of_a_full_band_is_the_full_width_scan():
         assert argmax_indices(f, 0.05) == full_width_argmax(f, 0.05)[0]
 
 
-def test_spacetime_argmax_refines_a_nearly_flat_band_in_chunks():
-    # one dominant cell: |.| varies by ~1 %, below the Bernstein step, so every
-    # coarse cell is kept and refined, over several chunks
+def flat_band(size: int) -> GridFunction:
+    """A band of `size` cells on PLANT_GRID with one dominant cell: |.| varies by
+    ~1 %, below the Bernstein step, so every coarse cell is kept."""
     vals = np.zeros(PLANT_GRID.n, complex)
-    vals[700:708] = 1e-3 * np.exp(1j * np.arange(8))
-    vals[703] = 1.0
-    f = GridFunction(PLANT_GRID, vals, FOURIER)
+    vals[700:700 + size] = 1e-3 * np.exp(1j * np.arange(size))
+    vals[700 + size // 2] = 1.0
+    return GridFunction(PLANT_GRID, vals, FOURIER)
+
+
+def full_width_scans(monkeypatch, f: GridFunction, t_scan: float) -> int:
+    """Runs _spacetime_argmax on f and counts its map_row_blocks calls, which
+    only the full-width scan makes."""
+    calls = []
+    scan = profiles.map_row_blocks
+
+    def record(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "map_row_blocks", record)
+    profiles._spacetime_argmax(f, ALPHA, t_scan)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_spacetime_argmax_refines_a_nearly_flat_band_in_chunks(monkeypatch):
+    # 4 cells: all 257 x 32 coarse cells are kept, and their direct sums, 4 x 64
+    # terms each, cost less than the full-width scan, so they are refined over
+    # several chunks
+    f = flat_band(4)
+    assert full_width_scans(monkeypatch, f, 0.05) == 0
     assert argmax_indices(f, 0.05) == full_width_argmax(f, 0.05)[0]
+    # 8 to 128 cells: the kept cells' direct sums would cost more than the
+    # full-width scan, which is taken instead
+    for size in (8, 128):
+        f = flat_band(size)
+        assert full_width_scans(monkeypatch, f, 0.05) == 1
+        assert argmax_indices(f, 0.05) == full_width_argmax(f, 0.05)[0]
+
+
+def test_spacetime_argmax_refinement_holds_no_table_of_the_band_squared(monkeypatch):
+    # a wave packet of n/16 cells on 2^14 nodes: m = n/2 coarse nodes, refined
+    # in chunks; a (m, B) table of coarse phases would take 2^27 entries, 4.3 x
+    # the parent's (SCAN_FRAMES, n) complex scan with its temporaries
+    n = 2 ** 14
+    g = Grid(n, 2 * np.pi * 16, -np.pi * 16)
+    size = n // 16
+    vals = np.zeros(n, complex)
+    cells = np.arange(size)
+    vals[300:300 + size] = np.exp(-((cells - size / 2) / (size / 6)) ** 2 + 0.3j * cells)
+    f = GridFunction(g, vals, FOURIER)
+    assert full_width_scans(monkeypatch, f, 0.05) == 0
+    tracemalloc.start()
+    try:
+        profiles._spacetime_argmax(f, ALPHA, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * profiles.SCAN_FRAMES * n * 16
 
 
 def test_spacetime_argmax_breaks_exact_ties_as_np_argmax():
