@@ -10,8 +10,9 @@ r = inf pass of norms' dyadic aggregate per input, on one shared grid.
 The scan's argmax over the grid's nodes comes from a short coarse scan of
 the band, an m-point ifft with m >= 8 B for a band of B cells, and a
 refinement by direct B-term sums of only the cells that Bernstein's
-inequality cannot rule out; it picks the node np.argmax of the full-width
-scan would, up to ties at roundoff.
+inequality cannot rule out, or the full-width scan, reduced block by block,
+when those sums would cost more; it picks the node np.argmax of the
+full-width scan would, up to ties at roundoff.
 
 Whitney pairs off the diagonals xi = +-eta are the rows (j, k, k') of one
 (P, 3) int64 array, enumerated one array pass per scale; whitney_scale,

@@ -792,8 +792,9 @@ def test_spacetime_argmax_refines_a_nearly_flat_band_in_chunks(monkeypatch):
 
 def test_spacetime_argmax_refinement_holds_no_table_of_the_band_squared(monkeypatch):
     # a wave packet of n/16 cells on 2^14 nodes: m = n/2 coarse nodes, refined
-    # in chunks; a (m, B) table of coarse phases would take 2^27 entries, 4.3 x
-    # the parent's (SCAN_FRAMES, n) complex scan with its temporaries
+    # in chunks, holds less than one (SCAN_FRAMES, n) complex scan; a (m, B)
+    # table of coarse phases takes 2^23 entries, and with its temporaries 4.3
+    # times that scan
     n = 2 ** 14
     g = Grid(n, 2 * np.pi * 16, -np.pi * 16)
     size = n // 16
@@ -808,7 +809,7 @@ def test_spacetime_argmax_refinement_holds_no_table_of_the_band_squared(monkeypa
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * profiles.SCAN_FRAMES * n * 16
+    assert peak < profiles.SCAN_FRAMES * n * 16
 
 
 def test_spacetime_argmax_breaks_exact_ties_as_np_argmax():
