@@ -174,8 +174,11 @@ def _read_inputs(manifest: str) -> list[GridFunction]:
     """The GF01 states a profiles manifest lists, relative to the manifest."""
     with open(manifest) as fh:
         listing = json.load(fh)
+    names = listing.get("inputs") if isinstance(listing, dict) else None
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"{manifest}: a profiles manifest must be {{\"inputs\": [paths]}}")
     base = os.path.dirname(os.path.abspath(manifest))
-    return [read_grid_function(os.path.join(base, name)) for name in listing["inputs"]]
+    return [read_grid_function(os.path.join(base, name)) for name in names]
 
 
 def _write_states(out_dir: str, stem: str, states) -> None:

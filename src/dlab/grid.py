@@ -20,8 +20,7 @@ GridFunction's Fourier side by a symbol and returns to the input's side;
 map_row_blocks makes the physical samples of the rows of an (m, n)
 physical array, ROW_BLOCK rows at a time, optionally with a per-row phase
 e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
-in xi), or spreads one Fourier density spectrum over all rows (forming
-phases only on the cells that hold its nonzero entries), and hands
+in xi), or spreads one Fourier density spectrum over all rows, and hands
 each block to a caller's reduce(rows, block), which runs before the
 block's memory is reused; it returns the reductions in row order.  A
 caller that reduces each block to a few numbers (the restriction ratio,
@@ -33,11 +32,11 @@ counter by the calling thread and one helper thread per other usable
 core (numpy's FFT and ufunc loops release the GIL), so every thread
 holds one block's temporaries; since every combine runs in row order
 over the same blocks, the results do not depend on the number of
-threads.  The helpers' pool is started by the first call with more than
-one block, and a one-core host starts none.  map_blocks, the executor
-under map_row_blocks, also runs other independent tasks:
-embedding_experiment's NLS and gKdV solves, one task each.  When the
-times are uniform
+threads.  The helpers' pool, one per process with HELPERS threads, is
+started by the first call with more than one block, and a one-core host
+starts none.  map_blocks, the executor under map_row_blocks, also runs
+other independent tasks: embedding_experiment's NLS and gKdV solves, one
+task each.  When the times are uniform
 (every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
 ROW_BLOCK of them, the phases of a block starting at row lo are
 e^{i t_lo p}, one direct exp per block, times a table e^{i j dt p},
@@ -70,8 +69,8 @@ ROW_BLOCK = 32
 # threads that take row blocks beside the calling one: one per other usable core
 HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1) - 1
-# the helpers' ThreadPoolExecutors by (process id, size), each built by the first
-# call that uses it: a forked child inherits this dict but none of the threads
+# the helpers' ThreadPoolExecutor by (process id, HELPERS), built by the first call
+# that uses it: a forked child inherits this dict but none of the threads
 _POOLS: dict = {}
 # l2_norm sums squares directly when the sum lies in this range; outside it the
 # squares may have over- or underflowed, and it rescales by the largest sample
@@ -291,11 +290,11 @@ def _row_count(grid: Grid, values: np.ndarray, symbol: np.ndarray | None,
 
 def map_blocks(make, count: int) -> list:
     """[make(b) for b in range(count)]: the calling thread and up to HELPERS
-    pool threads take the indices in turn from one counter, each helper in
-    a copy of the caller's context (numpy's errstate lives there).  After
-    the first error no index is taken; it is raised once every helper has
-    stopped.  map_row_blocks runs its blocks through it, and
-    embedding_experiment its independent solves."""
+    threads of the process's one pool take the indices in turn from one
+    counter, each helper in a copy of the caller's context (numpy's
+    errstate lives there).  After the first error no index is taken; it is
+    raised once every helper has stopped.  map_row_blocks runs its blocks
+    through it, and embedding_experiment its independent solves."""
     helpers = min(HELPERS, count - 1)
     if helpers <= 0:
         return [make(b) for b in range(count)]
@@ -319,12 +318,12 @@ def map_blocks(make, count: int) -> list:
                     errors.append(exc)
                 return
 
-    key = (os.getpid(), helpers)
+    key = (os.getpid(), HELPERS)
     if key not in _POOLS:
         # imported here, not with the module: concurrent.futures loads logging,
         # about 8 ms that every `import dlab` would pay
         from concurrent.futures import ThreadPoolExecutor
-        _POOLS.setdefault(key, ThreadPoolExecutor(helpers, thread_name_prefix="dlab-rows"))
+        _POOLS.setdefault(key, ThreadPoolExecutor(HELPERS, thread_name_prefix="dlab-rows"))
     futures = [_POOLS[key].submit(contextvars.copy_context().run, work)
                for _ in range(helpers)]
     work()
@@ -352,12 +351,8 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
     A 2-D `values` holds physical rows; without a symbol or phase the
     blocks are views of its rows.  A 1-D `values` is one Fourier density
     spectrum shared by all len(times) rows: it is weighted and put into
-    FFT order once, and the phase table, row factors and products below
-    are formed only on the shortest circular run of cells that holds its
-    nonzero entries (see _support), the rest of each block being exact
-    zeros.  That gives the bits of the full-width products, at the cost of
-    the run: a band of 16 cells of 2048 costs 16, a spectrum without zeros
-    the whole row.  Each block's batched ifft writes into out[rows] (out
+    FFT order once, and each block's rows are that product times the
+    rows' phases.  Each block's batched ifft writes into out[rows] (out
     may be `values` itself) or, without `out`, into the block's own
     spectrum array, which is valid only inside its reduce call.  More than
     ROW_BLOCK uniform times (see _uniform_step) take their phases from a
@@ -382,12 +377,7 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
         return map_blocks(view, count)
     rate = None if times is None else np.fft.ifftshift(dispersion)
     if shared:
-        spectrum = np.fft.ifftshift(values)
-        # phases and products only on the run of cells that holds the nonzero
-        # spectrum (the whole row for a dense one); the rest of a block is zeros
-        cols = _support(spectrum)
-        mult = (np.fft.ifftshift(_from_density(grid, symbol)) * spectrum)[cols]
-        rate = rate[cols]
+        mult = np.fft.ifftshift(_from_density(grid, symbol)) * np.fft.ifftshift(values)
     else:
         mult = 1.0 if symbol is None else np.fft.ifftshift(symbol)
     step = _uniform_step(times) if rate is not None and m > ROW_BLOCK else None
@@ -425,29 +415,10 @@ def map_row_blocks(reduce, grid: Grid, values: np.ndarray,
                 phase = np.exp(1j * np.outer(times[rows], rate))
                 # into the phase block: a new product array per block ran ~20 % slower
                 spec = np.multiply(phase, spec, out=phase)
-        if spec.shape[1] < grid.n:
-            full = np.zeros((len(spec), grid.n), dtype=np.complex128)
-            full[:, cols] = spec
-            spec = full
         # spec is this block's own array, so without `out` the ifft overwrites it
         return reduce(rows, np.fft.ifft(spec, axis=1, out=spec if out is None else out[rows]))
 
     return map_blocks(make, count)
-
-
-def _support(spectrum: np.ndarray) -> np.ndarray:
-    """Indices, in order, of the shortest circular run of cells of `spectrum`
-    that holds every nonzero entry: 0, 1, ..., n - 1 for a spectrum without
-    zeros, none for one without a nonzero entry."""
-    n = spectrum.size
-    nz = np.flatnonzero(spectrum)
-    if nz.size == 0:
-        return nz
-    # gaps[i] runs from nonzero i to the next one, the last around the end; the
-    # run leaves out the widest gap, on a tie the one around the end
-    gaps = np.diff(nz, append=nz[0] + n)
-    i = nz.size - 1 - int(np.argmax(gaps[::-1]))
-    return (nz[(i + 1) % nz.size] + np.arange(n + 1 - gaps[i])) % n
 
 
 def physical_rows(grid: Grid, values: np.ndarray,

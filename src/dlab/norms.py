@@ -390,11 +390,19 @@ def _invert(x: float) -> float:
     return 1.0 / x
 
 
+def _inverse_r(s: float, r: float) -> float:
+    """1/r (0 for r = inf), after refusing a NaN or nonpositive r (a spec
+    that sets no r has r = NaN) and a non-finite s."""
+    if not r > 0:
+        raise ValueError(f"need r > 0, got {r}")
+    if not math.isfinite(s):
+        raise ValueError(f"need a finite s, got {s}")
+    return 0.0 if math.isinf(r) else 1.0 / r
+
+
 def exponents_X(s: float, r: float) -> tuple[float, float]:
     """Solve 2/p + 1/q = 1/r, -1/p + 2/q = s for (p, q)."""
-    if r <= 0:
-        raise ValueError(f"need r > 0, got {r}")
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
+    inv_r = _inverse_r(s, r)
     inv_p = -s / 5.0 + 2.0 * inv_r / 5.0
     inv_q = 2.0 * s / 5.0 + inv_r / 5.0
     return _invert(inv_p), _invert(inv_q)
@@ -402,10 +410,7 @@ def exponents_X(s: float, r: float) -> tuple[float, float]:
 
 def exponents_Y(s: float, r: float) -> tuple[float, float]:
     """Solve 2/p + 1/q = 2 + 1/r, -1/p + 2/q = s for (p, q)."""
-    if r <= 0:
-        raise ValueError(f"need r > 0, got {r}")
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
-    rhs = 2.0 + inv_r
+    rhs = 2.0 + _inverse_r(s, r)
     inv_p = -s / 5.0 + 2.0 * rhs / 5.0
     inv_q = 2.0 * s / 5.0 + rhs / 5.0
     return _invert(inv_p), _invert(inv_q)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, _support, derivative_symbol,
+from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, derivative_symbol,
                    fourier_multiply, map_row_blocks, physical_rows)
 from .deformations import (Deformation, apply, apply_inverse, dyadic_log2, nonresonance_gap,
                            orthogonality_gap)
@@ -349,13 +349,28 @@ def _band_restrict(f: GridFunction, j: int, k: int) -> GridFunction:
     return fourier_multiply(f.to_fourier(), (xi >= k * w - 1e-12) & (xi < (k + 1) * w - 1e-12))
 
 
+def _support(spectrum: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the shortest circular run of cells of `spectrum`
+    that holds every nonzero entry: 0, 1, ..., n - 1 for a spectrum without
+    zeros, none for one without a nonzero entry."""
+    n = spectrum.size
+    nz = np.flatnonzero(spectrum)
+    if nz.size == 0:
+        return nz
+    # gaps[i] runs from nonzero i to the next one, the last around the end; the
+    # run leaves out the widest gap, on a tie the one around the end
+    gaps = np.diff(nz, append=nz[0] + n)
+    i = nz.size - 1 - int(np.argmax(gaps[::-1]))
+    return (nz[(i + 1) % nz.size] + np.arange(n + 1 - gaps[i])) % n
+
+
 def _spacetime_argmax(f: GridFunction, alpha: float,
                       t_scan: float) -> tuple[float, float]:
     """(t*, x*) maximizing | |d/dx|^{1/(3a)} e^{-t d^3/dx^3} f | over SCAN_FRAMES
     times and the grid's nodes; on a tie the first maximum in row-major order,
     as np.argmax of the (SCAN_FRAMES, n) scan would pick.
 
-    The spectrum's support (grid._support) is a circular run of B cells, so
+    The spectrum's support (see _support) is a circular run of B cells, so
     row t, demodulated, is a trigonometric polynomial p_t of degree B - 1.  A
     coarse scan samples every row at every h-th node, h = n/m, with m the
     smallest power of two >= SCAN_OVERSAMPLE B: one batched m-point ifft of

@@ -151,6 +151,23 @@ def test_norm_oversized_window_exits_1(tmp_path, capsys, spec, msg):
     assert len(err.strip().splitlines()) == 1 and msg in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("kind=spacetime_X,s=0", "need r > 0, got nan"),  # a spec without r has r = nan
+    ("kind=spacetime_Y,r=nan", "need r > 0, got nan"),
+    ("kind=spacetime_X,r=2.0,s=inf", "need a finite s, got inf"),
+    ("kind=spacetime_Y,r=2.0,s=nan", "need a finite s, got nan"),
+])
+def test_norm_spacetime_without_a_finite_exponent_exits_1(tmp_path, capsys, spec, message):
+    # before the check both exponents came out NaN, read as infinite: a sup norm
+    f = write_sample(tmp_path / "g.gf")
+    path = tmp_path / "f.stf"
+    write_space_time_field(SpaceTimeField(f.grid, np.array([0.0, 1.0]),
+                                          np.stack([f.values, f.values])), path)
+    code, out, err = run(capsys, "norm", spec, str(path), "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == message + "\n"
+
+
 def test_norm_bad_file_exits_1(tmp_path, capsys):
     path = tmp_path / "junk.gf"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -514,6 +531,18 @@ def test_profiles_on_a_non_dyadic_grid_exit_1_and_write_nothing(tmp_path, capsys
     assert code == 1
     assert out == ""
     assert err == "frequency spacing 0.05 is not a power of two\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("listing", [{}, [1], {"inputs": [3]}])
+def test_profiles_malformed_manifest_exits_1_and_writes_nothing(tmp_path, capsys, listing):
+    manifest = tmp_path / "inputs.json"
+    manifest.write_text(json.dumps(listing))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "profiles", "extract", str(manifest), "--out", str(out_dir),
+                         "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == f'{manifest}: a profiles manifest must be {{"inputs": [paths]}}\n'
     assert not out_dir.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 import threading
@@ -15,8 +16,8 @@ from dlab.deformations import translate
 from dlab.evolutions import energy, mass
 from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
                        SpaceTimeField, derivative_symbol, forward_transform,
-                       fractional_derivative, inverse_transform, map_row_blocks,
-                       match_sides, physical_rows, _uniform_step)
+                       fractional_derivative, inverse_transform, map_blocks,
+                       map_row_blocks, match_sides, physical_rows, _uniform_step)
 from dlab.norms import NormSpec, spacetime_norm
 from dlab.profiles import stein_tomas_ratio
 
@@ -446,7 +447,7 @@ def test_stein_tomas_ratio_does_not_depend_on_the_helper_count(monkeypatch):
 
 
 @pytest.mark.parametrize("support", ["band", "wraps", "dense", "empty"])
-def test_shared_spectrum_on_its_support_equals_the_full_width_product(monkeypatch, support):
+def test_shared_spectrum_rows_match_per_row_inverse_transforms(monkeypatch, support):
     # the scan's grid and frames: a 16-cell band, two bands on either side of
     # xi = 0 (one run around the end in FFT order), every cell, and no cell
     g = Grid(2048, 2.0 * math.pi * 2 ** 4, -math.pi * 2 ** 4)
@@ -457,8 +458,6 @@ def test_shared_spectrum_on_its_support_equals_the_full_width_product(monkeypatc
              "empty": np.zeros(g.n, dtype=bool)}[support]
     rng = np.random.default_rng(12)
     spectrum = np.where(cells, rng.normal(size=g.n) + 1j * rng.normal(size=g.n), 0.0)
-    cols = grid_module._support(np.fft.ifftshift(spectrum))
-    assert cols.size == {"band": 16, "wraps": 272, "dense": g.n, "empty": 0}[support]
     uniform = np.linspace(-0.05, 0.05, 257)
     jittered = np.linspace(-0.05, 0.05, 2 * ROW_BLOCK + 3)
     jittered[ROW_BLOCK + 10] += 1e-3  # one exp per entry, not the table
@@ -468,9 +467,33 @@ def test_shared_spectrum_on_its_support_equals_the_full_width_product(monkeypatc
                 for times in (uniform, jittered)]
 
     monkeypatch.setattr(grid_module, "HELPERS", 0)
-    with monkeypatch.context() as full:
-        full.setattr(grid_module, "_support", lambda spec: np.arange(spec.size))
-        want = frames()
-    for helpers in (0, 1, 3):  # 3 is more threads than this host may have cores
+    want = frames()
+    for times, got in zip((uniform, jittered), want):
+        direct = np.array([inverse_transform(GridFunction(
+            g, spectrum * np.exp(1j * t * xi ** 3), FOURIER)).values for t in times])
+        # exact zeros for the empty spectrum
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+    for helpers in (1, 3):  # 3 is more threads than this host may have cores
         monkeypatch.setattr(grid_module, "HELPERS", helpers)
         assert all(np.array_equal(a, b) for a, b in zip(frames(), want))
+
+
+def test_map_blocks_keeps_one_pool_per_process(monkeypatch):
+    monkeypatch.setattr(grid_module, "HELPERS", 3)
+    pools = {}
+    monkeypatch.setattr(grid_module, "_POOLS", pools)
+    before = set(threading.enumerate())
+
+    def make(b):
+        time.sleep(0.002)  # long enough for the helpers to take blocks
+        return b
+
+    try:
+        for count in (2, 3, 4, 9):
+            assert map_blocks(make, count) == list(range(count))
+        started = [t for t in threading.enumerate()
+                   if t not in before and t.name.startswith("dlab-rows")]
+        assert [pid for pid, _ in pools] == [os.getpid()] and len(started) <= 3
+    finally:
+        for pool in pools.values():
+            pool.shutdown()

@@ -690,6 +690,25 @@ def test_selector_window_bound_refuses_full_support_beyond_2_18_cells():
         extract_profile([big], ALPHA)
 
 
+@pytest.mark.parametrize("support, size", [("band", 16), ("wraps", 272), ("dense", 2048),
+                                           ("empty", 0)])
+def test_support_is_the_shortest_circular_run_of_nonzero_cells(support, size):
+    # a 16-cell band, two bands on either side of xi = 0 (one run around the
+    # end in FFT order), every cell, and no cell
+    g = Grid(2048, 2.0 * math.pi * 2 ** 4, -math.pi * 2 ** 4)
+    xi = g.frequencies()
+    cells = {"band": (xi >= -12.0) & (xi < -11.0),
+             "wraps": ((xi >= -8.0) & (xi < -7.0)) | ((xi >= 8.0) & (xi < 9.0)),
+             "dense": np.ones(g.n, dtype=bool),
+             "empty": np.zeros(g.n, dtype=bool)}[support]
+    rng = np.random.default_rng(12)
+    spectrum = np.fft.ifftshift(np.where(cells, rng.normal(size=g.n) + 1j, 0.0))
+    cols = profiles._support(spectrum)
+    assert cols.size == size
+    assert np.all(np.diff(cols) % g.n == 1)
+    assert np.count_nonzero(spectrum[cols]) == np.count_nonzero(spectrum)
+
+
 def full_width_argmax(f: GridFunction, t_scan: float) -> tuple[tuple[int, int], np.ndarray]:
     """The space-time argmax as the full-width scan, kept as the oracle of the
     coarse scan and its certified refinement: np.argmax of |.| over all
