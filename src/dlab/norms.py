@@ -39,6 +39,10 @@ _WINDOW_SCALES = (-1022, 1023)  # window scales j with 2^j a normal float
 # intervals one offset may see over a window's scales: 32x the most
 # (2^15) that a window=None aggregate of the test suite or perfbench sees
 _MAX_WINDOW_INTERVALS = 1 << 20
+# the fixed cost of one _dyadic_aggregate pass, in interval bounds: about
+# 0.1 ms against about 20 ns per bound (2-core x86-64, numpy 2.4)
+_PASS_ENTRIES = 5000
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +61,22 @@ class _Density:
     hi: float
     w_cell: float     # the finest nonzero cell
     fine: float       # sum(width * dens^r), or max dens for r = inf
+    gap_lo: np.ndarray  # the wide gaps [gap_lo, gap_hi) of cum inside [lo, hi)
+    gap_hi: np.ndarray
 
 
 def _prepare_density(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
                      b: float) -> _Density:
-    """cell_vals: density values, constant on cells edges[i:i+2]."""
+    """cell_vals: density values, constant on cells edges[i:i+2].
+
+    Besides the cumulative integral cum, its support [lo, hi) and the finest
+    cell, this finds the wide gaps: maximal stretches of cells between two
+    cells that move cum, across which cum does not change (zeros, or cells
+    too small to change the sum), and that are wide enough to skip.  The
+    cells that move cum form runs between them; a density with one run
+    (every planted and extracted profile) has no gap.  A flat stretch at
+    either end of [lo, hi) stays inside the support.
+    """
     cell_vals = np.asarray(cell_vals, dtype=np.float64)
     if not np.all((cell_vals >= 0.0) & (cell_vals < math.inf)):
         raise ValueError("density values must be finite and nonnegative")
@@ -69,10 +84,18 @@ def _prepare_density(cell_vals: np.ndarray, edges: np.ndarray, *, r: float,
     cum = np.concatenate(([0.0], np.cumsum(cell_vals ** b * widths)))
     nz = np.nonzero(cell_vals)[0]
     if nz.size == 0:
-        return _Density(edges, cum, r, b, 0.0, 0.0, 0.0, 0.0)
+        return _Density(edges, cum, r, b, 0.0, 0.0, 0.0, 0.0, np.empty(0), np.empty(0))
     fine = float(np.sum(widths * cell_vals ** r)) if math.isfinite(r) else float(np.max(cell_vals))
-    return _Density(edges, cum, r, b, float(edges[nz[0]]), float(edges[nz[-1] + 1]),
-                    float(np.min(widths[nz])), fine)
+    lo, hi, w_cell = float(edges[nz[0]]), float(edges[nz[-1] + 1]), float(np.min(widths[nz]))
+    moves = np.flatnonzero(cum[1:] != cum[:-1])
+    cut = np.flatnonzero(np.diff(moves) > 1)
+    gap_lo, gap_hi = edges[moves[cut] + 1], edges[moves[cut + 1]]
+    # kept: the gaps that some row can skip (8 bounds need 2 cells at the
+    # finest scale, w_cell / 4) and that save per pass more than their
+    # bookkeeping costs; a gap narrower than a sixteenth of the support
+    # saves under a sixteenth of a pass, and at most 15 gaps are kept
+    wide = gap_hi - gap_lo >= max(2.0 * w_cell, (hi - lo) / 16.0)
+    return _Density(edges, cum, r, b, lo, hi, w_cell, fine, gap_lo[wide], gap_hi[wide])
 
 
 def _check_window(dens: _Density, window: tuple[int, int]) -> None:
@@ -104,24 +127,35 @@ def _check_window(dens: _Density, window: tuple[int, int]) -> None:
 
 
 def _scale_terms(dens: _Density, *, a: float, offsets: np.ndarray, j_lo: np.ndarray,
-                 j_hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+                 j_hi: int) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Terms of a nonzero density per scale min(j_lo)..j_hi (rows, coarsest
     first; 0 below an offset's j_lo) and offset: the sum of t_I^r, t_I = w^a
     (int_I dens^b)^{1/b}, or for r = inf the largest t_I and in peak_k (else
     None) the first k with I = [k w + offset, (k+1) w + offset) attaining it.
+    The third value is the number of interval bounds evaluated.
 
     Offsets with the same residue offset mod w see the same intervals at
     scale j, only relabelled, so each (scale, residue) pair is one row,
     evaluated at the class's first offset over just the intervals that
-    meet the support.  The bounds (k0 + i) * w + rep of all rows go into
-    one array, cut into chunks of at most _BLOCK entries only when larger,
-    and one interp of the cumulative integral and one diff give every
-    interval's integral.  The power steps^{r/b} is masked to the positive
-    steps: it skips the exact zeros (most fine-scale steps of an FFT-made
-    density, on which pow is slow), the roundoff negatives, and the step
-    from one row's last bound (past the support) to the next row's first
-    (before it), which is -int dens^b.  reduceat sums each row, scaled by
-    w^{a r} (for r = inf: the row's largest step^{1/b}, scaled by w^a).
+    meet the support.  Inside the support a row also skips the interior of
+    each gap of the density (see _prepare_density) that holds at least 8 of
+    its bounds k w + rep: it keeps the first two and the last two, and the
+    step across the skipped ones is a difference of two equal values of
+    cum, exactly 0, as each skipped interval's step was.  Where a gap holds
+    fewer, the runs on both sides are evaluated as one, so a density
+    without gaps, and every row too coarse to skip one, keeps every
+    interval that meets the support, and its bits.  The pieces of a row are
+    consecutive in the bound array, and the row stays one reduceat segment.
+
+    The bounds k w + rep of all rows go into one array, cut into chunks of
+    at most _BLOCK entries only when larger, and one interp of the
+    cumulative integral and one diff give every interval's integral.  The
+    power steps^{r/b} is masked to the positive steps: it skips the exact
+    zeros (most fine-scale steps of an FFT-made density, on which pow is
+    slow), the roundoff negatives, and the step from one row's last bound
+    (past the support) to the next row's first (before it), which is
+    -int dens^b.  reduceat sums each row, scaled by w^{a r} (for r = inf:
+    the row's largest step^{1/b}, scaled by w^a).
     """
     r, b = dens.r, dens.b
     finite_r = math.isfinite(r)
@@ -133,16 +167,42 @@ def _scale_terms(dens: _Density, *, a: float, offsets: np.ndarray, j_lo: np.ndar
     # class by its first offset
     res = np.mod(offsets, w[:, None])
     order = np.argsort(res, axis=1, kind="stable")
-    res = np.take_along_axis(res, order, axis=1)
+    # order as indices into the raveled (scale, offset) array
+    flat = (order + offsets.size * np.arange(w.size)[:, None]).ravel()
+    res = res.ravel()[flat].reshape(res.shape)
     first = np.ones(res.shape, dtype=bool)
     first[:, 1:] = res[:, 1:] != res[:, :-1]
-    row_of = np.empty(res.shape, dtype=np.intp)
-    np.put_along_axis(row_of, order, np.cumsum(first).reshape(res.shape) - 1, axis=1)
-    row_w = w[np.nonzero(first)[0]]
+    row_of = np.empty(res.size, dtype=np.intp)
+    row_of[flat] = np.cumsum(first) - 1
+    row_of = row_of.reshape(res.shape)
+    row_scale = np.nonzero(first)[0]
+    row_w = w[row_scale]
     reps = offsets[order[first]]
     k0 = np.floor((dens.lo - reps) / row_w)
-    counts = (np.ceil((dens.hi - reps) / row_w) - k0).astype(np.intp) + 1
+    k_end = np.ceil((dens.hi - reps) / row_w)
+
+    # each row is a list of pieces, each a run of consecutive bounds: piece
+    # i starts at bound piece_k[i] and holds piece_n[i] bounds, and every row
+    # has `per_row` pieces, one more than the density has gaps
+    piece_k, counts = k0, (k_end - k0).astype(np.intp) + 1
+    piece_n, per_row = counts, 1
+    if dens.gap_lo.size:
+        # per row and gap: p and q, the second and the next-to-last bound in
+        # the gap (q no lower than k0); row r's pieces run k0..p_1, q_1..p_2,
+        # ..., q_m..k_end, but where q - p < 5 (fewer than 8 bounds in the
+        # gap) the piece before it ends at q - 1 instead, joining the runs
+        # on both sides
+        p = np.ceil((dens.gap_lo - reps[:, None]) / row_w[:, None]) + 1.0
+        q = np.maximum(np.floor((dens.gap_hi - reps[:, None]) / row_w[:, None]) - 1.0,
+                       k0[:, None])
+        piece_k = np.concatenate((k0[:, None], q), axis=1).ravel()
+        piece_last = np.concatenate((np.where(q - p >= 5.0, p, q - 1.0), k_end[:, None]), axis=1)
+        piece_n = (piece_last.ravel() - piece_k).astype(np.intp) + 1
+        per_row = dens.gap_lo.size + 1
+        counts = piece_n.reshape(-1, per_row).sum(axis=1)
     ends = np.cumsum(counts)
+    # bound j of the sequence of all rows' bounds, in piece i, is k = piece_base[i] + j
+    piece_base = piece_k - (np.cumsum(piece_n) - piece_n)
 
     row_vals = np.empty(reps.size)
     row_k = None if finite_r else np.empty(reps.size)
@@ -151,9 +211,10 @@ def _scale_terms(dens: _Density, *, a: float, offsets: np.ndarray, j_lo: np.ndar
         e = max(int(np.searchsorted(ends, ends[s] - counts[s] + _BLOCK, side="right")), s + 1)
         c = counts[s:e]
         starts = np.cumsum(c) - c
-        # (k0 + i) * w + rep, built in place to keep the peak low
-        bounds = np.repeat(k0[s:e] - starts, c)
-        bounds += np.arange(bounds.size)
+        # k w + rep, built in place to keep the peak low
+        bounds = np.repeat(piece_base[s * per_row:e * per_row], piece_n[s * per_row:e * per_row])
+        bounds += np.arange(ends[s] - c[0], ends[e - 1], dtype=np.float64)
+        k = None if finite_r else bounds.copy()
         bounds *= np.repeat(row_w[s:e], c)
         bounds += np.repeat(reps[s:e], c)
         # exact: cum is piecewise linear with nodes at the cell edges
@@ -168,21 +229,22 @@ def _scale_terms(dens: _Density, *, a: float, offsets: np.ndarray, j_lo: np.ndar
             # a row's steps sum to int dens^b > 0 and the step into the next
             # row is negative, so a row's first hit of its peak is its own
             hits = np.flatnonzero(steps == np.repeat(peak, c)[:-1])
-            row_k[s:e] = k0[s:e] + hits[np.searchsorted(hits, starts)] - starts
+            row_k[s:e] = k[hits[np.searchsorted(hits, starts)]]
         s = e
 
     # scale j is inside the coarse tail of offsets with j < j_lo
     return (np.where(scales[:, None] >= j_lo, row_vals[row_of], 0.0),
-            None if finite_r else row_k[row_of])
+            None if finite_r else row_k[row_of], int(ends[-1]))
 
 
 def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
-                      window: tuple[int, int] | None = None) -> np.ndarray:
+                      window: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
     """l^r aggregate over dyadic intervals of w^a * (int_I dens^b)^{1/b}.
 
-    Returns one value per entry of 'offsets'.  For an offset the intervals
-    are [k*w + offset, (k+1)*w + offset) with w = 2^{-j}; the anchor shift
-    realizes frequency modulations exactly.
+    Returns one value per entry of 'offsets', and the number of interval
+    bounds the pass evaluated (its cost beyond a fixed one, _PASS_ENTRIES).
+    For an offset the intervals are [k*w + offset, (k+1)*w + offset) with
+    w = 2^{-j}; the anchor shift realizes frequency modulations exactly.
 
     With window=None the whole bi-infinite scale sum is returned: scales
     finer than a cell and coarser than the support are closed-form
@@ -194,7 +256,7 @@ def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
         _check_window(dens, window)
     total_pow = dens.cum[-1]
     if total_pow == 0.0:
-        return np.zeros(offsets.size)
+        return np.zeros(offsets.size), 0
     r, b = dens.r, dens.b
     finite_r = math.isfinite(r)
 
@@ -208,7 +270,7 @@ def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
     else:
         j_hi = window[1]
         j_lo = np.full(offsets.size, window[0])
-    per_scale, _ = _scale_terms(dens, a=a, offsets=offsets, j_lo=j_lo, j_hi=j_hi)
+    per_scale, _, entries = _scale_terms(dens, a=a, offsets=offsets, j_lo=j_lo, j_hi=j_hi)
     acc = np.cumsum(per_scale, axis=0)[-1] if finite_r else per_scale.max(axis=0)
 
     if window is None:
@@ -218,11 +280,11 @@ def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
         if finite_r:
             e_sub = r * sub_exp - 1.0
             if e_sub <= 0.0:
-                return np.full(offsets.size, math.inf)
+                return np.full(offsets.size, math.inf), entries
             acc += dens.fine * (w_next ** e_sub) / (1.0 - 2.0 ** (-e_sub))
         else:
             if sub_exp < 0.0:
-                return np.full(offsets.size, math.inf)
+                return np.full(offsets.size, math.inf), entries
             acc = np.maximum(acc, dens.fine if sub_exp == 0.0 else dens.fine * w_next ** sub_exp)
 
         # scales coarser than the support: exactly one interval on each
@@ -233,16 +295,16 @@ def _dyadic_aggregate(dens: _Density, *, a: float, offsets: ArrayLike = (0.0,),
         w_prev = 2.0 ** (1.0 - j_lo)
         if finite_r:
             if a >= 0.0:
-                return np.full(offsets.size, math.inf)
+                return np.full(offsets.size, math.inf), entries
             halves = n_plus ** (r / b) + n_minus ** (r / b)
             acc += halves * (w_prev ** (a * r)) / (1.0 - 2.0 ** (a * r))
         else:
             if a > 0.0:
-                return np.full(offsets.size, math.inf)
+                return np.full(offsets.size, math.inf), entries
             cand = np.maximum(n_plus, n_minus) ** (1.0 / b)
             acc = np.maximum(acc, cand if a == 0.0 else cand * w_prev ** a)
 
-    return acc ** (1.0 / r) if finite_r else acc
+    return (acc ** (1.0 / r) if finite_r else acc), entries
 
 
 def _fourier_cells(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +326,7 @@ def _physical_cells(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def conjugate_exponent(r: float) -> float:
-    if r < 1:
+    if not r >= 1:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {r}")
     if r == 1:
         return math.inf
@@ -293,7 +355,7 @@ def morrey_norm(f: GridFunction, p: float, q: float, r: float,
     """
     if not (1 <= p <= q):
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"need r > 0, got r={r}")
     if p == q and math.isfinite(r):
         raise ValueError("p == q requires r = inf (norm diverges otherwise)")
@@ -302,7 +364,7 @@ def morrey_norm(f: GridFunction, p: float, q: float, r: float,
         raise ValueError("q = 1 (local sup norms) is not supported")
     dens = _prepare_density(*_fourier_cells(f), r=r, b=qp)
     a = (0.0 if math.isinf(q) else 1.0 / q) - 1.0 / p
-    return float(_dyadic_aggregate(dens, a=a, offsets=[offset], window=window)[0])
+    return float(_dyadic_aggregate(dens, a=a, offsets=[offset], window=window)[0][0])
 
 
 def morrey_physical(f: GridFunction, p: float, q: float, r: float) -> float:
@@ -312,7 +374,7 @@ def morrey_physical(f: GridFunction, p: float, q: float, r: float) -> float:
     if p == q and math.isfinite(r):
         raise ValueError("q == p requires r = inf")
     dens = _prepare_density(*_physical_cells(f), r=r, b=q)
-    return float(_dyadic_aggregate(dens, a=1.0 / p - 1.0 / q)[0])
+    return float(_dyadic_aggregate(dens, a=1.0 / p - 1.0 / q)[0][0])
 
 
 def sigma_range(alpha: float) -> tuple[float, float]:
@@ -328,15 +390,66 @@ def _check_ell_exponents(alpha: float, sigma: float) -> None:
         raise ValueError(f"sigma must lie in ({lo:g}, {hi:g}], got {sigma}")
 
 
+def _golden_step(xa: float, xb: float, c: float, d: float,
+                 c_lower: bool) -> tuple[float, float, float, float]:
+    """One golden-section step on the bracket [xa, xb] with interior points
+    c < d, given whether f(c) < f(d); the point it adds is the new c or d."""
+    if c_lower:
+        xb, d = d, c
+        return xa, xb, xb - _INVPHI * (xb - xa), d
+    xa, c = c, d
+    return xa, xb, c, xa + _INVPHI * (xb - xa)
+
+
+def _golden_reach(state: tuple[float, float, float, float], depth: int,
+                  known: dict[float, float], tol: float) -> list[float]:
+    """The points that the next `depth` golden-section steps from `state`
+    (xa, xb, c, d) add, over both outcomes of every comparison whose values
+    `known` does not yet hold; a bracket of width tol or less ends a path."""
+    reach, level = [], [state]
+    for _ in range(depth):
+        grown = []
+        for xa, xb, c, d in level:
+            if not xb - xa > tol:
+                continue
+            decided = c in known and d in known
+            for c_lower in ((known[c] < known[d],) if decided else (True, False)):
+                grown.append(_golden_step(xa, xb, c, d, c_lower))
+                reach.append(grown[-1][2] if c_lower else grown[-1][3])
+        level = grown
+    return reach
+
+
+def _golden_depth(entries: float) -> int:
+    """Golden-section steps per batched round: the D that minimises a round's
+    cost per step, (_PASS_ENTRIES + entries (2^D - 1)) / D, for passes that
+    evaluate `entries` interval bounds per offset."""
+    def cost(depth: int) -> float:
+        return (_PASS_ENTRIES + max(entries, 1.0) * (2 ** depth - 1)) / depth
+    depth = 1
+    while cost(depth + 1) < cost(depth):
+        depth += 1
+    return depth
+
+
 def ell(f: GridFunction, alpha: float, sigma: float,
         window: tuple[int, int] | None = None) -> tuple[float, float]:
     """Infimum over modulations xi of ||P(xi) f||_{Mhat^alpha_{2,sigma}}.
 
     Coarse scan at twice the cell spacing across the spectral support,
     all candidates in one batched _dyadic_aggregate pass, then
-    golden-section refinement to 1e-6 relative bracket width, one offset
-    per step.  The density is prepared once for all of them.  Returns
-    (value, minimizer).
+    golden-section refinement to 1e-6 relative bracket width.  The density
+    is prepared once for all of them.  Returns (value, minimizer).
+
+    The refinement runs in batched rounds, each one pass.  The first
+    evaluates the bracket's two interior points; each later one the 2^D - 1
+    points that the next D steps can reach, whichever way their comparisons
+    go (_golden_reach).  The steps are then walked with the comparisons and
+    arithmetic of a loop of one-offset calls (_golden_step); a batched pass
+    gives each offset the bits a one-offset call gives it, so the iterates
+    and the result are that loop's.  D (_golden_depth) weighs a pass's fixed
+    cost against the bounds one offset costs in the first round: a narrow
+    support takes several steps per pass, a dense spectrum one.
     """
     _check_ell_exponents(alpha, sigma)
     vals, edges = _fourier_cells(f)
@@ -344,35 +457,31 @@ def ell(f: GridFunction, alpha: float, sigma: float,
     if not np.any(vals > 0):
         return 0.0, 0.0
     a = 0.5 - 1.0 / alpha
+    known: dict[float, float] = {}
 
-    def aggregate(offsets: ArrayLike) -> np.ndarray:
-        return _dyadic_aggregate(dens, a=a, offsets=offsets, window=window)
-
-    def objective(xi0: float) -> float:
-        return float(aggregate([xi0])[0])
+    def evaluate(points: list[float]) -> float:
+        """Aggregate `points` in one pass; returns the bounds per point."""
+        values, entries = _dyadic_aggregate(dens, a=a, offsets=points, window=window)
+        known.update(zip(points, values.tolist()))
+        return entries / len(points)
 
     step = 2.0 * float(np.min(np.diff(edges)))
     candidates = np.arange(dens.lo - step, dens.hi + 2 * step, step)
-    cand_vals = aggregate(candidates)
+    cand_vals, _ = _dyadic_aggregate(dens, a=a, offsets=candidates, window=window)
     i = int(np.argmin(cand_vals))
     xa = candidates[max(i - 1, 0)]
     xb = candidates[min(i + 1, candidates.size - 1)]
+    tol = 1e-6 * max(abs(xa), abs(xb), 1.0)
 
-    # golden-section refinement on the bracket
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = xb - invphi * (xb - xa)
-    d = xa + invphi * (xb - xa)
-    fc, fd = objective(c), objective(d)
-    scale = max(abs(xa), abs(xb), 1.0)
-    while (xb - xa) > 1e-6 * scale:
-        if fc < fd:
-            xb, d, fd = d, c, fc
-            c = xb - invphi * (xb - xa)
-            fc = objective(c)
-        else:
-            xa, c, fc = c, d, fd
-            d = xa + invphi * (xb - xa)
-            fd = objective(d)
+    c = xb - _INVPHI * (xb - xa)
+    d = xa + _INVPHI * (xb - xa)
+    depth = _golden_depth(evaluate([c, d]))
+    while xb - xa > tol:
+        nxt = _golden_step(xa, xb, c, d, known[c] < known[d])
+        if nxt[2] not in known or nxt[3] not in known:
+            evaluate(_golden_reach((xa, xb, c, d), depth, known, tol))
+        xa, xb, c, d = nxt
+    fc, fd = known[c], known[d]
     best_x = c if fc < fd else d
     best_v = min(fc, fd)
     if cand_vals[i] < best_v:
@@ -471,6 +580,11 @@ class NormSpec:
         if self.j_min is not None and self.kind not in WINDOWED_KINDS:
             raise ValueError(f"kind={self.kind} reads no j_min/j_max window; "
                              f"only {' and '.join(WINDOWED_KINDS)} do")
+        # a spec that sets no r has r = NaN, which every comparison fails
+        if self.kind == "lhat" and not self.r >= 1:
+            raise ValueError(f"kind=lhat needs r >= 1, got r={self.r}")
+        if self.kind == "morrey_hat" and not self.r > 0:
+            raise ValueError(f"kind=morrey_hat needs r > 0, got r={self.r}")
 
     @classmethod
     def from_preset(cls, name: str, alpha: float) -> "NormSpec":

@@ -338,7 +338,7 @@ def _selector(f: GridFunction, alpha: float, scales: range) -> tuple[np.ndarray,
     _check_window(dens, window)
     if dens.cum[-1] == 0.0:
         return np.zeros(len(scales)), np.zeros(len(scales), dtype=np.int64)
-    values, k = _scale_terms(dens, a=-1.0 / (3.0 * alpha), offsets=np.zeros(1),
+    values, k, _ = _scale_terms(dens, a=-1.0 / (3.0 * alpha), offsets=np.zeros(1),
                              j_lo=np.full(1, window[0]), j_hi=window[1])
     return values[::-1, 0], k[::-1, 0].astype(np.int64)
 

@@ -168,6 +168,21 @@ def test_norm_spacetime_without_a_finite_exponent_exits_1(tmp_path, capsys, spec
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("kind=morrey_hat,p=1.8,q=2", "kind=morrey_hat needs r > 0, got r=nan"),
+    ("kind=morrey_hat,p=1.8,q=2,r=nan", "kind=morrey_hat needs r > 0, got r=nan"),
+    ("kind=lhat", "kind=lhat needs r >= 1, got r=nan"),
+    ("kind=lhat,r=nan", "kind=lhat needs r >= 1, got r=nan"),
+])
+def test_norm_without_r_exits_1_before_reading_the_input(tmp_path, capsys, spec, message):
+    # morrey_hat used to print its r = inf value with exit 0, and lhat to fail
+    # only after the computation; the input here does not exist, so a refusal
+    # that names r comes before it is read
+    code, out, err = run(capsys, "norm", spec, str(tmp_path / "absent.gf"), "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == message + "\n"
+
+
 def test_norm_bad_file_exits_1(tmp_path, capsys):
     path = tmp_path / "junk.gf"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

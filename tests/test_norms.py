@@ -60,6 +60,23 @@ def planted_state(seed: int, n: int) -> GridFunction:
                  d_exponent=ALPHA)
 
 
+def runs_state(runs, amps=None) -> GridFunction:
+    # random moduli on the given (start, stop, step) cell ranges of the
+    # planted grid, exact zeros elsewhere; amps scales each range
+    g = planted_grid()
+    rng = np.random.default_rng(len(runs))
+    vals = np.zeros(g.n, complex)
+    for i, (start, stop, step) in enumerate(runs):
+        cells = np.arange(start, stop, step)
+        vals[cells] = (1.0 if amps is None else amps[i]) * rng.uniform(0.5, 1.0, cells.size)
+    return GridFunction(g, vals, FOURIER)
+
+
+def two_runs_second_peaks() -> GridFunction:
+    # two 16-cell runs 1184 cells apart; the second is three times the first
+    return runs_state([(100, 116, 1), (1300, 1316, 1)], amps=[1.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # lhat
 # ---------------------------------------------------------------------------
@@ -153,6 +170,19 @@ def test_morrey_exponent_validation():
     assert morrey_norm(f * 0.0, 1.8, 2.0, 3.0) == 0.0
 
 
+def test_nan_exponents_are_refused():
+    # NaN fails every comparison, so `r < 1` and `r <= 0` used to let it through:
+    # lhat_norm returned NaN and morrey_norm the r = inf value
+    f = random_band(Grid(128, 2 * np.pi * 4), seed=0)
+    with pytest.raises(ValueError, match="^Lebesgue exponent must be >= 1, got nan$"):
+        conjugate_exponent(math.nan)
+    with pytest.raises(ValueError, match="^Lebesgue exponent must be >= 1, got nan$"):
+        lhat_norm(f, math.nan)
+    with pytest.raises(ValueError, match="^need r > 0, got r=nan$"):
+        morrey_norm(f, 1.8, 2.0, math.nan)
+    assert math.isfinite(morrey_norm(f, 1.8, 2.0, math.inf))
+
+
 def test_morrey_dilation_invariance():
     alpha, sigma = 1.8, 3.0
     f = random_band(Grid(512, 2 * np.pi * 16), seed=4)
@@ -203,6 +233,123 @@ def test_ell_minimizer_attains_value_on_planted_profiles():
             value, rel=1e-12)
 
 
+def golden_sequential(f: GridFunction, alpha: float, sigma: float,
+                      window=None) -> tuple[float, float]:
+    """ell with its golden-section refinement as a loop of one-offset
+    _dyadic_aggregate calls, one per step: the oracle of ell's batched rounds."""
+    vals, edges = _fourier_cells(f)
+    dens = _prepare_density(vals, edges, r=sigma, b=2.0)
+    if not np.any(vals > 0):
+        return 0.0, 0.0
+    a = 0.5 - 1.0 / alpha
+
+    def objective(xi0: float) -> float:
+        return float(norms._dyadic_aggregate(dens, a=a, offsets=[xi0], window=window)[0][0])
+
+    step = 2.0 * float(np.min(np.diff(edges)))
+    candidates = np.arange(dens.lo - step, dens.hi + 2 * step, step)
+    cand_vals = norms._dyadic_aggregate(dens, a=a, offsets=candidates, window=window)[0]
+    i = int(np.argmin(cand_vals))
+    xa = candidates[max(i - 1, 0)]
+    xb = candidates[min(i + 1, candidates.size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = xb - invphi * (xb - xa)
+    d = xa + invphi * (xb - xa)
+    fc, fd = objective(c), objective(d)
+    scale = max(abs(xa), abs(xb), 1.0)
+    while (xb - xa) > 1e-6 * scale:
+        if fc < fd:
+            xb, d, fd = d, c, fc
+            c = xb - invphi * (xb - xa)
+            fc = objective(c)
+        else:
+            xa, c, fc = c, d, fd
+            d = xa + invphi * (xb - xa)
+            fd = objective(d)
+    best_x = c if fc < fd else d
+    best_v = min(fc, fd)
+    if cand_vals[i] < best_v:
+        best_x, best_v = float(candidates[i]), float(cand_vals[i])
+    return float(best_v), float(best_x)
+
+
+def dense_fft_band() -> GridFunction:
+    # all 2048 cells nonzero, made by a physical round trip
+    g = planted_grid()
+    rng = np.random.default_rng(5)
+    band = GridFunction(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n), FOURIER)
+    return band.to_physical().to_fourier()
+
+
+def ell_oracle_inputs(name: str) -> list[GridFunction]:
+    from test_profiles import criterion_12_inputs, random_bands, scan_inputs
+    if name.startswith("scan"):
+        return scan_inputs(int(name[-1]))
+    if name == "criterion_12":
+        return [f for fs in criterion_12_inputs().values() for f in fs]
+    return random_bands(24, int(name[-1]))  # bands of 1 to 300 cells and their FFT-made copies
+
+
+@pytest.mark.parametrize("name", ["scan0", "scan1", "criterion_12",
+                                  "random_bands0", "random_bands1"])
+def test_ell_rounds_match_the_one_offset_loop(name):
+    # the same bits: each round's pass gives every offset a one-offset call's value
+    for f in ell_oracle_inputs(name):
+        assert ell(f, ALPHA, SIGMA) == golden_sequential(f, ALPHA, SIGMA)
+
+
+def aggregate_calls(monkeypatch, fn):
+    """fn() and the number of offsets of each _dyadic_aggregate call it made."""
+    real = norms._dyadic_aggregate
+    sizes = []
+
+    def spy(dens, *, a, offsets, window):
+        sizes.append(np.size(offsets))
+        return real(dens, a=a, offsets=offsets, window=window)
+
+    monkeypatch.setattr(norms, "_dyadic_aggregate", spy)
+    try:
+        return fn(), sizes
+    finally:
+        monkeypatch.undo()
+
+
+def test_ell_rounds_on_a_dense_band_take_one_offset_per_pass(monkeypatch):
+    f = dense_fft_band()
+    got, rounds = aggregate_calls(monkeypatch, lambda: ell(f, ALPHA, SIGMA))
+    want, loop = aggregate_calls(monkeypatch, lambda: golden_sequential(f, ALPHA, SIGMA))
+    assert got == want
+    # the candidate scan, c and d in one pass, then one offset per step
+    assert rounds[1] == 2 and set(rounds[2:]) == {1}
+    assert rounds[2:] == loop[3:]
+
+
+def test_ell_rounds_on_a_narrow_band_take_several_steps_per_pass(monkeypatch):
+    f = planted_state(0, 3)
+    got, rounds = aggregate_calls(monkeypatch, lambda: ell(f, ALPHA, SIGMA))
+    want, loop = aggregate_calls(monkeypatch, lambda: golden_sequential(f, ALPHA, SIGMA))
+    assert got == want
+    assert rounds[1] == 2 and max(rounds[2:]) > 1
+    assert len(rounds) < len(loop) / 2
+
+
+def test_ell_rounds_end_on_a_density_whose_integral_underflows():
+    # nonzero cells whose squares underflow: every pass is all zeros and
+    # evaluates no bound, and the rounds still walk the loop's steps
+    g = Grid(256, 2 * np.pi * 8)
+    vals = np.zeros(g.n, complex)
+    vals[100:110] = 1e-200
+    f = GridFunction(g, vals, FOURIER)
+    assert ell(f, ALPHA, SIGMA) == golden_sequential(f, ALPHA, SIGMA)
+    assert ell(f, ALPHA, SIGMA)[0] == 0.0
+
+
+def test_ell_rounds_match_the_one_offset_loop_in_a_window():
+    f = planted_state(1, 8)
+    window = (-3, 5)
+    assert ell(f, ALPHA, SIGMA, window=window) == golden_sequential(f, ALPHA, SIGMA, window=window)
+
+
 def test_sigma_range_values():
     lo, hi = sigma_range(1.8)
     assert lo == pytest.approx(1.8 / 0.8)
@@ -215,7 +362,7 @@ def test_sigma_range_values():
 
 def aggregate(vals, edges, *, r, a, b, offsets=(0.0,), window=None):
     return _dyadic_aggregate(_prepare_density(vals, edges, r=r, b=b), a=a,
-                             offsets=offsets, window=window)
+                             offsets=offsets, window=window)[0]
 
 
 def dyadic_aggregate_by_scale(cell_vals, edges, *, r, a, b, offsets=(0.0,), window=None):
@@ -334,6 +481,17 @@ ORACLE_CASES = {
     "mostly_zeros": (lambda: _fourier_cells(planted_state(0, 3).to_physical().to_fourier()),
                      ELL_KW),
     **{f"pair_n{n}": (lambda n=n: _fourier_cells(pair_state(n)), ELL_KW) for n in (8, 16, 32, 48)},
+    # gapped densities: every other cell zero; two runs 1184 cells apart;
+    # gaps of 3, 40 and 400 cells, which rows skip at fine scales and join
+    # at coarse ones; and the selector's exponents on two runs whose first
+    # maximising interval, at every scale finer than the gap, is in the second
+    "comb": (lambda: _fourier_cells(runs_state([(600, 664, 2)])), ELL_KW),
+    "two_runs": (lambda: _fourier_cells(runs_state([(100, 116, 1), (1300, 1316, 1)])), ELL_KW),
+    "uneven_gaps": (lambda: _fourier_cells(runs_state([(500, 508, 1), (511, 519, 1),
+                                                       (559, 575, 1), (975, 983, 1)])), ELL_KW),
+    "r_inf_second_run": (lambda: _fourier_cells(two_runs_second_peaks()),
+                         dict(r=math.inf, a=-1.0 / (3.0 * ALPHA),
+                              b=conjugate_exponent(1.5 * ALPHA))),
 }
 
 
@@ -362,6 +520,68 @@ def test_aggregate_matches_by_scale_oracle(case, mode):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def peak_k_by_scale(vals, edges, *, a, b, offset, scales):
+    """Per scale j of `scales`: the first k whose interval [k w + offset,
+    (k+1) w + offset), w = 2^-j, attains the largest w^a (int_I dens^b)^{1/b}
+    over every interval that meets the support."""
+    cum = np.concatenate(([0.0], np.cumsum(np.asarray(vals) ** b * np.diff(edges))))
+    nz = np.nonzero(vals)[0]
+    lo, hi = edges[nz[0]], edges[nz[-1] + 1]
+    ks = []
+    for j in scales:
+        w = 2.0 ** (-j)
+        k0 = math.floor((lo - offset) / w)
+        bounds = (k0 + np.arange(math.ceil((hi - offset) / w) - k0 + 1)) * w + offset
+        terms = np.maximum(np.diff(np.interp(bounds, edges, cum)), 0.0) ** (1.0 / b) * w ** a
+        ks.append(k0 + int(np.argmax(terms)))
+    return np.array(ks)
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (_, kw) in ORACLE_CASES.items()
+                                         if kw["r"] == math.inf))
+def test_peak_k_matches_by_scale_oracle(case):
+    cells, kw = ORACLE_CASES[case]
+    vals, edges = cells()
+    dens = _prepare_density(vals, edges, r=math.inf, b=kw["b"])
+    j_min, j_max = kw.get("window") or (-8, math.ceil(-math.log2(dens.w_cell)) + 2)
+    for offset in (0.0, 0.3 * dens.w_cell + 0.1 * (dens.hi - dens.lo)):
+        _, k, _ = norms._scale_terms(dens, a=kw["a"], offsets=np.array([offset]),
+                                     j_lo=np.array([j_min]), j_hi=j_max)
+        want = peak_k_by_scale(vals, edges, a=kw["a"], b=kw["b"], offset=offset,
+                               scales=range(j_min, j_max + 1))
+        np.testing.assert_array_equal(k[:, 0], want)
+        if case == "r_inf_second_run":
+            # the gap is skipped at these scales, and k still names the interval
+            assert dens.gap_lo.size == 1
+            fine = np.arange(j_min, j_max + 1) >= 0
+            assert np.all(k[fine, 0] * 2.0 ** -np.arange(j_min, j_max + 1)[fine] + offset
+                          >= edges[1300] - 1.0)
+
+
+def test_gaps_are_skipped_and_a_single_run_keeps_its_bounds(monkeypatch):
+    # interval bounds one offset's pass interpolates, counted at np.interp;
+    # before gaps were skipped pair_state(48) took 12447, for 32 nonzero
+    # cells spread over 1552
+    real = np.interp
+    sizes = []
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    def entries(f):
+        dens = _prepare_density(*_fourier_cells(f), r=SIGMA, b=2.0)
+        sizes.clear()
+        monkeypatch.setattr(norms.np, "interp", spy)
+        offset = dens.lo + 0.3 * (dens.hi - dens.lo) + 0.0123
+        _dyadic_aggregate(dens, a=ELL_KW["a"], offsets=[offset])
+        monkeypatch.undo()
+        return sum(sizes)
+
+    assert entries(pair_state(48)) <= 12447 // 10
+    assert entries(planted_state(0, 3)) == 145
+
+
 @pytest.mark.parametrize("seed, n", [(0, 3), (1, 8)])
 def test_planted_state_density_support_is_its_band(seed, n):
     # D(4) P(n) moves the bump's cells [0, 1) to [-4n, -4n + 4), exact zeros elsewhere
@@ -376,8 +596,10 @@ def test_ell_matches_by_scale_oracle_on_planted_states(monkeypatch, seed, n):
     vals, edges = _fourier_cells(u)
 
     def by_scale(dens, *, a, offsets, window):
-        return dyadic_aggregate_by_scale(vals, edges, r=dens.r, a=a, b=dens.b,
-                                         offsets=offsets, window=window)
+        # the pass's bound count from the engine, so that ell runs the same rounds
+        return (dyadic_aggregate_by_scale(vals, edges, r=dens.r, a=a, b=dens.b,
+                                          offsets=offsets, window=window),
+                _dyadic_aggregate(dens, a=a, offsets=offsets, window=window)[1])
 
     monkeypatch.setattr(norms, "_dyadic_aggregate", by_scale)
     want_value, want_xi0 = ell(u, ALPHA, SIGMA)
@@ -524,6 +746,19 @@ def test_norm_spec_errors():
         NormSpec.parse("kind=lhat\nbogus")
     with pytest.raises(ValueError, match="unknown norm spec key"):
         NormSpec.parse("kind=lhat,weight=3")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind=lhat", "^kind=lhat needs r >= 1, got r=nan$"),  # a spec without r has r = nan
+    ("kind=lhat,r=nan", "^kind=lhat needs r >= 1, got r=nan$"),
+    ("kind=lhat,r=0.5", "^kind=lhat needs r >= 1, got r=0.5$"),
+    ("kind=morrey_hat,p=1.8,q=2", "^kind=morrey_hat needs r > 0, got r=nan$"),
+    ("kind=morrey_hat,p=1.8,q=2,r=nan", "^kind=morrey_hat needs r > 0, got r=nan$"),
+])
+def test_norm_spec_refuses_a_missing_r(text, message):
+    with pytest.raises(ValueError, match=message):
+        NormSpec.parse(text)
+    assert NormSpec.parse(text.replace(",r=nan", "").replace(",r=0.5", "") + ",r=inf").r == math.inf
 
 
 @pytest.mark.parametrize("half", ["j_min=-2", "j_max=4"])
