@@ -25,11 +25,10 @@ fixed RESIDUAL_FRAMES times resolve the residual at every carrier; its
 nonlinear term is formed one grid.map_row_blocks block at a time.  The
 experiment sweeps the carrier frequency and records how the gap to the
 true gKdV solution closes; per carrier it makes one NLS and one gKdV solve,
-each a SolveConfig with both_ways that marches t > 0 and t < 0 together.
-The 2K solves are independent and run as tasks of grid.map_blocks, the
-executor of the row blocks; the rows are then built one carrier at a
-time.  A row whose third harmonic 3(xi_n + xi_n^{1/4}) lies above the
-grid's top frequency says so and warns.
+each a SolveConfig with both_ways that marches t > 0 and t < 0 together,
+on the calling thread, and then builds the carrier's row.  A row whose
+third harmonic 3(xi_n + xi_n^{1/4}) lies above the grid's top frequency
+says so and warns.
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .grid import (PHYSICAL, ROW_BLOCK, GridFunction, SpaceTimeField, fourier_multiply,
-                   map_blocks, map_row_blocks, physical_rows)
+                   map_row_blocks, physical_rows)
 from .deformations import airy_flow, modulate
 from .evolutions import (SolveConfig, _nonlinear_power, check_alpha, gkdv_solve, nls_solve,
                          suggest_dt)
@@ -223,15 +221,11 @@ def _solve_gkdv(phi: GridFunction, xi_n: float, cfg: SolveConfig) -> SpaceTimeFi
 def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
     """Sweep the carrier frequencies; one result row per xi_n.
 
-    First the calling thread builds every carrier's two SolveConfigs in
-    ascending xi_n, and a carrier whose third harmonic the grid cannot hold
-    warns, so the warnings come in one order from one thread for any number
-    of helpers.  Then the 2K solves, all independent, run as map_blocks
-    tasks, heaviest carrier first (gKdV steps grow like (xi_n + 8)^3 / xi_n),
-    its gKdV before its NLS.  Last the calling thread builds the rows in
-    ascending xi_n (seam errors, residual, the S, L and N norms), whose
-    row-block calls use the helpers, so one carrier's residual arrays are
-    held at a time.
+    Each carrier in ascending xi_n builds its two SolveConfigs, warns if
+    the grid cannot hold its third harmonic, runs its NLS and gKdV solves
+    and builds its row (seam errors, residual, the S, L and N norms), so
+    one carrier's fields are held at a time.  The solves run on the calling
+    thread; the row-block calls of the row use the helpers.
     """
     c0, _ = embedding_constants(cfg.alpha)
     grid = cfg.phi.grid
@@ -240,22 +234,18 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
     spec_n = NormSpec.from_preset("N", cfg.alpha)
     top = float(np.max(grid.frequencies()))
 
-    seams, resolved, gkdv_steps = [], [], []
-    solves = {}  # (carrier, "nls" or "gkdv") -> the solve, a call without arguments
-    for k, xi_n in enumerate(cfg.xi_list):
+    rows = []
+    for xi_n in cfg.xi_list:
         seam = cfg.T / (3.0 * xi_n)
         # NLS with coupling C0
         store = max(1, int(math.floor((cfg.T / 64.0) / cfg.nls_dt)))
-        solves[k, "nls"] = partial(_solve_nls, cfg.phi, xi_n, SolveConfig(
-            alpha=cfg.alpha, mu=MU, coupling=c0, t_end=cfg.T, dt=cfg.nls_dt,
-            store_every=store, both_ways=True))
+        nls_cfg = SolveConfig(alpha=cfg.alpha, mu=MU, coupling=c0, t_end=cfg.T,
+                              dt=cfg.nls_dt, store_every=store, both_ways=True)
         # gKdV; the step follows the per-carrier accuracy rule
-        xi_active = xi_n + 8.0
-        dt = min(suggest_dt(grid, xi_active), seam / 64.0)
+        dt = min(suggest_dt(grid, xi_n + 8.0), seam / 64.0)
         g_store = max(1, round(seam / dt / (GKDV_FRAMES - 1)))
         gkdv_cfg = SolveConfig(alpha=cfg.alpha, mu=MU, coupling=1.0, t_end=seam, dt=dt,
                                store_every=g_store, both_ways=True)
-        solves[k, "gkdv"] = partial(_solve_gkdv, cfg.phi, xi_n, gkdv_cfg)
         # beyond the grid's top frequency the third harmonic of the carrier
         # is cut from the residual
         harmonic = 3.0 * (xi_n + xi_n ** 0.25)
@@ -263,17 +253,8 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
             warnings.warn(f"xi={xi_n:g}: the third harmonic band edge 3(xi + xi^(1/4)) = "
                           f"{harmonic:.4g} exceeds the grid's top frequency {top:g}; "
                           "residual_Y omits it", stacklevel=2)
-        seams.append(seam)
-        resolved.append(harmonic <= top)
-        gkdv_steps.append(gkdv_cfg.n_steps)
-
-    heaviest = sorted(range(len(seams)), key=gkdv_steps.__getitem__, reverse=True)
-    keys = [(k, eq) for k in heaviest for eq in ("gkdv", "nls")]
-    fields = dict(zip(keys, map_blocks(lambda b: solves[keys[b]](), len(keys))))
-
-    rows = []
-    for k, (xi_n, seam) in enumerate(zip(cfg.xi_list, seams)):
-        v_field, u_field = fields.pop((k, "nls")), fields.pop((k, "gkdv"))
+        v_field = _solve_nls(cfg.phi, xi_n, nls_cfg)
+        u_field = _solve_gkdv(cfg.phi, xi_n, gkdv_cfg)
 
         # seam-time gap in the critical data norm
         errs = []
@@ -294,6 +275,6 @@ def embedding_experiment(cfg: EmbeddingConfig) -> list[dict]:
             "norm_S": float(spacetime_norm(u_field, spec_s)),
             "norm_L": float(spacetime_norm(u_field, spec_l)),
             "residual_Y": float(spacetime_norm(resid, spec_n)),
-            "harmonics_resolved": bool(resolved[k]),
+            "harmonics_resolved": bool(harmonic <= top),
         })
     return rows

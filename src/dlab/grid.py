@@ -34,12 +34,10 @@ holds one block's temporaries; since every combine runs in row order
 over the same blocks, the results do not depend on the number of
 threads.  The helpers' pool, one per process with HELPERS threads, is
 started by the first call with more than one block, and a one-core host
-starts none.  map_blocks, the executor under map_row_blocks, also runs
-other independent tasks: embedding_experiment's NLS and gKdV solves, one
-task each.  When the times are uniform
-(every t_k within 4 ulps of max|t| of t_0 + k dt) and there are more than
-ROW_BLOCK of them, the phases of a block starting at row lo are
-e^{i t_lo p}, one direct exp per block, times a table e^{i j dt p},
+starts none.  map_blocks is the executor under map_row_blocks.  When the
+times are uniform (every t_k within 4 ulps of max|t| of t_0 + k dt) and
+there are more than ROW_BLOCK of them, the phases of a block starting at
+row lo are e^{i t_lo p}, one direct exp per block, times a table e^{i j dt p},
 j < ROW_BLOCK, built once per call by doubling: from the log2(ROW_BLOCK)
 = 5 rows e^{i 2^l dt p}, table[s:2s] = table[:s] * e^{i s dt p} for
 s = 1, 2, 4, ..., so each entry is a product of at most 5 correctly
@@ -121,6 +119,8 @@ class Grid:
     def lattice_index(self, xi: float) -> int:
         """Index k with xi_k == xi (to 1e-9 cells), or raise if xi is off the lattice."""
         k = xi / self.dxi
+        if not math.isfinite(k):
+            raise ValueError(f"frequency {xi} gives no finite lattice index (spacing {self.dxi})")
         k_round = round(k)
         if abs(k - k_round) > 1e-9:
             raise ValueError(f"frequency {xi} is not on the lattice (spacing {self.dxi})")
@@ -294,7 +294,7 @@ def map_blocks(make, count: int) -> list:
     counter, each helper in a copy of the caller's context (numpy's
     errstate lives there).  After the first error no index is taken; it is
     raised once every helper has stopped.  map_row_blocks runs its blocks
-    through it, and embedding_experiment its independent solves."""
+    through it."""
     helpers = min(HELPERS, count - 1)
     if helpers <= 0:
         return [make(b) for b in range(count)]

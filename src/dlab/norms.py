@@ -362,9 +362,16 @@ def morrey_norm(f: GridFunction, p: float, q: float, r: float,
     qp = conjugate_exponent(q)
     if math.isinf(qp):
         raise ValueError("q = 1 (local sup norms) is not supported")
-    dens = _prepare_density(*_fourier_cells(f), r=r, b=qp)
     a = (0.0 if math.isinf(q) else 1.0 / q) - 1.0 / p
-    return float(_dyadic_aggregate(dens, a=a, offsets=[offset], window=window)[0][0])
+    # a huge finite r or p takes the l^r sums or the closed-form tail
+    # 1 / (1 - 2^{a r}) out of the doubles: refused rather than reported as inf or NaN
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            dens = _prepare_density(*_fourier_cells(f), r=r, b=qp)
+            value = _dyadic_aggregate(dens, a=a, offsets=[offset], window=window)[0][0]
+    except FloatingPointError:
+        raise ValueError(f"hat-Morrey sums leave the doubles at p={p}, q={q}, r={r}") from None
+    return float(value)
 
 
 def morrey_physical(f: GridFunction, p: float, q: float, r: float) -> float:
@@ -556,9 +563,10 @@ def preset_s(name: str, alpha: float, eps: float = EPS_PRESET) -> float:
 # NormSpec
 # ---------------------------------------------------------------------------
 
-KINDS = ("lhat", "morrey_hat", "ell", "spacetime_X", "spacetime_Y")
-# the kinds that read a j_min/j_max scale window
-WINDOWED_KINDS = ("morrey_hat", "ell")
+# the spec keys each norm kind reads; j_min and j_max are a dyadic scale window
+SPEC_KEYS = {"lhat": ("r",), "morrey_hat": ("p", "q", "r", "j_min", "j_max"),
+             "ell": ("p", "sigma", "j_min", "j_max"),
+             "spacetime_X": ("r", "s"), "spacetime_Y": ("r", "s")}
 
 
 @dataclass
@@ -573,13 +581,21 @@ class NormSpec:
     j_max: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SPEC_KEYS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if (self.j_min is None) != (self.j_max is None):
             raise ValueError("a norm window needs both j_min and j_max")
-        if self.j_min is not None and self.kind not in WINDOWED_KINDS:
+        reads = SPEC_KEYS[self.kind]
+        if self.j_min is not None and "j_min" not in reads:
+            windowed = (kind for kind, keys in SPEC_KEYS.items() if "j_min" in keys)
             raise ValueError(f"kind={self.kind} reads no j_min/j_max window; "
-                             f"only {' and '.join(WINDOWED_KINDS)} do")
+                             f"only {' and '.join(windowed)} do")
+        # a key left at its default (NaN, or 0 for s) is unset
+        for key in ("p", "q", "r", "s", "sigma"):
+            val = getattr(self, key)
+            if key not in reads and not (val == 0.0 if key == "s" else math.isnan(val)):
+                raise ValueError(f"kind={self.kind} reads no {key}, got {key}={val}; "
+                                 f"it reads {', '.join(reads)}")
         # a spec that sets no r has r = NaN, which every comparison fails
         if self.kind == "lhat" and not self.r >= 1:
             raise ValueError(f"kind=lhat needs r >= 1, got r={self.r}")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,11 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlab.cli import build_parser, main
 from dlab.evolutions import BlowupError, suggest_dt
 from dlab.fileio import read_grid_function, write_grid_function, write_space_time_field
 from dlab.grid import FOURIER, ROW_BLOCK, Grid, GridFunction, SpaceTimeField, map_row_blocks
+from dlab.norms import SPEC_KEYS
 
 
 def run(capsys, *argv):
@@ -181,6 +186,54 @@ def test_norm_without_r_exits_1_before_reading_the_input(tmp_path, capsys, spec,
     code, out, err = run(capsys, "norm", spec, str(tmp_path / "absent.gf"), "--no-timestamps")
     assert code == 1 and out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("kind=lhat,r=2,p=5", "kind=lhat reads no p, got p=5.0; it reads r"),
+    ("kind=ell,p=1.8,sigma=3,r=7",
+     "kind=ell reads no r, got r=7.0; it reads p, sigma, j_min, j_max"),
+    ("kind=morrey_hat,p=1.8,q=2,r=3,sigma=9",
+     "kind=morrey_hat reads no sigma, got sigma=9.0; it reads p, q, r, j_min, j_max"),
+    ("kind=lhat,r=2,s=1", "kind=lhat reads no s, got s=1.0; it reads r"),
+])
+def test_norm_key_its_kind_does_not_read_exits_1(tmp_path, capsys, spec, message):
+    # the ignored key used to be echoed in "spec" beside a value computed without it
+    code, out, err = run(capsys, "norm", spec, str(tmp_path / "absent.gf"), "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err == message + "\n"
+
+
+# each spec key is left out or set to one of these
+SPEC_VALUES = [None, "nan", "inf", "-inf", "0", "-1.5", "5e-324", "1e308", "1.8", "2", "3"]
+
+
+@pytest.fixture(scope="module")
+def norm_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("norm")
+    f = write_sample(path / "g.gf", n=64)
+    write_space_time_field(SpaceTimeField(f.grid, np.array([0.0, 0.5, 1.0]),
+                                          np.stack([f.values] * 3)), path / "f.stf")
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(SPEC_KEYS)), data=st.data())
+def test_norm_spec_grammar_gives_a_finite_value_or_one_line(norm_inputs, kind, data):
+    # every key the kind reads takes each edge value; one other key may be set too
+    keys = [key for key in SPEC_KEYS[kind] if not key.startswith("j_")]
+    extra = data.draw(st.sampled_from([None, "p", "q", "r", "s", "sigma"]))
+    pairs = [(key, data.draw(st.sampled_from(SPEC_VALUES))) for key in keys]
+    if extra is not None and extra not in keys:
+        pairs.append((extra, data.draw(st.sampled_from(SPEC_VALUES[1:]))))
+    spec = ",".join([f"kind={kind}"] + [f"{key}={val}" for key, val in pairs if val])
+    path = norm_inputs / ("f.stf" if kind.startswith("spacetime") else "g.gf")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["norm", spec, str(path), "--no-timestamps"])
+    if code == 0:
+        assert err.getvalue() == "" and math.isfinite(json.loads(out.getvalue())["value"])
+    else:
+        assert code == 1 and out.getvalue() == "" and err.getvalue().count("\n") == 1, spec
 
 
 def test_norm_bad_file_exits_1(tmp_path, capsys):
@@ -360,6 +413,14 @@ def test_embed_blowup_exits_1_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "embed", "--n", "64", "--xi", "4", "--no-timestamps")
     assert code == 1 and out == ""
     assert err == "embed: blow-up or instability detected after t=0.25\n"
+
+
+@pytest.mark.parametrize("xi", ["inf", "nan", "1e308"])
+def test_embed_non_finite_carrier_exits_1_with_one_line(capsys, xi):
+    code, out, err = run(capsys, "embed", "--n", "64", "--xi", xi, "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"frequency {float(xi)} gives no finite lattice index")
 
 
 @pytest.mark.parametrize("argv, message", [

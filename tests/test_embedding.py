@@ -1,8 +1,9 @@
+import json
 import math
 import os
-import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 
 from dlab import embedding
 from dlab import grid as grid_module
-from dlab.cli import main
 from dlab.deformations import airy_flow, modulate, translate
 from dlab.embedding import (MU, RESIDUAL_FRAMES, EmbeddingConfig, approx_field,
                             build_approx_solution, embedding_constants, embedding_experiment,
                             fourier_sin_coeff, residual_field, sharp_cutoff)
-from dlab.evolutions import BlowupError, SolveConfig, _nonlinear_power, nls_solve
+from dlab.evolutions import SolveConfig, _nonlinear_power, nls_solve
 from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField,
                        map_row_blocks, physical_rows)
 
@@ -318,6 +318,9 @@ def test_embedding_config_validation():
         config(T=0.0)
     with pytest.raises(ValueError, match="lattice"):
         config(xi_list=(4.3,))
+    for bad in (math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="gives no finite lattice index"):
+            config(xi_list=(bad,))
     for bad in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="nls_dt must be positive and finite"):
             config(nls_dt=bad)
@@ -364,13 +367,12 @@ def test_embedding_experiment_reports_solver_range_warning():
 
 
 # ---------------------------------------------------------------------------
-# the solves on the block executor
+# the sweep on the calling thread
 # ---------------------------------------------------------------------------
 
 def sweep_config(alpha: float) -> EmbeddingConfig:
     # top frequency 31.5: the third harmonic 3 (10 + 10^{1/4}) = 35.3 of the
-    # last carrier lies above it; gKdV takes 73, 87 and 99 steps at xi = 4, 8
-    # and 10, so the heaviest carrier is the last
+    # last carrier lies above it
     g = Grid(128, 4 * np.pi, -2 * np.pi)
     return EmbeddingConfig(alpha=alpha, phi=gaussian(g), xi_list=(4.0, 8.0, 10.0), T=1.0,
                            nls_dt=1e-2)
@@ -380,17 +382,11 @@ def test_sweep_rows_and_warnings_do_not_depend_on_the_helper_count(monkeypatch):
     # alpha = 1.5 is outside the estimates' range, so every SolveConfig warns
     cfg = sweep_config(1.5)
     real = {name: getattr(embedding, name) for name in ("gkdv_solve", "nls_solve")}
-    on_main, helper_ran = [], threading.Event()
+    on_main = []
 
     def spy(name):
-        # with helpers, the caller's solves wait until a helper has started one
         def solve(u0, solve_cfg):
-            main_thread = threading.current_thread() is threading.main_thread()
-            on_main.append(main_thread)
-            if not main_thread:
-                helper_ran.set()
-            elif grid_module.HELPERS:
-                assert helper_ran.wait(10.0), "no helper thread took a solve"
+            on_main.append(threading.current_thread() is threading.main_thread())
             return real[name](u0, solve_cfg)
 
         return solve
@@ -398,19 +394,13 @@ def test_sweep_rows_and_warnings_do_not_depend_on_the_helper_count(monkeypatch):
     for name in real:
         monkeypatch.setattr(embedding, name, spy(name))
     runs = []
-    switch = sys.getswitchinterval()
     for helpers in (0, 1, 3):  # 3 is more threads than this host may have cores
         monkeypatch.setattr(grid_module, "HELPERS", helpers)
         on_main.clear()
-        helper_ran.clear()
-        sys.setswitchinterval(1e-6)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rows = embedding_experiment(cfg)
-        finally:
-            sys.setswitchinterval(switch)
-        assert len(on_main) == 6 and all(on_main) == (helpers == 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = embedding_experiment(cfg)
+        assert on_main == [True] * 6
         runs.append((rows, [(w.category, str(w.message), w.filename, w.lineno)
                             for w in caught]))
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -423,43 +413,20 @@ def test_sweep_rows_and_warnings_do_not_depend_on_the_helper_count(monkeypatch):
     assert len(solver) + len(harmonic) == len(caught)
 
 
-def test_solve_error_on_a_helper_reaches_the_caller_once(monkeypatch, capsys):
-    monkeypatch.setattr(grid_module, "HELPERS", 1)
-    cfg = sweep_config(1.9)
-    real = embedding.gkdv_solve
-    failing, raised = [True], []
-    helper_raised = threading.Event()
+def test_embedding_references_hold_in_process():
+    # perfbench's embedding workload checks these values at seed 0; read here
+    # (never written), a change that moves them fails in the test suite too
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    refs = json.loads(path.read_text())["embedding"]["sweep"]
+    grid = Grid(1024, 8.0 * np.pi, -4.0 * np.pi)
+    x = grid.nodes()
+    rng = np.random.default_rng(0)
+    amp, center = rng.uniform(0.95, 1.05), rng.uniform(-0.5, 0.5)
+    phi = GridFunction(grid, (amp * np.exp(-(x - center) ** 2)).astype(complex), PHYSICAL)
+    rows = embedding_experiment(EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(16.0, 32.0),
+                                                T=1.0, nls_dt=1e-3))
+    got = {f"{key}@{row['xi']:g}": value for row in rows for key, value in row.items()}
+    assert len(refs) == 8
+    for key, want in refs.items():
+        assert got[key] == pytest.approx(want, rel=1e-9, abs=0.0), key
 
-    def gkdv_solve(u0, solve_cfg):
-        # the caller's solves wait until the helper's gKdV solve has failed
-        if failing[0] and threading.current_thread() is not threading.main_thread():
-            raised.append(solve_cfg.t_end)
-            helper_raised.set()
-            raise BlowupError(0.25, None)
-        if failing[0]:
-            assert helper_raised.wait(10.0), "no helper thread took a gKdV solve"
-        return real(u0, solve_cfg)
-
-    monkeypatch.setattr(embedding, "gkdv_solve", gkdv_solve)
-    # the harmonic warning comes before any solve
-    with pytest.warns(UserWarning, match="third harmonic"), \
-            pytest.raises(BlowupError, match="after t=0.25"):
-        embedding_experiment(cfg)
-    assert len(raised) == 1
-
-    raised.clear()
-    helper_raised.clear()
-    code = main(["embed", "--n", "128", "--length", repr(4 * np.pi), "--xi", "4,8,10",
-                 "--t-end", "1.0", "--dt", "1e-2", "--no-timestamps"])
-    out = capsys.readouterr()
-    assert code == 1 and out.out == ""
-    assert out.err == "embed: blow-up or instability detected after t=0.25\n"
-    assert len(raised) == 1
-
-    # the pool is not left broken: the next sweep runs every solve and gets
-    # the rows of a sweep without helpers
-    failing[0] = False
-    with pytest.warns(UserWarning, match="third harmonic"):
-        rows = embedding_experiment(cfg)
-        monkeypatch.setattr(grid_module, "HELPERS", 0)
-        assert rows == embedding_experiment(cfg)

@@ -153,6 +153,11 @@ def test_lattice_index():
         g.lattice_index(2.01)
     with pytest.raises(ValueError):
         g.lattice_index(5.0)  # beyond the resolvable band
+    # xi / dxi is NaN or overflows: no index, rather than round()'s errors
+    for xi in (math.inf, -math.inf, math.nan, 1e308):
+        message = re.escape(f"frequency {xi} gives no finite lattice index")
+        with pytest.raises(ValueError, match=message):
+            g.lattice_index(xi)
 
 
 def test_grid_function_validation():

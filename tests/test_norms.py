@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from dlab.grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, SpaceTimeField, derivative_symbol,
                        physical_rows)
 from dlab import norms
-from dlab.norms import (NormSpec, _dyadic_aggregate, _fourier_cells, _physical_cells,
+from dlab.norms import (SPEC_KEYS, NormSpec, _dyadic_aggregate, _fourier_cells, _physical_cells,
                         _prepare_density, conjugate_exponent, ell, exponents_X,
                         exponents_Y, is_acceptable, is_conjugate_acceptable,
                         lhat_norm, morrey_interpolation_check, morrey_norm,
@@ -784,10 +785,34 @@ def test_norm_spec_refuses_a_window_its_kind_does_not_read(kind):
        st.floats(min_value=1.0, max_value=9.0, allow_nan=False),
        st.integers(min_value=-9, max_value=9))
 def test_norm_spec_round_trip_property(kind, r, j):
-    # lhat reads no window, so it round-trips without one
-    window = {} if kind == "lhat" else {"j_min": j, "j_max": j + 3}
-    spec = NormSpec(kind=kind, p=1.8, q=2.0, r=r, sigma=3.0, **window)
+    # each kind is given only the keys it reads: lhat has no window, ell no r
+    given_keys = {"p": 1.8, "q": 2.0, "r": r, "sigma": 3.0, "j_min": j, "j_max": j + 3}
+    spec = NormSpec(kind=kind, **{key: given_keys[key] for key in SPEC_KEYS[kind]})
     assert NormSpec.parse(spec.serialize()) == spec
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_KEYS))
+def test_norm_spec_refuses_a_key_its_kind_does_not_read(kind):
+    reads = {key: val for key, val in (("p", 1.8), ("q", 2.0), ("r", 3.0), ("sigma", 3.0))
+             if key in SPEC_KEYS[kind]}
+    # s = 0 is its default, so every kind takes it and serialize round-trips
+    assert NormSpec(kind=kind, **reads, s=0.0) == NormSpec(kind=kind, **reads)
+    for key, val in (("p", 1.8), ("q", 2.0), ("r", 3.0), ("s", 0.5), ("sigma", 3.0)):
+        if key not in SPEC_KEYS[kind]:
+            message = f"^kind={kind} reads no {key}, got {key}={val}; "
+            with pytest.raises(ValueError, match=message):
+                NormSpec(kind=kind, **reads, **{key: val})
+
+
+def test_morrey_norm_refuses_sums_that_leave_the_doubles():
+    # r = 1e4 overflowed the l^r sum to NaN, and p = 1e308 made the coarse-scale
+    # tail 1 / (1 - 2^{a r}) a division by zero
+    f = gaussian(Grid(64, 8 * np.pi, -4 * np.pi))
+    for p, q, r in ((1.8, 2.0, 1e4), (1e308, math.inf, 1.8), (1.8, math.inf, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"hat-Morrey sums leave the doubles at p={p}, q={q}, r={r}")):
+            morrey_norm(f, p, q, r)
+    assert math.isfinite(morrey_norm(f, 1.8, 2.0, 400.0))
 
 
 # ---------------------------------------------------------------------------
