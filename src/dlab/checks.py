@@ -1,25 +1,27 @@
 """Self-contained verification batteries.
 
-Each check_* function runs one battery, measures its numbers against the
-stated tolerances, and returns a dict with at least {"name", "passed",
-"measured"}.  BATTERIES lists each one once, with its acceptance
-criterion and its `dlab verify` name.  run_battery is the one way to run
-a battery: it passes the seed to the batteries that sample, and adds the
-warnings the battery raised under "warnings".  `dlab verify` and the
-acceptance test suite both call it, so that a pass means the same thing
-in both places.
+Each check_* function runs one battery and returns _result(name, measured),
+which holds the measured values to the battery's gates in GATES, the one
+statement of every bound, and lists each gate as {key, relation, bound,
+value, passed} beside {"name", "passed", "measured"}.  BATTERIES lists each
+battery once, with its acceptance criterion and its `dlab verify` name.
+run_battery is the one way to run a battery: it passes the seed to the
+batteries that sample, and adds the warnings the battery raised under
+"warnings".  `dlab verify` and the acceptance tests both call it, so that a
+pass means the same thing in both places.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import operator
 import warnings
 
 import numpy as np
 
 from .grid import FOURIER, PHYSICAL, Grid, GridFunction, fourier_multiply
-from .norms import (exponents_X, is_acceptable, is_conjugate_acceptable,
+from .norms import (ell, exponents_X, is_acceptable, is_conjugate_acceptable,
                     morrey_norm, preset_s, morrey_interpolation_check)
 from .deformations import (Deformation, airy_flow, apply, dilate, galilean_residual,
                            scale_invariance_ratio, translate)
@@ -30,29 +32,60 @@ from .embedding import (EmbeddingConfig, embedding_constants,
 from .profiles import (airy_frames, decoupling_check, extract_profile, partition_check,
                        partner_counts, profile_decompose, stein_tomas_ratio,
                        whitney_pairs)
-from .norms import ell
 
 
-def _result(name: str, passed: bool, measured: dict) -> dict:
-    return {"name": name, "passed": bool(passed), "measured": measured}
+# Each battery's gates by its result name: (measured key, relation, bound); it
+# passes when all hold, and a NaN fails every relation.  Plain finite
+# literals, since a report holding a NaN or an infinity is refused.
+GATES = {
+    "exponent calculus": [("preset_dev", "<", 1e-12), ("zero_below_8_5", "==", False),
+                          ("zero_above_8_5", "==", True), ("sL_window_agreement", "==", 20)],
+    "embedding constants": [("alpha1_constants_dev", "<", 1e-12), ("relation_dev", "<", 1e-12),
+                            ("quadrature_dev", "<", 1e-10), ("alpha1_spectrum_dev", "<", 1e-10)],
+    "soliton benchmark": [("ode_residual", "<", 1e-6), ("max_rel_l2_error", "<", 1e-5)],
+    "zero-energy speed": [("dev", "<", 1e-8), ("max_abs_E", "<", 1e-8), ("c_max", "<", 1.0)],
+    "Galilean identity": [("max_residual", "<", 1e-10)],
+    "scale lemma": [("ratio_min", ">=", 0.5), ("ratio_max", "<=", 2.0), ("xi0_dev", "<", 1e-10)],
+    "Morrey closed form": [("rel_err_fine", "<", 1e-3), ("fine_over_coarse", "<=", 1.0)],
+    "decoupling deficit": [("largest_fall", "<=", 1e-9), ("last_deficit", ">=", 0.0)],
+    "Whitney decomposition": [("other_counts", "==", []), ("bad", "==", 0)],
+    "refined Stein-Tomas": [("battery_max_finite", "==", True), ("battery_max_over_r0", "<=", 3.0),
+                            ("invariance_dev", "<", 0.01), ("window_stability", "<", 0.05)],
+    "NLS embedding": [("strictly_decreasing", "==", True), ("S_plus_L_variation", "<", 0.25)],
+    "profile extraction": [
+        ("single_h_exact", "==", True), ("single_xi_close", "==", True),
+        ("single_residual_fraction", "<", 0.1), ("pair_profiles", "==", 2),
+        ("pair_ells_descending", "==", True), ("pair_signs_opposite", "==", True),
+        ("conjugate_profiles", "==", 2), ("conjugate_multiplicities", "==", [2])],
+    "solver sanity": [("nls_mass_drift", "<", 1e-10), ("richardson_ratio", ">=", 3.5),
+                      ("richardson_ratio", "<=", 4.5), ("airy_limit_error", "<", 1e-10)],
+    "Morrey interpolation": [("max_ratio_finite", "==", True), ("max_ratio", ">", 0.0),
+                             ("dilation_dev", "<", 1e-6)],
+}
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
+def _result(name: str, measured: dict) -> dict:
+    gates = [{"key": key, "relation": rel, "bound": bound, "value": measured[key],
+              "passed": bool(_RELATIONS[rel](measured[key], bound))}
+             for key, rel, bound in GATES[name]]
+    return {"name": name, "passed": all(g["passed"] for g in gates),
+            "measured": measured, "gates": gates}
 
 
 def check_exponents() -> dict:
     """Preset exponent pairs, and the acceptability windows they live in."""
-    measured = {}
-    ok = True
+    measured, devs = {}, []
     for a in (1.7, 1.8, 1.9):
         pS, qS = exponents_X(preset_s("S", a), a)
         pL, qL = exponents_X(preset_s("L", a), a)
         measured[f"alpha={a}"] = {"p_S": pS, "q_S": qS, "p_L": pL, "q_L": qL}
-        ok &= abs(pS - 2.5 * a) < 1e-12 and abs(qS - 5 * a) < 1e-12
-        ok &= abs(pL - 3 * a) < 1e-12 and abs(qL - 3 * a) < 1e-12
+        devs += [abs(pS - 2.5 * a), abs(qS - 5 * a), abs(pL - 3 * a), abs(qL - 3 * a)]
     # acceptability of (0, alpha) flips at alpha = 8/5
-    below = is_acceptable(0.0, 8.0 / 5.0 - 1e-6)
-    above = is_acceptable(0.0, 8.0 / 5.0 + 1e-6)
-    measured["zero_below_8_5"] = below
-    measured["zero_above_8_5"] = above
-    ok &= (not below) and above
+    measured["zero_below_8_5"] = is_acceptable(0.0, 8.0 / 5.0 - 1e-6)
+    measured["zero_above_8_5"] = is_acceptable(0.0, 8.0 / 5.0 + 1e-6)
     # (s(L), alpha) acceptable and conjugate-acceptable exactly on [5/3, 20/9)
     alphas = np.linspace(1.5, 2.35, 20)
     agree = []
@@ -62,32 +95,26 @@ def check_exponents() -> dict:
         want = (5.0 / 3.0 <= a < 20.0 / 9.0)
         agree.append(got == want)
     measured["sL_window_agreement"] = int(sum(agree))
-    ok &= all(agree)
-    return _result("exponent calculus", ok, measured)
+    measured["preset_dev"] = float(np.max(devs))
+    return _result("exponent calculus", measured)
 
 
 def check_constants() -> dict:
     """Closed-form coupling constants against quadrature."""
-    ok = True
     c0, c1 = embedding_constants(1.0)
-    measured = {"C0_alpha1": c0, "C1_alpha1": c1}
-    ok &= abs(c0 - 0.25) < 1e-12 and abs(c1 - 0.25) < 1e-12
-    ok &= abs(fourier_sin_coeff(1.0, 1) - 0.25) < 1e-10
     rel_dev = quad_dev = 0.0
     for a in np.linspace(1.0, 2.0, 11):
         ca0, ca1 = embedding_constants(float(a))
         rel_dev = max(rel_dev, abs(ca1 - 3.0 * ca0 / (2.0 * a + 1.0)))
         quad_dev = max(quad_dev, abs(ca1 - fourier_sin_coeff(float(a), 1)))
-    measured["relation_dev"] = rel_dev
-    ok &= rel_dev < 1e-12
-    measured["quadrature_dev"] = quad_dev
-    ok &= quad_dev < 1e-10
     spectrum = [fourier_sin_coeff(1.0, k) for k in range(1, 9)]
-    measured["alpha1_spectrum"] = spectrum
-    for k, ck in enumerate(spectrum, start=1):
-        want = 0.25 if k in (1, 3) else 0.0
-        ok &= abs(ck - want) < 1e-10
-    return _result("embedding constants", ok, measured)
+    # at alpha = 1: C0 = C1 = 1/4, the sine coefficients at k = 1 and 3, and no other
+    want = [0.25, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]
+    return _result("embedding constants", {
+        "C0_alpha1": c0, "C1_alpha1": c1, "relation_dev": rel_dev, "quadrature_dev": quad_dev,
+        "alpha1_spectrum": spectrum,
+        "alpha1_constants_dev": float(np.max(np.abs(np.subtract([c0, c1], 0.25)))),
+        "alpha1_spectrum_dev": float(np.max(np.abs(np.subtract(spectrum, want))))})
 
 
 def check_soliton() -> dict:
@@ -100,34 +127,28 @@ def check_soliton() -> dict:
     qxx = fourier_multiply(GridFunction(grid, q.astype(complex), PHYSICAL),
                            (1j * xi) ** 2).values.real
     residual = float(np.max(np.abs(-qxx + q - q ** (2 * alpha + 1))))
-    measured = {"ode_residual": residual}
-    ok = residual < 1e-6
 
     u0 = soliton_Q(alpha, grid, c=1.0)
     dt = suggest_dt(grid)
     run = gkdv_solve(u0, SolveConfig(alpha=alpha, mu=-1, t_end=0.5, dt=dt, store_every=50))
     exact = soliton_profile(alpha, x - run.times[:, None])
     err = float(np.sqrt(np.max(mass(grid, run.values - exact) / mass(grid, exact))))
-    measured["dt"] = dt
-    measured["max_rel_l2_error"] = err
-    ok &= err < 1e-5
-    return _result("soliton benchmark", ok, measured)
+    return _result("soliton benchmark",
+                   {"ode_residual": residual, "dt": dt, "max_rel_l2_error": err})
 
 
 def check_c_alpha() -> dict:
     """Zero-energy speed values and the energy zero they induce."""
-    ok = True
     c1 = c_alpha(1.0)
     measured = {"c_1": c1, "dev": abs(c1 - math.sqrt(0.5))}
-    ok &= abs(c1 - math.sqrt(0.5)) < 1e-8
     grid = Grid(2048, 80.0, -40.0)
     x = grid.nodes()
-    for a in (1.0, 1.85, 1.95):
-        c = c_alpha(a)
-        e = energy(grid, c * soliton_profile(a, x), a, mu=-1)
-        measured[f"E_alpha={a}"] = e
-        ok &= abs(e) < 1e-8 and c < 1.0
-    return _result("zero-energy speed", ok, measured)
+    speeds = {a: c_alpha(a) for a in (1.0, 1.85, 1.95)}
+    for a, c in speeds.items():
+        measured[f"E_alpha={a}"] = energy(grid, c * soliton_profile(a, x), a, mu=-1)
+    measured["max_abs_E"] = float(np.max(np.abs([measured[f"E_alpha={a}"] for a in speeds])))
+    measured["c_max"] = float(np.max(list(speeds.values())))
+    return _result("zero-energy speed", measured)
 
 
 def check_galilean(seed: int) -> dict:
@@ -141,8 +162,7 @@ def check_galilean(seed: int) -> dict:
         xi0 = float(rng.integers(1, 65)) * grid.dxi
         t = float(rng.uniform(-0.2, 0.2))
         worst = max(worst, galilean_residual(f, xi0, t))
-    ok = worst < 1e-10
-    return _result("Galilean identity", ok, {"max_residual": worst})
+    return _result("Galilean identity", {"max_residual": worst})
 
 
 def check_scale_lemma(seed: int) -> dict:
@@ -174,9 +194,7 @@ def check_scale_lemma(seed: int) -> dict:
                           y=float(rng.uniform(-5, 5)))
         dev0 = max(dev0, abs(scale_invariance_ratio(rand_f(), gam,
                                                     alpha, 2.0, sigma) - 1.0))
-    ok = 0.5 <= lo and hi <= 2.0 and dev0 < 1e-10
-    return _result("scale lemma", ok,
-                   {"ratio_min": lo, "ratio_max": hi, "xi0_dev": dev0})
+    return _result("scale lemma", {"ratio_min": lo, "ratio_max": hi, "xi0_dev": dev0})
 
 
 def _indicator_oracle(alpha: float, sigma: float) -> float:
@@ -205,10 +223,9 @@ def check_morrey_closed_form() -> dict:
 
     coarse = rel_err(1024, 5)
     fine = rel_err(4096, 7)
-    ok = fine < 1e-3 and fine <= max(coarse, 1e-10)
-    return _result("Morrey closed form", ok,
-                   {"oracle": oracle, "rel_err_coarse": coarse,
-                    "rel_err_fine": fine})
+    return _result("Morrey closed form",
+                   {"oracle": oracle, "rel_err_coarse": coarse, "rel_err_fine": fine,
+                    "fine_over_coarse": fine / max(coarse, 1e-10)})
 
 
 def check_decoupling() -> dict:
@@ -223,31 +240,25 @@ def check_decoupling() -> dict:
         return GridFunction(grid, v.astype(complex), FOURIER)
 
     psi_a, psi_b = bump(1.0), bump(-0.8)
-    u_list, gammas = [], []
     ns = [8, 16, 32, 64]
-    for n in ns:
-        u_list.append(psi_a + apply(Deformation(0, xi=-float(n)), psi_b,
-                                    d_exponent=alpha))
-        gammas.append(Deformation(0))
-    rows = decoupling_check(u_list, psi_a, gammas, gamma=1.1, xi0=0.0,
-                            alpha=alpha, sigma=sigma)
+    u_list = [psi_a + apply(Deformation(0, xi=-float(n)), psi_b, d_exponent=alpha)
+              for n in ns]
+    rows = decoupling_check(u_list, psi_a, [Deformation(0)] * len(ns), gamma=1.1,
+                            xi0=0.0, alpha=alpha, sigma=sigma)
     deficits = [r["deficit"] for r in rows]
-    mono = all(b >= a - 1e-9 for a, b in zip(deficits, deficits[1:]))
-    ok = mono and deficits[-1] >= 0.0
-    return _result("decoupling deficit", ok,
-                   {"n": ns, "deficits": deficits})
+    return _result("decoupling deficit",
+                   {"n": ns, "deficits": deficits,
+                    "largest_fall": float(np.max(np.subtract(deficits[:-1], deficits[1:]))),
+                    "last_deficit": deficits[-1]})
 
 
 def check_whitney(seed: int) -> dict:
     """Pair counts and the off-diagonal partition of unity."""
     pairs = whitney_pairs(-3, 2, 16.0)
-    counts_ok = True
     count_sets = {}
     for j in range(-3, 3):
         k_hi = int(math.ceil(16.0 / 2.0 ** j))
-        cnts = partner_counts(pairs, j, k_hi - 5)
-        count_sets[j] = sorted(set(cnts.values()))
-        counts_ok &= set(cnts.values()) <= {2, 4, 6}
+        count_sets[j] = sorted(set(partner_counts(pairs, j, k_hi - 5).values()))
     rng = np.random.default_rng(seed)
     counted, bad = 0, 0
     while counted < 10_000:
@@ -255,10 +266,11 @@ def check_whitney(seed: int) -> dict:
         res = partition_check(pairs, samples)
         counted += res["counted"]
         bad += res["bad"]
-    ok = counts_ok and bad == 0
-    return _result("Whitney decomposition", ok,
+    # an interval away from the edges has 2, 4 or 6 partners
+    other = sorted(set().union(*count_sets.values()) - {2, 4, 6})
+    return _result("Whitney decomposition",
                    {"pairs": len(pairs), "count_sets": count_sets,
-                    "samples": counted, "bad": bad})
+                    "samples": counted, "bad": bad, "other_counts": other})
 
 
 def check_stein_tomas(seed: int) -> dict:
@@ -289,11 +301,19 @@ def check_stein_tomas(seed: int) -> dict:
         noise = GridFunction(grid, coef.astype(complex), FOURIER).to_physical()
         f = GridFunction(grid, noise.values * envelope, PHYSICAL)
         worst = max(worst, stein_tomas_ratio(f, alpha, sigma, 24.0, nt=769))
-    ok = (math.isfinite(worst) and worst <= 3.0 * r0
-          and inv < 0.01 and stability < 0.05)
-    return _result("refined Stein-Tomas", ok,
+    return _result("refined Stein-Tomas",
                    {"gaussian_ratio": r0, "battery_max": worst,
-                    "invariance_dev": inv, "window_stability": stability})
+                    "invariance_dev": inv, "window_stability": stability,
+                    "battery_max_finite": math.isfinite(worst),
+                    "battery_max_over_r0": worst / r0})
+
+
+def embedding_measures(rows: list[dict]) -> dict:
+    """Criterion 11's gated values over the rows of an embedding sweep."""
+    errs = [r["err_lhat_alpha"] for r in rows]
+    sl = [r["norm_S"] + r["norm_L"] for r in rows]
+    return {"strictly_decreasing": all(b < a for a, b in zip(errs, errs[1:])),
+            "S_plus_L_variation": (max(sl) - min(sl)) / min(sl)}
 
 
 def check_embedding() -> dict:
@@ -304,14 +324,7 @@ def check_embedding() -> dict:
     cfg = EmbeddingConfig(alpha=1.9, phi=phi, xi_list=(8.0, 16.0, 32.0, 64.0),
                           T=1.0, nls_dt=1e-3)
     rows = embedding_experiment(cfg)
-    errs = [r["err_lhat_alpha"] for r in rows]
-    sl = [r["norm_S"] + r["norm_L"] for r in rows]
-    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    variation = (max(sl) - min(sl)) / min(sl)
-    ok = decreasing and variation < 0.25
-    return _result("NLS embedding", ok,
-                   {"rows": rows, "strictly_decreasing": decreasing,
-                    "S_plus_L_variation": variation})
+    return _result("NLS embedding", {"rows": rows, **embedding_measures(rows)})
 
 
 def check_profiles() -> dict:
@@ -326,9 +339,6 @@ def check_profiles() -> dict:
                      amp * np.exp(-(xi - center) ** 2 * 8.0 / width ** 2), 0.0)
         return GridFunction(grid, v.astype(complex), FOURIER)
 
-    measured = {}
-    ok = True
-
     # single planted profile
     psi_star = bump(0.5, 1.0, 1.0)
     planted = [Deformation(2, xi=float(n), s=0.1, y=1.0) for n in (2, 3, 5, 8)]
@@ -340,9 +350,8 @@ def check_profiles() -> dict:
     res_frac = max(morrey_norm(r, alpha, 2.0, sigma)
                    / morrey_norm(u, alpha, 2.0, sigma)
                    for r, u in zip(res, u_list))
-    measured["single"] = {"h_exact": h_exact, "xi_close": xi_close,
-                          "residual_fraction": res_frac}
-    ok &= h_exact and xi_close and res_frac < 0.1
+    measured = {"single": {"h_exact": h_exact, "xi_close": xi_close,
+                           "residual_fraction": res_frac}}
 
     # two nonresonant profiles, extracted in descending ell order
     psi1, psi2 = bump(0.5, 1.0, 2.0), bump(0.5, 1.0, 1.0)
@@ -355,7 +364,6 @@ def check_profiles() -> dict:
     ells = [ell(p, alpha, sigma)[0] for p, _ in dec.profiles]
     signs = [np.sign(dec.profiles[0][1][-1].xi), np.sign(dec.profiles[1][1][-1].xi)]
     measured["pair"] = {"ells": ells, "lead_xi_signs": signs}
-    ok &= len(ells) == 2 and ells[0] >= ells[1] and signs[0] > 0 > signs[1]
 
     # real carrier input: conjugate bands merge with multiplicity 2
     xg = grid.nodes()
@@ -366,10 +374,14 @@ def check_profiles() -> dict:
     dec3 = profile_decompose(u3, alpha, sigma, j_max=2, eps_stop=1e-4,
                              t_scan=0.05)
     entries = dec3.diagnostics["ledger_entries"]
-    measured["conjugate"] = {"profiles": len(dec3.profiles),
-                             "ledger": entries}
-    ok &= len(dec3.profiles) == 2 and len(entries) == 1 and entries[0]["c"] == 2
-    return _result("profile extraction", ok, measured)
+    measured["conjugate"] = {"profiles": len(dec3.profiles), "ledger": entries}
+    measured.update(
+        single_h_exact=h_exact, single_xi_close=xi_close, single_residual_fraction=res_frac,
+        pair_profiles=len(ells), pair_ells_descending=bool(ells[0] >= ells[1]),
+        pair_signs_opposite=bool(signs[0] > 0 > signs[1]),
+        conjugate_profiles=len(dec3.profiles),
+        conjugate_multiplicities=[e["c"] for e in entries])
+    return _result("profile extraction", measured)
 
 
 def check_solver_sanity() -> dict:
@@ -377,12 +389,9 @@ def check_solver_sanity() -> dict:
     grid = Grid(256, 16.0 * math.pi, -8.0 * math.pi)
     x = grid.nodes()
     u0 = GridFunction(grid, np.exp(-x ** 2).astype(complex), PHYSICAL)
-    measured = {}
     # NLS mass drift over a unit of time
-    run = nls_solve(u0, SolveConfig(alpha=2.0, mu=-1, t_end=1.0, dt=1e-3,
-                                    store_every=200))
+    run = nls_solve(u0, SolveConfig(alpha=2.0, mu=-1, t_end=1.0, dt=1e-3, store_every=200))
     mass_drift = drift(mass(grid, run.values))
-    measured["nls_mass_drift"] = mass_drift
 
     # Richardson order check against a much finer reference
     def final(dt):
@@ -392,17 +401,15 @@ def check_solver_sanity() -> dict:
     ref = final(1.25e-4)
     e_coarse = (final(2e-3) - ref).l2_norm()
     e_fine = (final(1e-3) - ref).l2_norm()
-    ratio = e_coarse / e_fine
-    measured["richardson_ratio"] = ratio
 
     # mu-free gKdV against the exact Airy group
     cfg = SolveConfig(alpha=2.0, mu=-1, coupling=0.0, t_end=0.5, dt=1e-3,
                       store_every=100)
     lin = gkdv_solve(u0, cfg)
     airy_err = float(np.max(np.abs(lin.values - airy_frames(u0, lin.times, 0.0))))
-    measured["airy_limit_error"] = airy_err
-    ok = mass_drift < 1e-10 and 3.5 <= ratio <= 4.5 and airy_err < 1e-10
-    return _result("solver sanity", ok, measured)
+    return _result("solver sanity", {"nls_mass_drift": mass_drift,
+                                     "richardson_ratio": e_coarse / e_fine,
+                                     "airy_limit_error": airy_err})
 
 
 def check_interpolation(seed: int) -> dict:
@@ -425,9 +432,9 @@ def check_interpolation(seed: int) -> dict:
     dil = morrey_interpolation_check(dilate(f, 2.0, 2.0), p=2.0, q=1.5,
                                      r=4.0, s=1.8)
     dev = abs(dil / base - 1.0)
-    ok = math.isfinite(worst) and worst > 0.0 and dev < 1e-6
-    return _result("Morrey interpolation", ok,
-                   {"max_ratio": worst, "dilation_dev": dev})
+    return _result("Morrey interpolation",
+                   {"max_ratio": worst, "dilation_dev": dev,
+                    "max_ratio_finite": math.isfinite(worst)})
 
 
 # (acceptance criterion or None, `dlab verify` name, battery)

@@ -4,12 +4,12 @@ Subcommands: solve gkdv|nls, norm, embed, profiles extract|decompose,
 verify <battery>, gf info|convert.  Each subcommand and action declares
 only the options its cmd_* reads; a norm's dyadic window is the spec's
 j_min and j_max, which only morrey_hat and ell accept.  Each cmd_*
-returns its exit code and what it computed (solve: the resolved dt
-beside steps and t_reached); main runs it under
-one warnings recorder and writes the report to stdout as JSON, adding
-the command, every parsed argument with its default filled in under
-"config", and the warnings the run raised as
-"<file>:<line>: <Category>: <message>" lines.  CSV tables go to --csv
+returns its exit code and what it computed (solve: the resolved dt beside
+steps and t_reached; embed and verify: each gate of checks.GATES beside
+the value held to it); main runs it under one warnings recorder and writes
+the report to stdout as JSON, adding the command, every parsed argument
+with its default filled in under "config", and the warnings the run raised
+as "<file>:<line>: <Category>: <message>" lines.  CSV tables go to --csv
 where a command writes one.  Exit code 0 when all requested checks pass,
 1 on a failed check or bad data (one line on stderr), 2 on usage errors.
 """
@@ -45,12 +45,10 @@ def _json_default(obj):
     if isinstance(obj, warnings.WarningMessage):
         return (f"{os.path.basename(obj.filename)}:{obj.lineno}: "
                 f"{obj.category.__name__}: {obj.message}")
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -165,9 +163,9 @@ def cmd_embed(args) -> tuple[int, dict]:
         raise ValueError(f"embed: {err}") from None
     if args.csv:
         _write_csv(args.csv, {key: [r[key] for r in rows] for key in rows[0]})
-    errs = [r["err_lhat_alpha"] for r in rows]
-    return 0, {"rows": rows,
-               "error_decreasing": all(b < a for a, b in zip(errs, errs[1:]))}
+    # criterion 11's gates on these rows; the exit code does not depend on them
+    measured = _checks.embedding_measures(rows)
+    return 0, {"rows": rows, "gates": _checks._result("NLS embedding", measured)["gates"]}
 
 
 def _read_inputs(manifest: str) -> list[GridFunction]:
@@ -203,16 +201,11 @@ def cmd_profiles_decompose(args) -> tuple[int, dict]:
                             j_max=args.j_max, t_scan=args.t_scan)
     _write_states(args.out, "psi", [psi for psi, _ in dec.profiles])
     _write_states(args.out, "residual", dec.residuals)
-    d = dec.diagnostics
     return 0, {"profiles": [{"index": j, "deformations": [g.serialize() for g in gammas]}
                             for j, (_, gammas) in enumerate(dec.profiles)],
-               "selector_values": d["selector_values"],
-               "ledger_entries": d["ledger_entries"],
-               "ledger_sum": d["ledger_sum"],
-               "ell_input": d["ell_input"],
-               "ell_residual": d["ell_residual"],
-               "orthogonality_gaps": d["orthogonality_gaps"],
-               "nonresonance_gaps": d["nonresonance_gaps"]}
+               **{key: dec.diagnostics[key] for key in (
+                   "selector_values", "ledger_entries", "ledger_sum", "ell_input",
+                   "ell_residual", "orthogonality_gaps", "nonresonance_gaps")}}
 
 
 def cmd_verify(args) -> tuple[int, dict]:

@@ -41,6 +41,11 @@ from .grid import PHYSICAL, Grid, GridFunction, SpaceTimeField, map_row_blocks
 BLOWUP_SUP = 1e8
 ESTIMATE_ALPHA_RANGE = (8.0 / 5.0, 10.0 / 3.0)
 DEALIAS_PAD = 2  # nonlinear products are formed on a grid this many times finer
+# Most steps a solve may take each way: about 4000 times criterion 13's
+# 4000-step reference, the largest step count in the batteries and the
+# benchmark workloads.  A longer solve cannot finish in useful time, and
+# with a sparse store_every its frame array is small enough to allocate.
+MAX_STEPS = 2 ** 24
 # c_alpha's trapezoid nodes: Q and Q' are below roundoff past |x| = 60
 C_ALPHA_NODES = np.linspace(-60.0, 60.0, 24001)
 
@@ -73,6 +78,9 @@ class SolveConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(abs(self.t_end) / self.dt):
             raise ValueError(f"t_end / dt overflows: t_end={self.t_end}, dt={self.dt}")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"|t_end| / dt = {self.n_steps:.3g} steps, more than MAX_STEPS = "
+                             f"{MAX_STEPS}: t_end={self.t_end}, dt={self.dt}")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
         lo, hi = ESTIMATE_ALPHA_RANGE

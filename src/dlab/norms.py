@@ -389,9 +389,15 @@ def sigma_range(alpha: float) -> tuple[float, float]:
     return alpha / (alpha - 1.0), 6.0 * alpha / (3.0 * alpha - 2.0)
 
 
-def _check_ell_exponents(alpha: float, sigma: float) -> None:
+def _check_ell_alpha(alpha: float) -> None:
+    """The one check of alpha's window (4/3, 2), where ell and the refined
+    Stein-Tomas ratio are taken."""
     if not (4.0 / 3.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (4/3, 2), got {alpha}")
+
+
+def _check_ell_exponents(alpha: float, sigma: float) -> None:
+    _check_ell_alpha(alpha)
     lo, hi = sigma_range(alpha)
     if not (lo < sigma <= hi):
         raise ValueError(f"sigma must lie in ({lo:g}, {hi:g}], got {sigma}")

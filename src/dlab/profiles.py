@@ -32,8 +32,8 @@ from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, derivative_symbol,
                    fourier_multiply, map_row_blocks, physical_rows)
 from .deformations import (Deformation, apply, apply_inverse, dyadic_log2, nonresonance_gap,
                            orthogonality_gap)
-from .norms import (_check_window, _fourier_cells, _prepare_density, _scale_terms,
-                    conjugate_exponent, ell, morrey_norm)
+from .norms import (_check_ell_alpha, _check_window, _fourier_cells, _prepare_density,
+                    _scale_terms, conjugate_exponent, ell, morrey_norm)
 
 SCAN_FRAMES = 257   # time samples of the space-time argmax scan
 # coarse nodes per band cell in _spacetime_argmax, m >= 8 B: the Bernstein step
@@ -259,8 +259,7 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     map_row_blocks block is reduced to its rows' sums of |.|^{3a}, on
     whichever thread made it, and the sums are joined in row order.
     """
-    if not (4.0 / 3.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (4/3, 2)")
+    _check_ell_alpha(alpha)
     if nt % 2 == 0:
         raise ValueError(f"nt must be odd, got {nt}")
     if nt < 3:

@@ -47,3 +47,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         plural = "" if row["warnings"] == 1 else "s"
         terminalreporter.write_line(f"{label} {row['name']}: {verdict} ({row['seconds']:.1f} s, "
                                     f"{row['warnings']} warning{plural})")
+        if not row["passed"]:
+            terminalreporter.write_line(f"    failed gates: {row['failed']}")

@@ -58,6 +58,32 @@ def test_verify_seed_is_used(capsys):
     assert residual["0"] != residual["3"]
 
 
+def test_verify_reports_the_gate_a_battery_fails(capsys, monkeypatch):
+    monkeypatch.setattr("dlab.checks.galilean_residual", lambda f, xi0, t: 1.0)
+    code, out, err = run(capsys, "verify", "galilean", "--no-timestamps")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    [result] = payload["results"]
+    assert payload["passed"] is False and result["passed"] is False
+    assert result["gates"] == [{"key": "max_residual", "relation": "<", "bound": 1e-10,
+                                "value": 1.0, "passed": False}]
+
+
+def test_embed_reports_criterion_11_gates_on_its_rows(capsys):
+    code, out, _ = run(capsys, "embed", "--n", "128", "--xi", "4,8", "--t-end", "0.1",
+                       "--no-timestamps")
+    assert code == 0
+    payload = json.loads(out)
+    assert "error_decreasing" not in payload
+    errs = [r["err_lhat_alpha"] for r in payload["rows"]]
+    sl = [r["norm_S"] + r["norm_L"] for r in payload["rows"]]
+    assert payload["gates"] == [
+        {"key": "strictly_decreasing", "relation": "==", "bound": True,
+         "value": errs[1] < errs[0], "passed": errs[1] < errs[0]},
+        {"key": "S_plus_L_variation", "relation": "<", "bound": 0.25,
+         "value": (max(sl) - min(sl)) / min(sl), "passed": (max(sl) - min(sl)) / min(sl) < 0.25}]
+
+
 def test_options_only_where_read(tmp_path, capsys):
     path = tmp_path / "g.gf"
     write_sample(path)
@@ -427,12 +453,26 @@ def test_embed_non_finite_carrier_exits_1_with_one_line(capsys, xi):
     (["--t-end=inf"], "t_end must be finite and nonzero, got inf"),
     (["--t-end=0"], "t_end must be finite and nonzero, got 0.0"),
     (["--dt=inf"], "dt must be positive and finite, got inf"),
-    (["--t-end=1e13", "--dt=1e-3"], "2e+14 frames of 512 points need 1.64e+18 bytes"),
+    # 1.6e7 steps, under MAX_STEPS, whose frames would outgrow any address space
+    (["--n=1048576", "--t-end=16000", "--dt=1e-3", "--store-every=1"],
+     "1.6e+07 frames of 1048576 points"),
 ])
 def test_solve_bad_time_range_exits_1(capsys, argv, message):
     code, out, err = run(capsys, "solve", "nls", *argv, "--no-timestamps")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--dt", "1e-300", "--xi", "8"],
+    ["solve", "nls", "--t-end", "1e300", "--dt", "1", "--store-every", str(10 ** 300)],
+])
+def test_solve_past_max_steps_exits_1_with_one_line(capsys, argv):
+    # each ran for minutes before MAX_STEPS: its frame array stays small
+    code, out, err = run(capsys, *argv, "--no-timestamps")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("|t_end| / dt = 1e+300 steps, more than MAX_STEPS = 16777216")
 
 
 def test_verify_soliton_lists_the_range_warning(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlab.deformations import airy_flow, schrodinger_flow
-from dlab.evolutions import (BLOWUP_SUP, DEALIAS_PAD, BlowupError, SolveConfig,
+from dlab.evolutions import (BLOWUP_SUP, DEALIAS_PAD, MAX_STEPS, BlowupError, SolveConfig,
                              _nonlinear_power, _record, _stored, c_alpha, drift, energy,
                              gkdv_solve, mass, nls_solve, soliton_exact, soliton_profile,
                              soliton_Q, suggest_dt)
@@ -128,9 +128,14 @@ def test_config_validation():
         quiet_config(alpha=1.8, t_end=0.0)
     with pytest.raises(ValueError, match="overflows"):
         quiet_config(alpha=1.8, t_end=1e300, dt=1e-300)
-    # 1e16 frames: refused before any step is taken
-    with pytest.raises(ValueError, match=r"^1e\+16 frames of 256 points need 4.1e\+19 bytes"):
-        nls_solve(gaussian(GRID), quiet_config(alpha=1.8, t_end=1e13, dt=1e-3))
+    # 1e16 steps: refused before any step is taken
+    with pytest.raises(ValueError, match=r"^\|t_end\| / dt = 1e\+16 steps, more than MAX_STEPS"):
+        quiet_config(alpha=1.8, t_end=1e13, dt=1e-3)
+    assert quiet_config(alpha=1.8, t_end=MAX_STEPS * 1e-3, dt=1e-3).n_steps == MAX_STEPS
+    # 1.6e7 frames of 2^20 points, past any address space: refused before any step
+    big = Grid(2 ** 20, 16 * np.pi, -8 * np.pi)
+    with pytest.raises(ValueError, match=r"^1.6e\+07 frames of 1048576 points need 2.68e\+14 bytes"):
+        nls_solve(gaussian(big), quiet_config(alpha=1.8, t_end=16000.0, dt=1e-3))
     with pytest.warns(UserWarning, match="outside the range"):
         SolveConfig(alpha=1.0)
 

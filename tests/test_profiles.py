@@ -260,7 +260,7 @@ def test_stein_tomas_zero_input():
 def test_stein_tomas_alpha_validation():
     g = Grid(256, 2 * np.pi * 8, -np.pi * 8)
     f = bump(g, 2.0, 1.0)
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(4/3, 2\), got 2.5$"):
         stein_tomas_ratio(f, 2.5, SIGMA, 4.0)
 
 
