@@ -23,8 +23,8 @@ e^{i t_k p(xi)} (the Airy flow for p = xi^3, a translation for p linear
 in xi), or spreads one Fourier density spectrum over all rows, and hands
 each block to a caller's reduce(rows, block), which runs before the
 block's memory is reused; it returns the reductions in row order.  A
-caller that reduces each block to a few numbers (the restriction ratio,
-the space-time norms, mass and energy) never holds all rows at once;
+caller that reduces each block to a few numbers (the space-time norms and
+the restriction ratio's, mass and energy) never holds all rows at once;
 physical_rows writes the blocks into one (m, n) array, and the embedding
 residual subtracts each block's nonlinear term from its own rows.  The
 blocks are fixed slices of ROW_BLOCK rows, taken in turn from one

@@ -18,7 +18,8 @@ Implemented norms:
                           |I|^{1/q-1/p} * ||fhat||_{L^{q'}(I)}
   * morrey_physical    -- physical-side Morrey M^p_{q,r} (q < p)
   * ell                -- infimum of the hat-Morrey norm over modulations
-  * spacetime_norm     -- mixed L^p_x L^q_t norms with an |d/dx|^s weight
+  * spacetime_norm     -- mixed L^p_x L^q_t norms with an |d/dx|^s weight,
+                          one block reduction shared with the restriction ratio
 plus the exponent calculus (acceptability, the X/Y exponent maps, and the
 named presets).
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .grid import GridFunction, SpaceTimeField, derivative_symbol, map_row_blocks
+from .grid import Grid, GridFunction, SpaceTimeField, derivative_symbol, map_row_blocks
 
 EPS_PRESET = 1e-3  # the "sufficiently small" offset in the Z and K presets
 _BLOCK = 1 << 17   # entries per chunk of _scale_terms' interval array
@@ -656,14 +657,46 @@ class NormSpec:
 # space-time norms
 # ---------------------------------------------------------------------------
 
-def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
-    """Mixed L^p_x L^q_t norm of |d/dx|^s F over the field's time window.
+def _time_norms(p: float, q: float, grid: Grid, values: np.ndarray, symbol: np.ndarray | None,
+                times: np.ndarray, dispersion: np.ndarray | None = None,
+                windows=(slice(None),)) -> np.ndarray:
+    """Mixed L^p_x L^q_t norm over each window (a slice of rows) of the rows at
+    `times` that map_row_blocks makes: stored, or with a dispersion spread.
+    Each block is reduced, on the thread that made it, to w[rows] @ |.|^q per
+    window's trapezoid weights w (for q = inf, to its max over every row: the
+    windows are for q < inf), and these are added (or maxed) in row order; for
+    p == q < inf the block sums over x first (Fubini): one number per window."""
+    fubini = p == q and math.isfinite(q)
+    # trapezoid rule: row k weighs (t[k+1] - t[k-1]) / 2, an end row half its step
+    weight = np.zeros((len(windows), len(times)))
+    for row, window in zip(weight, windows):
+        half = np.diff(times[window]) / 2.0
+        row[window][:-1] += half
+        row[window][1:] += half
 
-    The weighted rows are never held at once: each map_row_blocks block
-    is reduced, on whichever thread made it, to its rows' trapezoid sum
-    weight[rows] @ |.|^q (or its max over rows for q = inf), and the
-    caller adds these up (or takes their max) in row order.
-    """
+    def reduce(rows, block):
+        part = np.abs(block)
+        if not math.isfinite(q):
+            return np.max(part, axis=0)[None]
+        part **= q
+        part = np.sum(part, axis=1) if fubini else part
+        # one product per window: a (windows, rows) matrix product rounds otherwise
+        return np.stack([w[rows] @ part for w in weight])
+
+    parts = map_row_blocks(reduce, grid, values, symbol, None if dispersion is None else times,
+                           dispersion)
+    total = sum(parts) if math.isfinite(q) else np.max(parts, axis=0)
+    if fubini:
+        return (total * grid.dx) ** (1.0 / q)
+    if math.isfinite(q):
+        total **= 1.0 / q
+    if math.isfinite(p):
+        return np.sum(total ** p * grid.dx, axis=1) ** (1.0 / p)
+    return np.max(total, axis=1)
+
+
+def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
+    """Mixed L^p_x L^q_t norm of |d/dx|^s F over the field's time window."""
     if len(field) == 0:
         raise ValueError("empty field")
     if spec.kind == "spacetime_X":
@@ -677,33 +710,8 @@ def spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
     if len(field) == 1 and math.isfinite(q):
         raise ValueError("single-frame field has no time measure for q < inf")
 
-    g = field.grid
-    symbol = derivative_symbol(g.frequencies(), spec.s) if spec.s != 0.0 else None
-    if math.isfinite(q):
-        # trapezoid rule: row k weighs (t[k+1] - t[k-1]) / 2, an end row half its step
-        half = np.diff(field.times) / 2.0
-        weight = np.zeros(len(field))
-        weight[:-1] += half
-        weight[1:] += half
-
-    def reduce(rows, block):
-        part = np.abs(block)
-        if math.isfinite(q):
-            part **= q
-            return weight[rows] @ part
-        return np.max(part, axis=0)
-
-    inner = np.zeros(g.n)
-    for part in map_row_blocks(reduce, g, field.values, symbol):
-        if math.isfinite(q):
-            inner += part
-        else:
-            np.maximum(inner, part, out=inner)
-    if math.isfinite(q):
-        inner **= 1.0 / q
-    if math.isfinite(p):
-        return float(np.sum(inner ** p * field.grid.dx) ** (1.0 / p))
-    return float(np.max(inner))
+    symbol = derivative_symbol(field.grid.frequencies(), spec.s) if spec.s != 0.0 else None
+    return float(_time_norms(p, q, field.grid, field.values, symbol, field.times)[0])
 
 
 # ---------------------------------------------------------------------------

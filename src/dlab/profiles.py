@@ -33,7 +33,7 @@ from .grid import (FOURIER, ROW_BLOCK, Grid, GridFunction, derivative_symbol,
 from .deformations import (Deformation, apply, apply_inverse, dyadic_log2, nonresonance_gap,
                            orthogonality_gap)
 from .norms import (_check_ell_alpha, _check_window, _fourier_cells, _prepare_density,
-                    _scale_terms, conjugate_exponent, ell, morrey_norm)
+                    _scale_terms, _time_norms, conjugate_exponent, ell, morrey_norm)
 
 SCAN_FRAMES = 257   # time samples of the space-time argmax scan
 # coarse nodes per band cell in _spacetime_argmax, m >= 8 B: the Bernstein step
@@ -255,9 +255,10 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     which are [-time_window, time_window] at the same spacing, differs from
     it by more than 1 % relatively.  nt must be odd and at least 3, and
     time_window positive, finite and small enough that every Airy phase
-    stays within MAX_AIRY_PHASE.  The frames are never held at once: each
-    map_row_blocks block is reduced to its rows' sums of |.|^{3a}, on
-    whichever thread made it, and the sums are joined in row order.
+    stays within MAX_AIRY_PHASE.  The ratio is homogeneous of degree 0, so
+    fhat is first scaled by a power of two to a largest modulus in [1/2, 1):
+    no amplitude overflows |.|^{3a} or underflows the Morrey norm.  Both
+    norms of the time integral come from one _time_norms call.
     """
     _check_ell_alpha(alpha)
     if nt % 2 == 0:
@@ -265,29 +266,26 @@ def stein_tomas_ratio(f: GridFunction, alpha: float, sigma: float,
     if nt < 3:
         raise ValueError(f"nt must be at least 3, got {nt}")
     _check_airy_time("time_window", time_window, f.grid, reach=2.0)
-    denom = morrey_norm(f, alpha, 2.0, sigma)
-    if denom == 0.0:
+    fh = f.to_fourier()
+    peak = float(np.max(np.abs(fh.values)))
+    if peak == 0.0:
         return 0.0
+    # exact: each real and imaginary part times 2^-e, e the exponent of the peak
+    e = math.frexp(peak)[1]
+    f = GridFunction(fh.grid, np.ldexp(fh.values.real, -e) + 1j * np.ldexp(fh.values.imag, -e),
+                     FOURIER)
     exponent = 3.0 * alpha
     t2 = np.linspace(-2.0 * time_window, 2.0 * time_window, 2 * nt - 1)
-
-    def row_sums(rows, block):
-        part = np.abs(block)
-        part **= exponent
-        return np.sum(part, axis=1)
-
-    space = np.concatenate(map_row_blocks(row_sums, *_airy_args(f, t2, 1.0 / exponent)))
-    space *= f.grid.dx
     mid = slice((nt - 1) // 2, (nt - 1) // 2 + nt)
-    num1 = float(np.trapezoid(space[mid], t2[mid]) ** (1.0 / exponent))
-    num2 = float(np.trapezoid(space, t2) ** (1.0 / exponent))
+    num2, num1 = _time_norms(exponent, exponent, *_airy_args(f, t2, 1.0 / exponent),
+                             windows=(slice(None), mid))
     if num1 > 0 and abs(num2 - num1) / num1 > 0.01:
         raise ValueError(
             f"time window {time_window} too short: doubling moved the norm by "
             f"{abs(num2 - num1) / num1:.2%}; the Airy flow on a torus does not "
             f"disperse, so the grid's period {f.grid.length:.6g} bounds the usable "
             "window and a longer one need not converge: use a longer period")
-    return num2 / denom
+    return float(num2) / morrey_norm(f, alpha, 2.0, sigma)
 
 
 # ---------------------------------------------------------------------------

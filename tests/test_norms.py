@@ -856,6 +856,7 @@ def materialised_spacetime_norm(field: SpaceTimeField, spec: NormSpec) -> float:
     ("spacetime_X", 1.9, 0.3), ("spacetime_Y", 1.9, 0.3), ("spacetime_X", 2.0, 0.0),
     ("spacetime_X", 2.0, -0.25),   # q = inf, p = 4
     ("spacetime_X", math.inf, 0.0),  # p = q = inf
+    ("spacetime_X", 1.9, preset_s("L", 1.9)),  # p = q = 5.7: summed over x first
 ])
 def test_spacetime_norm_streamed_matches_materialised(m, kind, r, s):
     g = Grid(256, 2 * np.pi * 8, -np.pi * 8)

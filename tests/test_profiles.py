@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dlab import grid as grid_module
 from dlab import norms, profiles
 from dlab.deformations import Deformation, airy_flow, apply
-from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction,
+from dlab.grid import (FOURIER, PHYSICAL, ROW_BLOCK, Grid, GridFunction, SpaceTimeField,
                        fractional_derivative, physical_rows)
-from dlab.norms import conjugate_exponent, morrey_norm
+from dlab.norms import NormSpec, conjugate_exponent, morrey_norm, spacetime_norm
 from dlab.profiles import (MAX_WHITNEY_INTERVALS, airy_frames, decoupling_check,
                            extract_profile, partition_check, partner_counts,
                            profile_decompose, stein_tomas_ratio, whitney_pairs,
@@ -375,20 +376,75 @@ def test_stein_tomas_streamed_row_sums_match_materialised_frames(nt):
     assert stein_tomas_ratio(f, ALPHA, SIGMA, 2.0, nt=nt) == materialised_stein_tomas(f, 2.0, nt)
 
 
-def test_stein_tomas_traced_peak_stays_small():
-    # the widest criterion-10 window: 2049 x 4096 frames would take 134 MB,
-    # and the parent's materialised frames peaked near 200 MB
+def criterion_10_gaussian() -> GridFunction:
     g = Grid(4096, 2.0 * math.pi * 2 ** 8, -math.pi * 2 ** 8)
-    f0 = GridFunction(g, np.exp(-g.nodes() ** 2) + 0j)
+    return GridFunction(g, np.exp(-g.nodes() ** 2) + 0j)
+
+
+def traced_peak_of_the_widest_ratio() -> int:
+    # the widest criterion-10 window: 2049 x 4096 frames would take 134 MB
     tracemalloc.start()
     try:
-        ratio = stein_tomas_ratio(f0, ALPHA, SIGMA, 32.0, nt=1025)
+        ratio = stein_tomas_ratio(criterion_10_gaussian(), ALPHA, SIGMA, 32.0, nt=1025)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert ratio > 0
-    assert peak < 40e6
+    return peak
+
+
+def test_stein_tomas_traced_peak_without_helpers_holds_one_number_per_window(monkeypatch):
+    # on the calling thread alone the peak is one block's temporaries and the
+    # phase table, 5.8 MB; keeping a (2, 4096) partial per block reads 10 MB
+    monkeypatch.setattr(grid_module, "HELPERS", 0)
+    assert traced_peak_of_the_widest_ratio() < 8e6
+
+
+def test_stein_tomas_ratio_is_the_L_norm_of_airy_frames_over_the_morrey_norm():
+    # criterion 10's input: the ratio's numerator is spacetime_norm's L preset,
+    # p = q = 3 alpha, s = 1/(3 alpha), of the free Airy evolution
+    f0 = criterion_10_gaussian()
+    t2 = np.linspace(-32.0, 32.0, 1025)
+    field = SpaceTimeField(f0.grid, t2, airy_frames(f0, t2, 0.0))
+    want = (spacetime_norm(field, NormSpec.from_preset("L", ALPHA))
+            / morrey_norm(f0, ALPHA, 2.0, SIGMA))
+    assert abs(stein_tomas_ratio(f0, ALPHA, SIGMA, 16.0, nt=513) - want) <= 1e-14 * want
+
+
+def power_of_two_times(f: GridFunction, k: int) -> GridFunction:
+    """2^k f, scaled on the Fourier side (exact while no sample goes subnormal)."""
+    return GridFunction(f.grid, f.to_fourier().values * 2.0 ** k, FOURIER)
+
+
+def test_stein_tomas_ratio_is_homogeneous_of_degree_0():
+    # without the power-of-two scaling, 2^-300 f underflows the Morrey norm to 0
+    # and 2^300 f overflows |u|^{3 alpha} to inf
+    f0 = criterion_10_gaussian().to_fourier()
+    want = stein_tomas_ratio(f0, ALPHA, SIGMA, 16.0, nt=513)
+    for k in (-300, 300):
+        fk = power_of_two_times(f0, k)
+        parts = np.abs(fk.values.view(np.float64))
+        assert not np.any((parts > 0) & (parts < np.finfo(np.float64).tiny))
+        assert stein_tomas_ratio(fk, ALPHA, SIGMA, 16.0, nt=513) == want
+
+
+@pytest.mark.parametrize("k", [-300, 0, 300])
+def test_stein_tomas_refuses_a_short_window_at_every_amplitude(k):
+    # without the power-of-two scaling, the Morrey norm of 2^-300 f underflows
+    # to 0, which returned 0.0 before the window check
+    g = Grid(512, 32 * np.pi, -16 * np.pi)
+    f = power_of_two_times(GridFunction(g, np.exp(-g.nodes() ** 2) + 0j), k)
+    with pytest.raises(ValueError, match="^time window 2.0 too short: doubling moved the norm "
+                                         "by 2.15%"):
+        stein_tomas_ratio(f, ALPHA, SIGMA, 2.0)
+
+
+def test_stein_tomas_traced_peak_stays_small():
+    # holding every frame at once peaked near 200 MB
+    assert traced_peak_of_the_widest_ratio() < 40e6
     # collected into a given array, physical_rows hands that array back
+    f0 = criterion_10_gaussian()
+    g = f0.grid
     xi = g.frequencies()
     t_grid = np.linspace(-1.0, 1.0, ROW_BLOCK + 3)
     rows = np.empty((t_grid.size, g.n), dtype=complex)
